@@ -30,8 +30,7 @@ WRAPPED = {
     "walks": ("transition_kernel", "simulate_discrete",
               "absorption_time_samples", "evolve_continuous",
               "return_probability"),
-    "superdiff": ("superdiffusion_exponent", "verify_stable_limit", "fwhm",
-                  "stable_density"),
+    "superdiff": ("fwhm", "stable_density"),
     "consensus": ("gamma_lower_bound", "simulate_consensus"),
     "io": ("write_table_csv", "write_matrix_csv", "write_json"),
     "cli": ("cli_dispatch",),
