@@ -1,6 +1,7 @@
 """Output checks and the independent computations behind them.
 
-Each check either passes or raises `CheckFailed`.  The references use
+Each check either passes or raises `CheckFailed`, or `KnownFault` for
+the one named fault of the program that a workload keeps on purpose.  The references use
 numpy and scipy directly and none of ``fraclap``'s code paths; where a
 check can only test a property (a sign pattern, conserved mass, a bound
 that must hold), the property is the one the paper's method guarantees.
@@ -16,6 +17,11 @@ import scipy.linalg
 
 class CheckFailed(Exception):
     pass
+
+
+class KnownFault(CheckFailed):
+    """The output is wrong in exactly the way a named fault predicts, and
+    every other check of it passed."""
 
 
 def expect(ok, message):

@@ -23,6 +23,7 @@ import traceback
 from pathlib import Path
 
 import tracing
+from checks import KnownFault
 from workloads import WORKLOADS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,51 +33,17 @@ SETUP_REPEATS = 5
 FAMILIES = ("power", "walk", "decay", "frange", "consensus", "exponent",
             "limit")
 
-END_TO_END = {"setup_s": "s", "wall_s": "s", "peak_rss_mib": "MiB"}
-
-
-def _layer(name, *kinds):
-    units = {"calls": "count", "self_s": "s", "repeat_ratio": "ratio",
-             "points": "count"}
-    return {f"{name}.{k}": units[k] for k in kinds}
-
-
-PER_LAYER = {
-    **{f"{f}_s": "s" for f in FAMILIES},
-    **_layer("graphs.load_edge_list", "self_s"),
-    **_layer("graphs.build_laplacian", "calls", "self_s"),
-    **_layer("matfun.schur_spectral_data", "calls", "self_s"),
-    **_layer("matfun.fractional_power_general", "calls", "self_s",
-             "repeat_ratio"),
-    **_layer("matfun.symmetric_spectral_data", "calls", "self_s"),
-    **_layer("matfun.fractional_power_symmetric", "calls", "self_s"),
-    **_layer("matfun.exp_fractional_symmetric", "calls", "self_s"),
-    **_layer("matfun.matrix_exponential", "calls", "self_s"),
-    **_layer("decay.pattern_distances", "calls", "self_s", "repeat_ratio"),
-    **_layer("decay.verify_decay_bounds", "self_s"),
-    **_layer("decay.verify_p_alpha_bound", "self_s"),
-    **_layer("decay.numerical_range_profile", "calls", "self_s"),
-    **_layer("walks.transition_kernel", "self_s"),
-    **_layer("walks.simulate_discrete", "self_s"),
-    **_layer("walks.absorption_time_samples", "self_s"),
-    **_layer("walks.evolve_continuous", "self_s"),
-    **_layer("walks.return_probability", "self_s"),
-    **_layer("superdiff.lattice_solution", "calls", "points", "self_s"),
-    **_layer("superdiff.fwhm", "calls", "self_s"),
-    **_layer("superdiff.stable_density", "calls", "self_s"),
-    **_layer("consensus.gamma_lower_bound", "calls", "self_s"),
-    **_layer("consensus.simulate_consensus", "self_s"),
-    **_layer("io.write_table_csv", "calls", "self_s"),
-    **_layer("io.write_matrix_csv", "self_s"),
-    **_layer("io.write_json", "self_s"),
-    "io.bytes_written": "B",
-    **_layer("cli.cli_dispatch", "self_s"),
-}
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+END_TO_END = {m["name"]: m["unit"] for m in SPEC["end_to_end"]}
+PER_LAYER = {m["name"]: m["unit"] for m in SPEC["per_layer"]}
+# the reason recorded for an operation whose check raised `KnownFault`
+KNOWN = "known fault: "
 
 
 def run_pass(ops, tracer=None):
     """Run every operation once, in order.  Returns each operation's
-    time and, for each operation that failed, the reason."""
+    time and, for each operation that failed, the reason; a reason that
+    starts with `KNOWN` is the named fault the workload keeps."""
     times, failures = {}, {}
     for op in ops:
         span = tracer.begin(f"op.{op.name}") if tracer else None
@@ -94,6 +61,8 @@ def run_pass(ops, tracer=None):
             continue
         try:
             op.check(out)
+        except KnownFault as exc:
+            failures[op.name] = f"{KNOWN}{exc}"
         except Exception as exc:  # noqa: BLE001
             failures[op.name] = f"check: {type(exc).__name__}: {exc}"
     return times, failures
@@ -157,7 +126,6 @@ def run(workload, seed, seconds, trace):
         shutil.rmtree(work, ignore_errors=True)
 
     family = {op.name: op.family for op in ops}
-    known = {op.name for op in ops if op.known_fault}
     per_pass = []
     for times, _, spans in passes:
         row = {f"{f}_s": 0.0 for f in FAMILIES}
@@ -169,7 +137,8 @@ def run(workload, seed, seconds, trace):
         per_pass.append(row)
 
     failed = sum(len(f) for _, f, _ in passes)
-    unexpected = sorted({n for _, f, _ in passes for n in f} - known)
+    unexpected = sorted({n for _, f, _ in passes for n, why in f.items()
+                         if not why.startswith(KNOWN)})
     _report(ops, passes)
     if trace:
         values = _median_metrics(per_pass, PER_LAYER)

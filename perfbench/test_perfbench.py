@@ -30,16 +30,11 @@ def _tiny(monkeypatch, work):
         for name, build in workloads.WORKLOADS.items()})
 
 
-def test_spec_names_the_workloads_and_metrics():
-    assert [w["name"] for w in SPEC["workloads"]] == list(workloads.WORKLOADS)
-    assert {m["name"]: m["unit"] for m in SPEC["end_to_end"]} \
-        == harness.END_TO_END
-    assert {m["name"]: m["unit"] for m in SPEC["per_layer"]} \
-        == harness.PER_LAYER
+WORKLOAD_NAMES = [w["name"] for w in SPEC["workloads"]]
 
 
 @pytest.mark.parametrize("trace", [0, 1])
-@pytest.mark.parametrize("workload", list(workloads.WORKLOADS))
+@pytest.mark.parametrize("workload", WORKLOAD_NAMES)
 def test_printed_metrics_are_the_declared_ones(monkeypatch, tmp_path,
                                               workload, trace):
     _tiny(monkeypatch, tmp_path)
@@ -50,6 +45,15 @@ def test_printed_metrics_are_the_declared_ones(monkeypatch, tmp_path,
     assert result["correct"]
     assert result["attempted"] == len(
         workloads.WORKLOADS[workload](5, tmp_path / "ops", tiny=True))
+
+
+def test_every_per_layer_metric_is_reported(monkeypatch, tmp_path):
+    _tiny(monkeypatch, tmp_path)
+    nonzero = set()
+    for workload in WORKLOAD_NAMES:
+        metrics = harness.run(workload, 5, 0.0, True)["metrics"]
+        nonzero |= {k for k, v in metrics.items() if v["value"] > 0}
+    assert nonzero == {m["name"] for m in SPEC["per_layer"]}
 
 
 def _corrupt_power_csv(run_op, out):
@@ -71,6 +75,18 @@ def _self_step(run_op, out):
     return run
 
 
+def _corrupt_frange_support(run_op, out):
+    def run():
+        code = run_op()
+        path = out / "frange_symmetric.csv"
+        lines = path.read_text().splitlines()
+        rows = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+        rows[:, 3] += 1.0
+        np.savetxt(path, rows, delimiter=",", header=lines[0], comments="")
+        return code
+    return run
+
+
 def _skew_exponent(run_op, out):
     def run():
         fit = run_op()
@@ -80,6 +96,7 @@ def _skew_exponent(run_op, out):
 
 @pytest.mark.parametrize("workload, target, corrupt", [
     ("cli", "power-small", _corrupt_power_csv),
+    ("cli", "frange-symmetric", _corrupt_frange_support),
     ("undirected", "walk-grid", _self_step),
     ("lattice", "fit-undirected-a1", _skew_exponent),
 ])
@@ -97,10 +114,22 @@ def test_corrupted_output_is_a_failed_operation(tmp_path, workload, target,
 def test_frange_fault_input_fails_every_time(tmp_path):
     ops = workloads.cli_workload(0, tmp_path)
     op = next(o for o in ops if o.name == "frange-symmetric")
-    assert op.known_fault
     for _ in range(2):
         _, failures = harness.run_pass([op])
+        assert failures[op.name].startswith(harness.KNOWN)
         assert "left half-plane" in failures[op.name]
+
+
+def test_a_wrong_answer_of_the_faulty_operation_is_not_correct(
+        monkeypatch, tmp_path):
+    def build(seed, work, tiny=False):
+        ops = workloads.cli_workload(seed, work, tiny=True)
+        op = next(o for o in ops if o.name == "frange-symmetric")
+        op.run = _corrupt_frange_support(op.run, work / "out")
+        return ops
+    monkeypatch.setattr(harness, "WORK", tmp_path)
+    monkeypatch.setattr(harness, "WORKLOADS", {"cli": build})
+    assert not harness.run("cli", 5, 0.0, False)["correct"]
 
 
 def test_wrapper_counts_are_exact(tmp_path):

@@ -6,7 +6,9 @@ for example, import ``matfun`` names directly), and wraps
 ``superdiff.LatticeSolution.__call__`` as the span
 ``superdiff.lattice_solution``.  Every wrapped call records a span with
 its parent; the workload loop opens one root span per operation.  Spans
-stay in memory until `Tracer.take` hands them over.
+stay in memory until `Tracer.take` hands them over.  A keyed span keeps a
+reference to its input, and `Tracer.take` hashes it after the pass, so
+that no span's time includes the hashing.
 """
 
 from __future__ import annotations
@@ -50,13 +52,15 @@ def _input_key(args, kwargs):
 
 
 class Span:
-    __slots__ = ("name", "parent", "start", "end", "key", "points", "bytes")
+    __slots__ = ("name", "parent", "start", "end", "inputs", "key", "points",
+                 "bytes")
 
     def __init__(self, name, parent):
         self.name = name
         self.parent = parent
         self.start = time.perf_counter()
         self.end = None
+        self.inputs = None
         self.key = None
         self.points = 0
         self.bytes = 0
@@ -79,8 +83,13 @@ class Tracer:
         self._open.pop()
 
     def take(self) -> list[Span]:
-        """Return the finished spans and start a fresh list."""
+        """Return the finished spans, with their input keys, and start a
+        fresh list."""
         spans, self.spans = self.spans, []
+        for span in spans:
+            if span.inputs is not None:
+                span.key = _input_key(*span.inputs)
+                span.inputs = None
         return spans
 
     def _wrap(self, fn, name):
@@ -89,9 +98,9 @@ class Tracer:
 
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
-            key = _input_key(args, kwargs) if keyed else None
             span = self.begin(name)
-            span.key = key
+            if keyed:
+                span.inputs = (args, kwargs)
             try:
                 result = fn(*args, **kwargs)
             finally:
