@@ -13,7 +13,7 @@ the squared full width at half maximum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -98,43 +98,106 @@ def _support_cut(alpha: float, orientation: str, t: float) -> float:
     return hi
 
 
-def _trapezoid_pass(weight: Callable[[np.ndarray], np.ndarray], cut: float,
-                    p: int, z: np.ndarray, n: int) -> np.ndarray:
-    yc = cut ** (1.0 / p)
-    y = np.linspace(-yc, yc, n + 1)
-    if p == 1:
-        x = y
-        w = np.asarray(weight(x), dtype=complex)
-    else:
+class _NestedGrid:
+    """Trapezoid nodes and weights on [-cut, cut], uniform in
+    ``y = sign(x)|x|^(1/p)``, for power-of-two interval counts.
+
+    These grids nest: the ``n``-interval grid is every other node of the
+    ``2n``-interval one.  Only the finest grid reached so far is stored;
+    each coarser one is a stride of it, and ``weight`` is evaluated only
+    at nodes that no earlier request reached.  The nodes equal those of
+    ``np.linspace(-yc, yc, n + 1)`` bit for bit.
+    """
+
+    def __init__(self, weight: Callable[[np.ndarray], np.ndarray],
+                 cut: float, p: int):
+        self.weight, self.cut, self.p = weight, cut, p
+        self.yc = cut ** (1.0 / p)
+        self.n = 0
+        self.x = self.w = np.empty(0)
+
+    def _nodes(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if self.p == 1:
+            return y, np.asarray(self.weight(y), dtype=complex)
         ay = np.abs(y)
-        x = np.sign(y) * ay ** p
-        w = np.asarray(weight(x), dtype=complex) * (p * ay ** (p - 1))
+        x = np.sign(y) * ay ** self.p
+        return x, np.asarray(self.weight(x), dtype=complex) \
+            * (self.p * ay ** (self.p - 1))
+
+    def _refine(self, n: int) -> int:
+        # stride of the n-interval grid within the stored one
+        if self.n == 0:
+            self.x, self.w = self._nodes(np.linspace(-self.yc, self.yc, n + 1))
+            self.n = n
+        while self.n < n:
+            m = 2 * self.n
+            xo, wo = self._nodes(np.arange(1, m, 2) * (2.0 * self.yc / m)
+                                 - self.yc)
+            x, w = np.empty(m + 1), np.empty(m + 1, dtype=complex)
+            x[::2], x[1::2], w[::2], w[1::2] = self.x, xo, self.w, wo
+            self.x, self.w, self.n = x, w, m
+        return self.n // n
+
+    def level(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes and weights of the ``n``-interval grid."""
+        s = self._refine(n)
+        return self.x[::s], self.w[::s]
+
+    def odd(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes and weights of the ``n``-interval grid missing from the
+        ``n/2``-interval one."""
+        s = self._refine(n)
+        return self.x[s::2 * s], self.w[s::2 * s]
+
+
+def _phase_sum(x: np.ndarray, w: np.ndarray, z: np.ndarray) -> np.ndarray:
+    # sum_j w_j exp(-i x_j z) for every z, in chunks of at most _CHUNK phases
+    out = np.empty(z.shape[0], dtype=complex)
+    cols = max(1, _CHUNK // x.shape[0])
+    for s in range(0, z.shape[0], cols):
+        ph = np.multiply.outer(x, -1j * z[s:s + cols])
+        np.exp(ph, out=ph)
+        out[s:s + cols] = w @ ph
+        del ph  # free this chunk before the next one is allocated
+    return out
+
+
+def _nested_trapezoid(grid: _NestedGrid, z: np.ndarray, n: int):
+    """Yield ``(n, T_n)`` for ``n, 2n, 4n, ...``, the trapezoid values of
+    (1/2pi) * integral of exp(-izx) * weight(x) on ``grid``.
+
+    Each doubling adds only the ``n`` new odd nodes to the running sum,
+    ``T_2n = T_n / 2 + h_2n * (sum over odd nodes) / 2pi``.
+    """
+    x, w = grid.level(n)
+    w = w.copy()
     w[0] *= 0.5
     w[-1] *= 0.5
-    out = np.empty(z.shape[0], dtype=complex)
-    cols = max(1, _CHUNK // (n + 1))
-    for s in range(0, z.shape[0], cols):
-        zc = z[s:s + cols]
-        out[s:s + cols] = w @ np.exp(x[:, None] * (-1j * zc[None, :]))
-    return out * ((2.0 * yc / n) / (2.0 * math.pi))
+    total = _phase_sum(x, w, z)
+    while True:
+        yield n, total * ((2.0 * grid.yc / n) / (2.0 * math.pi))
+        n *= 2
+        total = total + _phase_sum(*grid.odd(n), z)
 
 
-def _fourier_inversion(weight, cut: float, p: int, z: np.ndarray, *,
-                       n0: int, tol: float, cap: int = NODE_CAP,
-                       imag_tol: float = 1e-9) -> np.ndarray:
-    """(1/2pi) * integral of exp(-izx) * weight(x) over [-cut, cut].
+def _fourier_inversion(grid: _NestedGrid, z: np.ndarray, *, n0: int,
+                       tol: float, imag_tol: float = 1e-9) -> np.ndarray:
+    """(1/2pi) * integral of exp(-izx) * grid.weight(x) over the grid.
 
     Uniform trapezoid in the substituted variable ``y = sign(x)|x|^(1/p)``
     (the substitution removes the |x|^beta cusp of fractional symbols at
-    the origin), doubling the interval count until two successive passes
-    agree within ``tol`` for every requested ``z``.
+    the origin), doubling the interval count from the power of two at or
+    above ``n0`` until two successive passes agree within ``tol`` for
+    every requested ``z``, or ``NODE_CAP`` is reached.  The passes are
+    nested: each doubling evaluates the phase sum only at the new odd
+    nodes, and reads its weights from ``grid``, which evaluates the
+    weight function only at nodes that it has not stored yet.
     """
-    n = min(_next_pow2(n0), cap)
-    vals = _trapezoid_pass(weight, cut, p, z, n)
+    levels = _nested_trapezoid(grid, z, min(_next_pow2(n0), NODE_CAP))
+    n, vals = next(levels)
     residual = math.inf
-    while n < cap:
-        n *= 2
-        nxt = _trapezoid_pass(weight, cut, p, z, n)
+    while n < NODE_CAP:
+        n, nxt = next(levels)
         residual = float(np.abs(nxt - vals).max())
         vals = nxt
         if residual < tol:
@@ -163,6 +226,15 @@ def _start_nodes(zmax: float, cut: float, p: int) -> int:
 class LatticeSolution:
     """Evaluator for the lattice solution ``u(t)_z`` at real indices.
 
+    The instance caches, for the time of its latest call only, the
+    support cut, the substitution power and the finest quadrature grid
+    reached so far (`_NestedGrid`).  A later call at the same ``t``
+    reads its coarser grids by stride and evaluates `lattice_symbol` only
+    at grid levels not reached before; a call at a new ``t`` drops the
+    old grid, so the cache never holds more than one node set of at most
+    ``NODE_CAP + 1`` points.  The cache takes no part in equality or
+    hashing.
+
     Parameters
     ----------
     alpha : float
@@ -171,19 +243,35 @@ class LatticeSolution:
         Chain orientation.
     tol : float, optional
         Quadrature refinement tolerance.
-    node_cap : int, optional
-        Hard cap on quadrature intervals.
     """
 
     alpha: float
     orientation: str
     tol: float = 1e-10
-    node_cap: int = NODE_CAP
+    _cache: tuple = field(default=(None, None), init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
         _check_orientation(self.orientation)
+
+    def _grid(self, t: float) -> _NestedGrid:
+        cached_t, grid = self._cache
+        if cached_t == t:
+            return grid
+        alpha, orientation = self.alpha, self.orientation
+        beta = 2.0 * alpha if orientation == "undirected" else alpha
+
+        def weight(x):
+            # reads no self: a cycle through the cache would keep every
+            # dropped instance's node set alive until the cyclic collector ran
+            return np.exp(-t * lattice_symbol(alpha, orientation, x))
+
+        grid = _NestedGrid(weight, _support_cut(alpha, orientation, t),
+                           _substitution_power(beta))
+        object.__setattr__(self, "_cache", (t, grid))
+        return grid
 
     def __call__(self, t: float, z):
         """Evaluate ``u(t)_z`` for scalar or array ``z``."""
@@ -191,19 +279,10 @@ class LatticeSolution:
         if t <= 0.0:
             raise ValueError("t must be positive")
         zarr = np.atleast_1d(np.asarray(z, dtype=float))
-        cut = _support_cut(self.alpha, self.orientation, t)
-        beta = 2.0 * self.alpha if self.orientation == "undirected" \
-            else self.alpha
-        p = _substitution_power(beta)
-        n0 = _start_nodes(float(np.abs(zarr).max(initial=0.0)), cut, p)
-        n0 = min(n0, self.node_cap // 2)
-
-        def weight(x):
-            return np.exp(-t * lattice_symbol(self.alpha, self.orientation,
-                                              x))
-
-        vals = _fourier_inversion(weight, cut, p, zarr, n0=n0, tol=self.tol,
-                                  cap=self.node_cap)
+        grid = self._grid(t)
+        n0 = min(_start_nodes(float(np.abs(zarr).max(initial=0.0)), grid.cut,
+                              grid.p), NODE_CAP // 2)
+        vals = _fourier_inversion(grid, zarr, n0=n0, tol=self.tol)
         return vals if np.ndim(z) else float(vals[0])
 
 
@@ -371,8 +450,8 @@ def stable_density(params: StableParams, xi, *, tol: float = 1e-10):
     p = _substitution_power(params.alpha)
     n0 = min(_start_nodes(float(np.abs(xiarr).max(initial=0.0)), zmax, p),
              NODE_CAP // 2)
-    vals = _fourier_inversion(params.characteristic, zmax, p, xiarr,
-                              n0=n0, tol=tol)
+    vals = _fourier_inversion(_NestedGrid(params.characteristic, zmax, p),
+                              xiarr, n0=n0, tol=tol)
     negative = vals < 0.0
     if np.any(vals < -1e-9):
         raise NumericalError(
@@ -535,7 +614,8 @@ def fwhm(evaluator, bracket, *, samples: int = 129, tol: float = 1e-10,
     Raises
     ------
     ValueError
-        Peak on the bracket edge, non-unimodal samples, or no crossing.
+        Peak on the bracket edge, non-unimodal samples, a refined peak
+        above twice the best sample, or no crossing.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not hi > lo:
@@ -579,6 +659,9 @@ def fwhm(evaluator, bracket, *, samples: int = 129, tol: float = 1e-10,
             fd = f(d)
     peak = max(float(ys[k]), fc, fd)
     half = peak / 2.0
+    if ys[k] < half:
+        # both crossing searches would start at k and cross over
+        raise ValueError("peak not resolved by the coarse samples")
 
     def bisect(xlo: float, xhi: float) -> float:
         # invariant: f(xlo) >= half > f(xhi)
@@ -690,7 +773,8 @@ def superdiffusion_exponent(alpha: float, orientation: str, t_values, *,
     ValueError
         Bad grid.
     NumericalError
-        Fit quality below r^2 = 0.99.
+        No FWHM at some time (naming it), or fit quality below
+        r^2 = 0.99.
     """
     _check_orientation(orientation)
     if not 0.0 < alpha <= 1.0:
@@ -715,8 +799,13 @@ def superdiffusion_exponent(alpha: float, orientation: str, t_values, *,
         def g(xi):
             return solution(t, st * np.asarray(xi, dtype=float))
 
-        bracket = _auto_bracket(g, orientation)
-        widths[i] = fwhm(g, bracket, samples=samples, tol=tol) * st
+        try:
+            widths[i] = fwhm(g, _auto_bracket(g, orientation),
+                             samples=samples, tol=tol) * st
+        except ValueError as exc:
+            raise NumericalError(
+                f"FWHM of u(t) at t = {t:g}, alpha = {alpha:g} "
+                f"({orientation}): {exc}") from exc
     logt = np.log(ts)
     logw2 = 2.0 * np.log(widths)
     slope, intercept = np.polyfit(logt, logw2, 1)

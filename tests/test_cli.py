@@ -190,6 +190,14 @@ def test_superdiff_subcommand(tmp_path):
     assert out["r_squared"] > 0.999
 
 
+def test_superdiff_unresolved_peak_exits_two(tmp_path, capsys):
+    assert run(["superdiff", "--orientation", "directed", "--alpha", "0.95",
+                "--tmin", "500", "--tmax", "1e3", "--samples", "33"],
+               tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "FWHM" in err and "t = 500, alpha = 0.95" in err
+
+
 def test_stable_subcommand(tmp_path):
     assert run(["stable", "--alpha", "2.0", "--beta", "0", "--scale", "1.0",
                 "--xi-min", "-1", "--xi-max", "1", "--xi-count", "3"],

@@ -1,6 +1,11 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from fraclap import superdiff
+from fraclap.errors import NumericalError
 from fraclap.superdiff import (LatticeSolution, StableParams, fwhm,
                                lattice_solution, lattice_symbol,
                                lattice_window_stats, stable_density,
@@ -139,3 +144,95 @@ def test_width_matches_cauchy_limit():
     sol = LatticeSolution(0.5, "undirected")
     width = fwhm(lambda z: sol(t, z), (-20.0 * t, 20.0 * t))
     assert abs(width / (2.0 * t) - 1.0) < 0.05
+
+
+def test_fwhm_rejects_unresolved_peak():
+    # golden-section search lifts the peak above twice the best sample
+    with pytest.raises(ValueError, match="peak not resolved"):
+        fwhm(lambda x: np.exp(-((np.asarray(x, float) - 0.3) / 0.1) ** 2),
+             (-1, 1), samples=5)
+
+
+def test_superdiffusion_exponent_names_failing_time():
+    with pytest.raises(NumericalError, match=r"t = 500, alpha = 0\.95"):
+        superdiffusion_exponent(0.95, "directed", np.geomspace(500, 1e3, 5),
+                                samples=33)
+
+
+def scratch_trapezoid(weight, cut, p, z, n):
+    # one trapezoid pass built from nothing, in y = sign(x)|x|^(1/p)
+    yc = cut ** (1.0 / p)
+    y = np.linspace(-yc, yc, n + 1)
+    x = np.sign(y) * np.abs(y) ** p
+    w = np.asarray(weight(x), dtype=complex) * (p * np.abs(y) ** (p - 1))
+    w[[0, -1]] *= 0.5
+    return (w @ np.exp(-1j * np.outer(x, z))) * (2.0 * yc / n) / (2 * np.pi)
+
+
+@pytest.mark.parametrize("alpha, orientation, p", [
+    (0.5, "undirected", 1), (0.75, "undirected", 1), (0.9, "directed", 2)])
+def test_nested_passes_match_scratch_passes(alpha, orientation, p):
+    grid = LatticeSolution(alpha, orientation)._grid(20.0)
+    assert grid.p == p
+    z = np.array([0.0, 3.5, -7.0, 20.0])
+    levels = superdiff._nested_trapezoid(grid, z, 256)
+    for _ in range(6):
+        n, vals = next(levels)
+        ref = scratch_trapezoid(grid.weight, grid.cut, p, z, n)
+        assert np.abs(vals - ref).max() < 1e-14, n
+        y = np.linspace(-grid.yc, grid.yc, n + 1)
+        assert np.array_equal(grid.level(n)[0], np.sign(y) * np.abs(y) ** p)
+    assert n == 256 * 32
+
+
+def counting_symbol(monkeypatch):
+    calls = []
+    real = superdiff.lattice_symbol
+
+    def symbol(alpha, orientation, x):
+        calls.append(np.size(x))
+        return real(alpha, orientation, x)
+
+    monkeypatch.setattr(superdiff, "lattice_symbol", symbol)
+    return calls
+
+
+@pytest.mark.parametrize("alpha, orientation", [
+    (0.75, "undirected"), (0.9, "directed")])
+def test_same_time_calls_reuse_the_grid(monkeypatch, alpha, orientation):
+    calls = counting_symbol(monkeypatch)
+    sol = LatticeSolution(alpha, orientation)
+    sol(200.0, np.linspace(-30.0, 30.0, 41))
+    assert calls
+    calls.clear()
+    again = [sol(200.0, 12.25), sol(200.0, np.array([-30.0, 0.5, 29.0]))]
+    assert calls == []
+    fresh = LatticeSolution(alpha, orientation)
+    assert again[0] == pytest.approx(fresh(200.0, 12.25), abs=1e-14)
+    assert sol == fresh and hash(sol) == hash(fresh)
+
+
+def test_new_time_drops_the_old_grid(monkeypatch):
+    calls = counting_symbol(monkeypatch)
+    sol = LatticeSolution(0.9, "directed")
+    sol(200.0, np.linspace(-30.0, 30.0, 41))
+    sol(50.0, 3.0)
+    fresh = LatticeSolution(0.9, "directed")
+    fresh(50.0, 3.0)
+    (t, grid), (_, ref) = sol._cache, fresh._cache
+    assert t == 50.0 and grid.n == ref.n
+    calls.clear()
+    sol(200.0, 12.25)
+    assert calls
+
+
+def test_dropped_solution_frees_its_grid_without_the_collector():
+    sol = LatticeSolution(0.9, "directed")
+    sol(50.0, 3.0)
+    grid = weakref.ref(sol._cache[1])
+    gc.disable()
+    try:
+        del sol
+        assert grid() is None
+    finally:
+        gc.enable()
