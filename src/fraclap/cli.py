@@ -14,12 +14,13 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .consensus import (ConsensusConfig, circle_relocation_config,
+from .consensus import (ConsensusConfig, _coupling_matrix,
                         consensus_error_curve, gamma_lower_bound,
                         simulate_consensus, static_formation)
 from .decay import (graph_distances, numerical_range_profile,
@@ -185,21 +186,12 @@ def _pick_kind(args, g) -> LaplacianKind:
             else LaplacianKind.COMBINATORIAL)
 
 
-def _realify(M, *, tol=1e-10):
-    if not np.iscomplexobj(M):
-        return np.asarray(M, dtype=float)
-    resid = float(np.abs(M.imag).max())
-    if resid > tol * max(1.0, float(np.abs(M.real).max())):
-        raise NumericalError(f"imaginary residue {resid:.3e} in result")
-    return M.real.copy()
-
-
 def _fractional(L, alpha):
     A = L.matrix
     sym = float(np.abs(A - A.T).max()) <= 1e-12 * max(1.0, float(np.abs(A).max()))
     res = (fractional_power_symmetric(A, alpha) if sym
            else fractional_power_general(A, alpha))
-    return _realify(res.matrix), res
+    return res.matrix, res
 
 
 def _parse_times(text: str) -> np.ndarray:
@@ -517,17 +509,18 @@ def _cmd_consensus(args, outdir):
                               gamma=gamma, gamma_margin=margin,
                               step=float(step) if step else None,
                               output_stride=int(stride) if stride else None)
+        F = _coupling_matrix(run)
         gamma_used = gamma if gamma is not None else \
-            gamma_lower_bound(_coupling(run), beta).bound + margin
-        states = simulate_consensus(run)
+            gamma_lower_bound(F, beta).bound + margin
+        states = simulate_consensus(replace(run, lalpha=F, gamma=gamma_used))
         tag = _alpha_tag(alpha)
 
+        pos = np.stack([s.positions for s in states])
         traj_header = ["t"]
         traj_cols = [np.array([s.time for s in states])]
         for i in range(n):
             traj_header += [f"x{i}", f"y{i}"]
-            traj_cols.append(np.array([s.positions[i, 0] for s in states]))
-            traj_cols.append(np.array([s.positions[i, 1] for s in states]))
+            traj_cols += [pos[:, i, 0], pos[:, i, 1]]
         traj_path = _emit_table(outdir / f"consensus_traj_alpha{tag}",
                                 traj_header, traj_cols, args.format)
 
@@ -544,11 +537,6 @@ def _cmd_consensus(args, outdir):
             "errors": err_path.name,
         }
     return {"runs": results, "inputs": [str(p) for p in extra_inputs]}
-
-
-def _coupling(run: ConsensusConfig):
-    from .consensus import _coupling_matrix
-    return _coupling_matrix(run)
 
 
 _COMMANDS = {

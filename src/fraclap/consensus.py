@@ -356,8 +356,8 @@ def simulate_consensus(cfg: ConsensusConfig) -> list[ConsensusState]:
 
     def accel(t: float, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         return (np.asarray(target.acceleration(t))
-                + K @ (np.asarray(target.position(t)) - x)
-                + gamma * (K @ (np.asarray(target.velocity(t)) - v)))
+                + K @ ((np.asarray(target.position(t)) - x)
+                       + gamma * (np.asarray(target.velocity(t)) - v)))
 
     x = cfg.x0.copy()
     v = cfg.v0.copy()

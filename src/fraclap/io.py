@@ -40,17 +40,13 @@ def write_table_csv(path, header: list[str], columns: list) -> None:
     cols = [np.asarray(c) for c in columns]
     if len({c.shape[0] for c in cols}) != 1:
         raise ValueError("table columns must share a length")
+    ints = [np.issubdtype(c.dtype, np.integer) for c in cols]
+    row_fmt = ",".join("%d" if i else _FMT for i in ints) + "\n"
+    values = [c.tolist() if i else c.astype(float).tolist()
+              for c, i in zip(cols, ints)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for row in range(cols[0].shape[0]):
-            cells = []
-            for c in cols:
-                v = c[row]
-                if np.issubdtype(c.dtype, np.integer):
-                    cells.append(str(int(v)))
-                else:
-                    cells.append(_FMT % float(v))
-            fh.write(",".join(cells) + "\n")
+        fh.writelines(row_fmt % row for row in zip(*values))
 
 
 def _jsonable(obj):

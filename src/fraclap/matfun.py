@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack
+from scipy.sparse.csgraph import connected_components
 
 from .errors import ConvergenceError, NumericalError
 from .graphs import DenseOperator
@@ -197,43 +198,30 @@ def exp_fractional_symmetric(L, alpha, t, *, data: SpectralData | None = None,
 def _cluster_labels(lam, zero_mask, separation):
     """Transitive-closure clustering of the nonzero eigenvalues.
 
-    Two eigenvalues chain when |li - lj| < separation * max(1, |li|, |lj|).
-    Label 0 is reserved for the zero cluster (possibly empty).
+    Two eigenvalues chain when |li - lj| < separation * max(1, |li|, |lj|);
+    the clusters are the connected components of that chaining relation.
+    Label 0 is reserved for the zero cluster (possibly empty); the other
+    labels are 1, 2, ... in order of each cluster's first index.
     """
-    n = lam.shape[0]
-    idx = np.flatnonzero(~zero_mask)
-    parent = {int(i): int(i) for i in idx}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a in range(len(idx)):
-        for b in range(a + 1, len(idx)):
-            i, j = int(idx[a]), int(idx[b])
-            tol = separation * max(1.0, abs(lam[i]), abs(lam[j]))
-            if abs(lam[i] - lam[j]) < tol:
-                parent[find(i)] = find(j)
-
-    labels = np.zeros(n, dtype=int)
-    next_label = 1
-    seen = {}
-    for i in range(n):
-        if zero_mask[i]:
-            continue
-        r = find(int(i))
-        if r not in seen:
-            seen[r] = next_label
-            next_label += 1
-        labels[i] = seen[r]
+    mu = lam[~zero_mask]
+    size = np.abs(mu)
+    tol = separation * np.maximum(1.0, np.maximum.outer(size, size))
+    chained = np.abs(mu[:, None] - mu[None, :]) < tol
+    _, comp = connected_components(chained, directed=False)
+    labels = np.zeros(lam.shape[0], dtype=int)
+    labels[~zero_mask] = comp + 1
     return labels
 
 
 def _reorder_schur(T, Q, labels):
     """ztrexc selection pass making equal labels contiguous (zero cluster
-    first, then first-appearance order).  Returns T, Q, blocks."""
+    first, then first-appearance order).  Returns T, Q, blocks.
+
+    T and Q are copied once into Fortran order and every swap then works
+    on those copies in place; the caller's arrays are left unchanged.
+    """
+    T = np.array(T, order="F")
+    Q = np.array(Q, order="F")
     order = []
     for lab in labels:
         if lab not in order:
@@ -249,7 +237,8 @@ def _reorder_schur(T, Q, labels):
         for _ in range(count):
             j = work.index(lab, pos)
             if j != pos:
-                T, Q, info = lapack.ztrexc(T, Q, j + 1, pos + 1)
+                T, Q, info = lapack.ztrexc(T, Q, j + 1, pos + 1,
+                                           overwrite_a=1, overwrite_q=1)
                 if info != 0:
                     raise NumericalError(f"Schur reordering failed (info={info})")
                 work.insert(pos, work.pop(j))
@@ -298,8 +287,7 @@ def fractional_power_general(M, alpha, *, cluster_tol=None,
     A = _as_matrix(M)
     n = A.shape[0]
     data = schur_spectral_data(A)
-    T, Q = data.triangular.copy(), data.basis.copy()
-    lam = np.diag(T)
+    lam = np.diag(data.triangular)
 
     rho = float(np.abs(lam).max(initial=0.0))
     ztol = float(cluster_tol) if cluster_tol is not None else n * _EPS * rho
@@ -314,7 +302,7 @@ def fractional_power_general(M, alpha, *, cluster_tol=None,
         )
 
     labels = _cluster_labels(lam, zero_mask, separation)
-    T, Q, blocks = _reorder_schur(T, Q, labels)
+    T, Q, blocks = _reorder_schur(data.triangular, data.basis, labels)
 
     F = np.zeros_like(T)
     for s0, s1, lab in blocks:

@@ -145,6 +145,32 @@ def test_consensus_multi_alpha_outputs(tmp_path):
     assert str(cfg) in man["inputs"]
 
 
+def test_consensus_builds_each_coupling_once(tmp_path, monkeypatch):
+    import fraclap.cli as cli
+    import fraclap.consensus as consensus
+    calls = {"fractional_power_general": 0, "gamma_lower_bound": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        fn = getattr(consensus, name)
+        for module in (cli, consensus):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, fn))
+    cfg = tmp_path / "cons.json"
+    cfg.write_text(json.dumps({
+        "vehicles": 10, "graph": "directed-cycle",
+        "alpha": [0.1, 0.5, 0.8, 1.0], "beta": 0.5, "horizon": 0.5,
+        "step": 0.01, "center": [3.0, 3.0],
+    }))
+    assert run(["consensus", "--config", str(cfg)], tmp_path) == 0
+    assert calls == {"fractional_power_general": 4, "gamma_lower_bound": 4}
+
+
 def test_usage_errors_exit_one(ring, tmp_path):
     assert run(["power", "--input", str(ring)], tmp_path) == 1     # no alpha
     assert run(["power", "--input", str(tmp_path / "nope.txt"),

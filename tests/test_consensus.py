@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -117,6 +119,26 @@ def test_simulation_matches_matrix_exponential():
     final = expm(T * np.kron(A, np.eye(2))) @ err0.reshape(-1)
     want = np.hypot(np.linalg.norm(final[:2 * n]), np.linalg.norm(final[2 * n:]))
     assert abs(states[-1].error - want) < 1e-9
+
+
+def test_precomputed_coupling_and_gamma_reproduce_the_run(monkeypatch):
+    import fraclap.consensus as consensus
+    cfg = circle_relocation_config(n=30, alpha=0.5, horizon=1.0)
+    lalpha = cycle_lalpha(0.5, 30)
+    gamma = gamma_lower_bound(lalpha, cfg.beta).bound + cfg.gamma_margin
+    own = simulate_consensus(cfg)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("coupling or damping recomputed")
+
+    monkeypatch.setattr(consensus, "fractional_power_general", forbidden)
+    monkeypatch.setattr(consensus, "gamma_lower_bound", forbidden)
+    given = simulate_consensus(replace(cfg, lalpha=lalpha, gamma=gamma))
+    assert len(given) == len(own)
+    for a, b in zip(own, given):
+        assert a.time == b.time and a.error == b.error
+        assert np.array_equal(a.positions, b.positions)
+        assert np.array_equal(a.velocities, b.velocities)
 
 
 def test_circle_relocation_frozen_finals():
