@@ -230,3 +230,24 @@ def test_stable_subcommand(tmp_path):
                tmp_path) == 0
     rows = np.loadtxt(tmp_path / "stable.csv", delimiter=",", skiprows=1)
     assert abs(rows[1, 1] - 1.0 / (2.0 * np.sqrt(np.pi))) < 1e-8
+
+
+def test_stable_subcommand_levy_closed_form(tmp_path):
+    # alpha = 0.5, beta = 1 is the Levy law with scale c = 0.5
+    assert run(["stable", "--alpha", "0.5", "--beta", "1", "--scale", "0.5",
+                "--xi-min", "0.1", "--xi-max", "5"], tmp_path) == 0
+    xi, dens = np.loadtxt(tmp_path / "stable.csv", delimiter=",",
+                          skiprows=1).T
+    assert xi.shape == (201,)
+    levy = np.sqrt(0.5 / (2.0 * np.pi)) * xi ** -1.5 \
+        * np.exp(-0.5 / (2.0 * xi))
+    assert np.abs(dens - levy).max() < 1e-12
+
+
+def test_stable_quadrature_stuck_exits_two(monkeypatch, tmp_path, capsys):
+    import fraclap.superdiff as superdiff
+    monkeypatch.setattr(superdiff, "NODE_CAP", 16)
+    assert run(["stable", "--alpha", "0.5", "--beta", "1", "--scale", "0.5",
+                "--xi-min", "0.1", "--xi-max", "5"], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure: quadrature stuck at residual" in err

@@ -3,9 +3,10 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from fraclap import superdiff
-from fraclap.errors import NumericalError
+from fraclap.errors import ConvergenceError, NumericalError
 from fraclap.superdiff import (LatticeSolution, StableParams, fwhm,
                                lattice_solution, lattice_symbol,
                                lattice_window_stats, stable_density,
@@ -159,30 +160,164 @@ def test_superdiffusion_exponent_names_failing_time():
                                 samples=33)
 
 
-def scratch_trapezoid(weight, cut, p, z, n):
-    # one trapezoid pass built from nothing, in y = sign(x)|x|^(1/p)
-    yc = cut ** (1.0 / p)
-    y = np.linspace(-yc, yc, n + 1)
-    x = np.sign(y) * np.abs(y) ** p
-    w = np.asarray(weight(x), dtype=complex) * (p * np.abs(y) ** (p - 1))
+def scratch_tanh_sinh(weight, cut, z, n):
+    # one tanh-sinh pass built from nothing: trapezoid in u on [-U, U]
+    # under x = cut * expit(pi sinh u), half-line form (1/pi) Re
+    u = np.linspace(-superdiff._U, superdiff._U, n + 1)
+    s = np.pi * np.sinh(u)
+    x = cut * expit(s)
+    jac = cut * np.pi * np.cosh(u) * expit(s) * expit(-s)
+    w = np.asarray(weight(x), dtype=complex) * jac
     w[[0, -1]] *= 0.5
-    return (w @ np.exp(-1j * np.outer(x, z))) * (2.0 * yc / n) / (2 * np.pi)
+    return (w @ np.exp(-1j * np.outer(x, z))).real \
+        * (2.0 * superdiff._U / n) / np.pi
 
 
-@pytest.mark.parametrize("alpha, orientation, p", [
-    (0.5, "undirected", 1), (0.75, "undirected", 1), (0.9, "directed", 2)])
-def test_nested_passes_match_scratch_passes(alpha, orientation, p):
+@pytest.mark.parametrize("alpha, orientation", [
+    (0.5, "undirected"), (0.75, "undirected"), (0.9, "directed")])
+def test_nested_passes_match_scratch_passes(alpha, orientation):
     grid = LatticeSolution(alpha, orientation)._grid(20.0)
-    assert grid.p == p
     z = np.array([0.0, 3.5, -7.0, 20.0])
     levels = superdiff._nested_trapezoid(grid, z, 256)
     for _ in range(6):
         n, vals = next(levels)
-        ref = scratch_trapezoid(grid.weight, grid.cut, p, z, n)
+        ref = scratch_tanh_sinh(grid.weight, grid.cut, z, n)
         assert np.abs(vals - ref).max() < 1e-14, n
-        y = np.linspace(-grid.yc, grid.yc, n + 1)
-        assert np.array_equal(grid.level(n)[0], np.sign(y) * np.abs(y) ** p)
+        u = np.linspace(-superdiff._U, superdiff._U, n + 1)
+        assert np.array_equal(grid.level(n)[0], grid._nodes(u)[0])
     assert n == 256 * 32
+
+
+@pytest.mark.parametrize("orientation", ["undirected", "directed"])
+def test_lattice_weights_are_conjugate_symmetric(orientation):
+    # the half-line rule computes (1/pi) Re int_0^cut, which equals the
+    # full-line integral only if w(-x) = conj(w(x))
+    x = np.linspace(0.0, np.pi, 101)
+    for alpha in (0.3, 0.5, 0.75, 0.9, 1.0):
+        h = lattice_symbol(alpha, orientation, x)
+        assert np.array_equal(lattice_symbol(alpha, orientation, -x),
+                              np.conj(h))
+        weight = LatticeSolution(alpha, orientation)._grid(50.0).weight
+        assert np.array_equal(weight(-x), np.conj(weight(x)))
+
+
+def test_stable_characteristic_is_conjugate_symmetric():
+    z = np.linspace(0.0, 30.0, 101)
+    for params in [(0.5, 1.0, 1.0), (0.75, 1.0, 0.3), (1.5, 1.0, 2.0),
+                   (1.0, 0.0, 1.0), (1.3, 0.0, 0.7), (2.0, 0.0, 1.0)]:
+        phi = StableParams(*params).characteristic
+        assert np.array_equal(phi(-z), np.conj(phi(z))), params
+
+
+# Values of the full-line trapezoid rule with the |x|**(1/p) substitution
+# that the half-line rule replaced, at the default tol = 1e-10.  Each
+# lattice case is (orientation, alpha, t, z, u(t)_z).
+PARENT_LATTICE = [
+    ("undirected", 0.5, 10.0, (-20.0, 0.0, 5.0, 10.0, 30.0),
+     (0.006365305733748007, 0.031912486564004555,
+      0.025449724662836827, 0.015895723395815742,
+      0.00318332113078032)),
+    ("undirected", 0.5, 1000.0, (-2000.0, 0.0, 500.0, 1000.0, 3000.0),
+     (6.366198944225113e-05, 0.0003183099788582535,
+      0.00025464790778348336, 0.00015915493629434864,
+      3.183100193784147e-05)),
+    ("undirected", 0.75, 10.0, (-9.3, 0.0, 2.3, 4.6, 13.9),
+     (0.018074073038491425, 0.062180304778819834,
+      0.056736805676374416, 0.043712679500753304,
+      0.0068278489885550235)),
+    ("undirected", 0.75, 1000.0, (-200.0, 0.0, 50.0, 100.0, 300.0),
+     (0.0008453886678257465, 0.002873554049643207,
+      0.0026229817607861627, 0.0020203741224619686,
+      0.0003150948124804)),
+    ("undirected", 1.0, 10.0, (-6.3, 0.0, 1.6, 3.2, 9.5),
+     (0.032725528129714646, 0.08978031188482596,
+      0.08407516485991276, 0.06907712971684876,
+      0.00927724487732955)),
+    ("undirected", 1.0, 1000.0, (-63.2, 0.0, 15.8, 31.6, 94.9),
+     (0.003286099994682624, 0.008921178276439741,
+      0.008381297586350043, 0.0069499244468584544,
+      0.0009387417521550098)),
+    ("directed", 0.5, 10.0, (-50.0, 0.0, 25.0, 100.0, 400.0),
+     (-9.701269616055337e-12, 4.53999200612148e-05,
+      0.008097224724230403, 0.002197581860946712,
+      0.0003314890083802142)),
+    ("directed", 0.5, 1000.0, (-500000.0, 0.0, 250000.0, 1000000.0, 4000000.0),
+     (-8.167635055977123e-16, -8.167876187410969e-16,
+      8.302129184889723e-07, 2.1969565078250297e-07,
+      3.3125443071522654e-08)),
+    ("directed", 0.75, 10.0, (-10.8, 0.0, 5.4, 21.5, 86.2),
+     (1.7378758673814678e-09, 4.539992006121764e-05,
+      0.015196504236804721, 0.021569455691885113,
+      0.0012165311919128154)),
+    ("directed", 0.75, 1000.0, (-5000.0, 0.0, 2500.0, 10000.0, 40000.0),
+     (-6.875776746962875e-13, -6.875773874198188e-13,
+      1.7821716658174155e-06, 4.5497687371931165e-05,
+      2.5897392952565204e-06)),
+    ("directed", 0.9, 10.0, (-6.5, 0.0, 3.2, 12.9, 51.7),
+     (2.5736156066832458e-09, 4.539992006118923e-05,
+      0.00689341350406339, 0.06776469797405396,
+      0.000921546291164238)),
+    ("directed", 0.9, 1000.0, (-1077.2, 0.0, 538.6, 2154.4, 8617.7),
+     (-8.270695562614679e-12, -8.27069604616276e-12,
+      -8.270695891574415e-12, 0.0004223981698554287,
+      5.319249028995346e-06)),
+]
+PARENT_STABLE = [
+    ((1.0, 0.0, 1.0),
+     (0.03183098864344885, 0.254647908972127, 0.3183098862088268,
+      0.2136307961215872, 0.06366197726184215, 0.008602969921928896)),
+    ((2.0, 0.0, 1.0),
+     (0.029732572305907326, 0.26500353234402896, 0.2820947917738781,
+      0.24957092803615266, 0.10377687435514872, 3.481326298692067e-05)),
+    ((0.5, 1.0, 1.0),
+     (0.0, 0.0, 0.0,
+      0.33346684574730817, 0.10984782235439351, 0.024974222879140938)),
+    ((0.75, 1.0, 0.3),
+     (0.0, 0.0, 0.0,
+      0.8791348147525191, 0.1166517857566972, 0.012544148992415061)),
+]
+
+
+@pytest.mark.parametrize("orientation, alpha, t, z, expected", [
+    pytest.param(*case, id=f"{case[0]}-{case[1]:g}-t{case[2]:g}")
+    for case in PARENT_LATTICE])
+def test_lattice_solution_matches_the_full_line_rule(orientation, alpha, t, z,
+                                                     expected):
+    got = lattice_solution(alpha, orientation, t, np.array(z))
+    assert np.abs(got - np.array(expected)).max() < 1e-10
+
+
+@pytest.mark.parametrize("params, expected", [
+    pytest.param(*case, id="-".join(f"{v:g}" for v in case[0]))
+    for case in PARENT_STABLE])
+def test_stable_density_matches_the_full_line_rule(params, expected):
+    xi = np.array([-3.0, -0.5, 0.0, 0.7, 2.0, 6.0])
+    got = stable_density(StableParams(*params), xi)
+    assert np.abs(got - np.array(expected)).max() < 1e-10
+
+
+def levy_density(c, x):
+    # StableParams(0.5, 1.0, c): sqrt(c/2pi) x^(-3/2) exp(-c/2x) on x > 0
+    x = np.asarray(x, dtype=float)
+    xp = np.where(x > 0.0, x, 1.0)
+    return np.where(x > 0.0, np.sqrt(c / (2.0 * np.pi)) * xp ** -1.5
+                    * np.exp(-c / (2.0 * xp)), 0.0)
+
+
+@pytest.mark.parametrize("c", [0.3, 1.0, 2.0])
+def test_skewed_stable_density_matches_levy_closed_form(c):
+    xi = np.linspace(-2.0, 8.0, 101)
+    got = stable_density(StableParams(0.5, 1.0, c), xi)
+    assert np.abs(got - levy_density(c, xi)).max() < 1e-12
+
+
+def test_quadrature_stuck_at_the_node_cap_raises(monkeypatch):
+    monkeypatch.setattr(superdiff, "NODE_CAP", 16)
+    stuck = r"quadrature stuck at residual \d\.\d{3}e[-+]\d+ with 16 intervals"
+    with pytest.raises(ConvergenceError, match=stuck):
+        lattice_solution(0.5, "directed", 100.0, np.array([0.0, 5e3]))
+    with pytest.raises(ConvergenceError, match=stuck):
+        stable_density(StableParams(0.5, 1.0, 0.5), np.linspace(0.1, 5, 11))
 
 
 def counting_symbol(monkeypatch):
