@@ -3,8 +3,11 @@
 Every subcommand reads file-based inputs, writes its outputs plus a JSON
 run manifest (resolved parameters, input digests, seed, version, wall
 time) into ``--out-dir``, and is reproducible: identical argv, inputs
-and seed give byte-identical CSV output.  Exit codes: 0 success, 1
-usage or input error, 2 numerical failure.
+and seed give byte-identical CSV output, except that values built on the
+fractional power of a nonsymmetric Laplacian may differ between runs in
+the last few bits (relative 1e-14), because
+``scipy.linalg.fractional_matrix_power`` does not repeat bit for bit.
+Exit codes: 0 success, 1 usage or input error, 2 numerical failure.
 """
 
 from __future__ import annotations

@@ -19,17 +19,11 @@ from typing import Callable
 
 import numpy as np
 
+from .decay import _as_matrix
 from .errors import NumericalError
 from .generators import cycle_graph
 from .graphs import Graph, LaplacianKind, build_laplacian
 from .matfun import fractional_power_general, fractional_power_symmetric
-
-
-def _as_matrix(op) -> np.ndarray:
-    A = np.asarray(getattr(op, "matrix", op))
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("expected a square matrix")
-    return A
 
 
 @dataclass(frozen=True)

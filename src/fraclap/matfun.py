@@ -1,9 +1,10 @@
 """Matrix functions of graph Laplacians.
 
 Fractional powers L^alpha for alpha in (0, 1] via a symmetric
-eigendecomposition or, for nonsymmetric input, a complex Schur form with
-eigenvalue clustering and a blocked Parlett recurrence.  The zero
-eigenvalue cluster of a singular Laplacian is mapped exactly to 0.  A
+eigendecomposition or, for nonsymmetric input, one complex Schur form
+sorted to put the zero eigenvalue cluster first: the nonzero block gets
+its principal power and a single Sylvester solve couples the two.  The
+zero eigenvalue cluster of a singular Laplacian is mapped exactly to 0.  A
 truncated binomial series provides an independent cross-check, and
 ``verify_m_matrix`` reports the structural invariants the result must
 satisfy (nonpositive off-diagonal, zero row sums, spectrum in the closed
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ConvergenceError, NumericalError
 from .graphs import DenseOperator
@@ -139,10 +139,9 @@ def schur_spectral_data(M) -> SpectralData:
                         triangular=T, symmetric=False)
 
 
-def _clamped_powers(w, alpha, cluster_tol, n):
-    rho = float(np.abs(w).max(initial=0.0))
-    ztol = float(cluster_tol) if cluster_tol is not None else n * _EPS * rho
-    floor = -10.0 * max(ztol, n * _EPS * rho)
+def _clamped_powers(w, alpha):
+    ztol = w.shape[0] * _EPS * float(np.abs(w).max(initial=0.0))
+    floor = -10.0 * ztol
     if np.any(w < floor):
         bad = float(w.min())
         raise NumericalError(
@@ -154,14 +153,14 @@ def _clamped_powers(w, alpha, cluster_tol, n):
     return powers, np.flatnonzero(zero)
 
 
-def fractional_power_symmetric(L, alpha, *, data: SpectralData | None = None,
-                               cluster_tol=None) -> FractionalPowerResult:
+def fractional_power_symmetric(L, alpha, *, data: SpectralData | None = None
+                               ) -> FractionalPowerResult:
     """L^alpha of a symmetric positive semidefinite matrix.
 
-    Eigenvalues with magnitude at most ``cluster_tol`` (default
-    n * eps * rho(L)) map to 0; small negative roundoff eigenvalues are
-    clamped to 0, anything below -10x the tolerance raises.  Pass a
-    precomputed ``data`` to reuse one factorization across alpha values.
+    Eigenvalues with magnitude at most n * eps * rho(L) map to 0; small
+    negative roundoff eigenvalues are clamped to 0, anything below -10x
+    the tolerance raises.  Pass a precomputed ``data`` to reuse one
+    factorization across alpha values.
     """
     alpha = _check_alpha(alpha)
     if data is None:
@@ -169,7 +168,7 @@ def fractional_power_symmetric(L, alpha, *, data: SpectralData | None = None,
     elif not data.symmetric:
         raise ValueError("spectral data is not from the symmetric path")
     w, U = data.eigenvalues, data.basis
-    powers, zero_idx = _clamped_powers(w, alpha, cluster_tol, w.shape[0])
+    powers, zero_idx = _clamped_powers(w, alpha)
     F = (U * powers) @ U.T
     F = (F + F.T) / 2.0
     op = DenseOperator(F, kind=_meta_kind(L), alpha=alpha, method="symmetric-eig")
@@ -178,8 +177,8 @@ def fractional_power_symmetric(L, alpha, *, data: SpectralData | None = None,
                                  method="symmetric-eig", eigenvalues=w.copy())
 
 
-def exp_fractional_symmetric(L, alpha, t, *, data: SpectralData | None = None,
-                             cluster_tol=None) -> DenseOperator:
+def exp_fractional_symmetric(L, alpha, t, *, data: SpectralData | None = None
+                             ) -> DenseOperator:
     """exp(-t L^alpha) through the same symmetric eigendecomposition."""
     alpha = _check_alpha(alpha)
     t = float(t)
@@ -188,69 +187,11 @@ def exp_fractional_symmetric(L, alpha, t, *, data: SpectralData | None = None,
     if data is None:
         data = symmetric_spectral_data(L)
     w, U = data.eigenvalues, data.basis
-    powers, _ = _clamped_powers(w, alpha, cluster_tol, w.shape[0])
+    powers, _ = _clamped_powers(w, alpha)
     F = (U * np.exp(-t * powers)) @ U.T
     F = (F + F.T) / 2.0
     return DenseOperator(F, kind=_meta_kind(L), alpha=alpha,
                          method="symmetric-eig-exp")
-
-
-def _cluster_labels(lam, zero_mask, separation):
-    """Transitive-closure clustering of the nonzero eigenvalues.
-
-    Two eigenvalues chain when |li - lj| < separation * max(1, |li|, |lj|);
-    the clusters are the connected components of that chaining relation.
-    Label 0 is reserved for the zero cluster (possibly empty); the other
-    labels are 1, 2, ... in order of each cluster's first index.
-    """
-    mu = lam[~zero_mask]
-    size = np.abs(mu)
-    tol = separation * np.maximum(1.0, np.maximum.outer(size, size))
-    chained = np.abs(mu[:, None] - mu[None, :]) < tol
-    _, comp = connected_components(chained, directed=False)
-    labels = np.zeros(lam.shape[0], dtype=int)
-    labels[~zero_mask] = comp + 1
-    return labels
-
-
-def _reorder_schur(T, Q, labels):
-    """ztrexc selection pass making equal labels contiguous (zero cluster
-    first, then first-appearance order).  Returns T, Q, blocks.
-
-    T and Q are copied once into Fortran order and every swap then works
-    on those copies in place; the caller's arrays are left unchanged.
-    """
-    T = np.array(T, order="F")
-    Q = np.array(Q, order="F")
-    order = []
-    for lab in labels:
-        if lab not in order:
-            order.append(lab)
-    if 0 in order:
-        order.remove(0)
-        order.insert(0, 0)
-
-    work = list(int(x) for x in labels)
-    pos = 0
-    for lab in order:
-        count = work.count(lab)
-        for _ in range(count):
-            j = work.index(lab, pos)
-            if j != pos:
-                T, Q, info = lapack.ztrexc(T, Q, j + 1, pos + 1,
-                                           overwrite_a=1, overwrite_q=1)
-                if info != 0:
-                    raise NumericalError(f"Schur reordering failed (info={info})")
-                work.insert(pos, work.pop(j))
-            pos += 1
-
-    blocks = []
-    start = 0
-    for k in range(1, len(work) + 1):
-        if k == len(work) or work[k] != work[k - 1]:
-            blocks.append((start, k, work[start]))
-            start = k
-    return T, Q, blocks
 
 
 def _atomic_power(Tb, alpha):
@@ -270,18 +211,19 @@ def _atomic_power(Tb, alpha):
     return np.triu(np.asarray(F, dtype=complex))
 
 
-def fractional_power_general(M, alpha, *, cluster_tol=None,
-                             separation=0.1) -> FractionalPowerResult:
+def fractional_power_general(M, alpha) -> FractionalPowerResult:
     """M^alpha for a real matrix with spectrum in the closed right
     half-plane (singular M-matrices included).
 
-    Complex Schur form, transitive-closure eigenvalue clustering with
-    chaining threshold ``separation * max(1, |lambda|)``, exact zero
-    mapping for the cluster with |lambda| <= cluster_tol (default
-    n * eps * rho(M)), atomic blocks by inverse scaling and squaring, and
-    the blocked Parlett recurrence for the off-diagonal blocks.  The
-    result is realified; an imaginary residue above 1e-10 * max|result|
-    raises :class:`NumericalError`.
+    One complex Schur form T, reordered by ``ztrsen`` so that the k
+    eigenvalues with |lambda| <= n * eps * rho(M) come first.  With
+    T = [[T0, T01], [0, T1]], the result in Schur coordinates is
+    F = [[0, X], [0, T1^alpha]]: the zero cluster maps exactly to 0, the
+    nonsingular block T1 gets its principal power by inverse scaling and
+    squaring, and the coupling X solves the Sylvester equation
+    T0 X - X T1 = -T01 T1^alpha that FT = TF imposes (the two-block
+    Parlett step).  The result is realified; an imaginary residue above
+    1e-10 * max|result| raises :class:`NumericalError`.
     """
     alpha = _check_alpha(alpha)
     A = _as_matrix(M)
@@ -290,9 +232,9 @@ def fractional_power_general(M, alpha, *, cluster_tol=None,
     lam = np.diag(data.triangular)
 
     rho = float(np.abs(lam).max(initial=0.0))
-    ztol = float(cluster_tol) if cluster_tol is not None else n * _EPS * rho
+    ztol = n * _EPS * rho
     zero_mask = np.abs(lam) <= ztol
-    floor = -10.0 * max(ztol, n * _EPS * rho)
+    floor = -10.0 * ztol
     bad = (~zero_mask) & (lam.real < floor)
     if np.any(bad):
         worst = lam[bad][np.argmin(lam[bad].real)]
@@ -301,39 +243,28 @@ def fractional_power_general(M, alpha, *, cluster_tol=None,
             f"(real-part floor {floor:.3e})"
         )
 
-    labels = _cluster_labels(lam, zero_mask, separation)
-    T, Q, blocks = _reorder_schur(data.triangular, data.basis, labels)
-
+    T, Q = data.triangular, data.basis
+    k = int(zero_mask.sum())
     F = np.zeros_like(T)
-    for s0, s1, lab in blocks:
-        if lab == 0:
-            continue
-        F[s0:s1, s0:s1] = _atomic_power(T[s0:s1, s0:s1], alpha)
-
-    p = len(blocks)
-    for gap in range(1, p):
-        for bi in range(p - gap):
-            bj = bi + gap
-            r0, r1, _ = blocks[bi]
-            c0, c1, _ = blocks[bj]
-            rows, cols = slice(r0, r1), slice(c0, c1)
-            C = F[rows, rows] @ T[rows, cols] - T[rows, cols] @ F[cols, cols]
-            if gap > 1:
-                mid = slice(r1, c0)
-                C += F[rows, mid] @ T[mid, cols] - T[rows, mid] @ F[mid, cols]
-            if r1 - r0 == 1 and c1 - c0 == 1:
-                denom = T[r0, r0] - T[c0, c0]
-                F[r0, c0] = C[0, 0] / denom
-            else:
-                X, scale, info = lapack.ztrsyl(T[rows, rows], T[cols, cols],
-                                               C, isgn=-1)
-                if info != 0 or scale == 0.0:
-                    raise NumericalError(
-                        "Parlett recurrence breakdown between clusters "
-                        f"{blocks[bi][2]} and {blocks[bj][2]} "
-                        f"(eigenvalues near {T[r0, r0]!r} / {T[c0, c0]!r})"
-                    )
-                F[rows, cols] = X / scale
+    if k < n:
+        if k:
+            T, Q, _, m, _, _, info = lapack.ztrsen(zero_mask.astype(np.int32),
+                                                   T, Q, job="N")
+            if info != 0 or m != k:
+                raise NumericalError(
+                    f"Schur reordering failed (info={info}, "
+                    f"{m} of {k} zero eigenvalues moved)"
+                )
+        F[k:, k:] = _atomic_power(T[k:, k:], alpha)
+        if k:
+            X, scale, info = lapack.ztrsyl(T[:k, :k], T[k:, k:],
+                                           -T[:k, k:] @ F[k:, k:], isgn=-1)
+            if info != 0 or scale == 0.0:
+                raise NumericalError(
+                    "Parlett recurrence breakdown between the zero cluster "
+                    f"and the nonzero block (eigenvalue near {T[k, k]!r})"
+                )
+            F[:k, k:] = X / scale
 
     R = Q @ F @ Q.conj().T
     resid = float(np.abs(R.imag).max())
@@ -342,14 +273,12 @@ def fractional_power_general(M, alpha, *, cluster_tol=None,
         raise NumericalError(
             f"imaginary residue {resid:.3e} above realification tolerance"
         )
-    lam_ordered = np.diag(T).copy()
-    zero_count = blocks[0][1] - blocks[0][0] if blocks and blocks[0][2] == 0 else 0
     op = DenseOperator(R.real.copy(), kind=_meta_kind(M), alpha=alpha,
                        method="schur-parlett")
     return FractionalPowerResult(operator=op, alpha=alpha,
-                                 zero_cluster=tuple(range(zero_count)),
+                                 zero_cluster=tuple(range(k)),
                                  method="schur-parlett",
-                                 eigenvalues=lam_ordered)
+                                 eigenvalues=np.diag(T).copy())
 
 
 def binomial_coefficients(alpha: float, count: int) -> np.ndarray:

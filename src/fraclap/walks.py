@@ -360,7 +360,7 @@ def path_transition_asymptotic(alpha: float, gap: int) -> float:
                  * float(gap) ** (-alpha - 1.0))
 
 
-def return_probability(lbar, times, *, cluster_tol=None) -> ReturnProbabilityCurve:
+def return_probability(lbar, times) -> ReturnProbabilityCurve:
     """Average return probability (1/n) sum_i exp(-lambda_i t) of the
     normalized generator, with the relative spectral gap
     |lambda|_max / |lambda|_min-nonzero and the zero multiplicity."""
@@ -371,7 +371,7 @@ def return_probability(lbar, times, *, cluster_tol=None) -> ReturnProbabilityCur
     lam = np.linalg.eigvals(A)
     n = A.shape[0]
     rho = float(np.abs(lam).max(initial=0.0))
-    ztol = float(cluster_tol) if cluster_tol is not None else n * np.finfo(float).eps * rho
+    ztol = n * np.finfo(float).eps * rho
     zero_mult = int(np.sum(np.abs(lam) <= ztol))
     nonzero = lam[np.abs(lam) > ztol]
     gap = float(np.abs(nonzero).max() / np.abs(nonzero).min()) if nonzero.size else float("nan")

@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
+import scipy.sparse.csgraph
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm, fractional_matrix_power, lapack
+from scipy.linalg import expm, fractional_matrix_power
 
 from fraclap.generators import cycle_graph, random_connected_graph
 from fraclap.graphs import LaplacianKind, build_laplacian
-from fraclap.matfun import (_cluster_labels, _reorder_schur,
-                            binomial_coefficients, exp_fractional_symmetric,
+from fraclap.matfun import (binomial_coefficients, exp_fractional_symmetric,
                             fractional_power_general,
                             fractional_power_series,
                             fractional_power_symmetric, matrix_exponential,
-                            schur_spectral_data, symmetric_spectral_data,
+                            symmetric_spectral_data,
                             verify_m_matrix)
 
 
@@ -36,12 +36,14 @@ def test_symmetric_engine_matches_eigh_reconstruction():
         assert np.abs(r.operator.matrix - direct).max() < 1e-10
 
 
-def test_general_engine_matches_symmetric_engine():
-    L = combinatorial(18, 7)
-    for alpha in (0.25, 0.5, 0.75):
-        sym = fractional_power_symmetric(L, alpha).operator.matrix
-        gen = fractional_power_general(L.matrix, alpha).operator.matrix
-        assert np.abs(gen - sym).max() < 1e-10
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10**6), alpha=st.floats(0.05, 1.0))
+def test_general_engine_matches_symmetric_engine(seed, alpha):
+    L = combinatorial(18, seed)
+    sym = fractional_power_symmetric(L, alpha)
+    gen = fractional_power_general(L.matrix, alpha)
+    assert np.abs(gen.operator.matrix - sym.operator.matrix).max() < 1e-10
+    assert len(gen.zero_cluster) == len(sym.zero_cluster) == 1
 
 
 def test_general_engine_matches_scipy_on_digraph():
@@ -162,28 +164,6 @@ def test_eigenvalues_map_to_alpha_power(seed, alpha):
     assert np.abs(np.sort(wa) - np.sort(want)).max() < 1e-8
 
 
-def union_find_labels(lam, zero_mask, separation):
-    """Pairwise union-find reference for the eigenvalue clustering."""
-    idx = [int(i) for i in np.flatnonzero(~zero_mask)]
-    parent = {i: i for i in idx}
-
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    for a, i in enumerate(idx):
-        for j in idx[a + 1:]:
-            if abs(lam[i] - lam[j]) < separation * max(1.0, abs(lam[i]),
-                                                       abs(lam[j])):
-                parent[find(i)] = find(j)
-    labels = np.zeros(lam.shape[0], dtype=int)
-    seen = {}
-    for i in idx:
-        labels[i] = seen.setdefault(find(i), len(seen) + 1)
-    return labels
-
-
 def random_digraph_laplacian(n, seed, degree=3.0):
     rng = np.random.default_rng(seed)
     W = (rng.random((n, n)) < degree / n) * rng.uniform(0.5, 2.0, (n, n))
@@ -191,89 +171,39 @@ def random_digraph_laplacian(n, seed, degree=3.0):
     return np.diag(W.sum(axis=1)) - W
 
 
-def schur_zero_mask(lam):
-    return np.abs(lam) <= lam.shape[0] * np.finfo(float).eps * np.abs(lam).max()
+def closed_class_count(L):
+    """Strongly connected components with no arc leaving them: the
+    multiplicity of the zero eigenvalue of an out-degree Laplacian."""
+    W = (L - np.diag(np.diag(L))) != 0
+    count, comp = scipy.sparse.csgraph.connected_components(
+        W, directed=True, connection="strong")
+    leaves = W & (comp[:, None] != comp[None, :])
+    return count - len(np.unique(comp[leaves.any(axis=1)]))
 
 
-def test_cluster_labels_match_union_find_on_chained_spectra():
-    rng = np.random.default_rng(11)
-    for trial in range(6):
-        # a few chains of points spaced just inside the chaining threshold,
-        # plus scattered points and exact zeros, in random order
-        pts = [rng.uniform(0, 8) + 1j * rng.uniform(-3, 3)
-               for _ in range(rng.integers(5, 40))]
-        for _ in range(3):
-            z = rng.uniform(0, 8) + 1j * rng.uniform(-3, 3)
-            for _ in range(rng.integers(2, 8)):
-                pts.append(z)
-                z = z + 0.09 * max(1.0, abs(z)) * np.exp(2j * np.pi
-                                                         * rng.random())
-        pts += [0.0] * int(rng.integers(0, 4))
-        lam = rng.permutation(np.array(pts, dtype=complex))
-        zero_mask = lam == 0
-        for separation in (0.1, 0.03):
-            assert np.array_equal(_cluster_labels(lam, zero_mask, separation),
-                                  union_find_labels(lam, zero_mask, separation))
+def test_general_engine_zero_cluster_on_digraph():
+    # dangling nodes and a closed two-node class give five zero eigenvalues
+    L = random_digraph_laplacian(30, 2)
+    assert closed_class_count(L) == 5
+    r = fractional_power_general(L, 0.5)
+    F = r.operator.matrix
+    assert len(r.zero_cluster) == 5
+    lam = np.abs(r.eigenvalues)
+    assert lam[:5].max() <= 30 * np.finfo(float).eps * lam.max() < lam[5:].min()
+    assert np.abs(F @ F - L).max() < 1e-12
+    assert np.abs(F.sum(axis=1)).max() < 1e-12
+    assert (F - np.diag(np.diag(F))).max() <= 1e-12
+    assert np.diag(F).min() >= -1e-12
 
 
-def test_cluster_labels_match_union_find_on_digraph_spectrum():
-    lam = schur_spectral_data(random_digraph_laplacian(500, 5)).eigenvalues
-    zero_mask = schur_zero_mask(lam)
-    assert 0 < zero_mask.sum() < lam.shape[0]
-    for separation in (0.1, 0.01):
-        assert np.array_equal(_cluster_labels(lam, zero_mask, separation),
-                              union_find_labels(lam, zero_mask, separation))
+def test_general_engine_zero_matrix():
+    r = fractional_power_general(np.zeros((5, 5)), 0.5)
+    assert np.array_equal(r.operator.matrix, np.zeros((5, 5)))
+    assert r.zero_cluster == (0, 1, 2, 3, 4)
 
 
-def test_cluster_labels_edge_cases():
-    lam = np.zeros(4, dtype=complex)
-    assert np.array_equal(_cluster_labels(lam, np.ones(4, bool), 0.1),
-                          np.zeros(4, dtype=int))
-    lam = np.array([0.0, 2.0 + 1.0j, 0.0])
-    assert np.array_equal(_cluster_labels(lam, lam == 0, 0.1), [0, 1, 0])
-    # 1 and 1 + x chain at separation 0.1 exactly when x < 1/9
-    for x, want in ((0.111, [1, 1]), (0.1112, [1, 2])):
-        lam = np.array([1.0, 1.0 + x], dtype=complex)
-        assert np.array_equal(_cluster_labels(lam, lam == 0, 0.1), want)
-
-
-def reorder_with_copies(T, Q, labels):
-    """Selection pass in which every ztrexc call copies T and Q."""
-    order = list(dict.fromkeys(int(x) for x in labels))
-    if 0 in order:
-        order.remove(0)
-        order.insert(0, 0)
-    work = [int(x) for x in labels]
-    pos = 0
-    for lab in order:
-        for _ in range(work.count(lab)):
-            j = work.index(lab, pos)
-            if j != pos:
-                T, Q, info = lapack.ztrexc(T, Q, j + 1, pos + 1)
-                assert info == 0
-                work.insert(pos, work.pop(j))
-            pos += 1
-    return T, Q, work
-
-
-def test_reorder_schur_matches_copying_reference():
-    for n, seed, separation in ((80, 3, 0.01), (200, 4, 0.1)):
-        A = random_digraph_laplacian(n, seed)
-        data = schur_spectral_data(A)
-        T0, Q0 = data.triangular.copy(), data.basis.copy()
-        labels = _cluster_labels(data.eigenvalues,
-                                 schur_zero_mask(data.eigenvalues), separation)
-        assert labels.max() > 1 and (labels == 0).any()
-        T, Q, blocks = _reorder_schur(data.triangular, data.basis, labels)
-        Tr, Qr, work = reorder_with_copies(T0, Q0, labels)
-        assert np.array_equal(T, Tr) and np.array_equal(Q, Qr)
-        assert np.array_equal(data.triangular, T0)
-        assert np.array_equal(data.basis, Q0)
-        assert blocks[0][2] == 0
-        assert [b[0] for b in blocks[1:]] == [b[1] for b in blocks[:-1]]
-        assert blocks[-1][1] == n
-        for s0, s1, lab in blocks:
-            assert work[s0:s1] == [lab] * (s1 - s0)
-        assert len({b[2] for b in blocks}) == len(blocks)
-        err = np.abs(Q @ T @ Q.conj().T - A).max()
-        assert err <= 1e-12 * np.abs(A).max()
+def test_general_engine_one_node():
+    for alpha in (0.3, 0.5, 1.0):
+        r = fractional_power_general(np.array([[2.0]]), alpha)
+        assert r.operator.matrix[0, 0] == pytest.approx(2.0 ** alpha, rel=1e-15)
+        assert r.zero_cluster == ()
