@@ -510,8 +510,8 @@ def _cmd_consensus(args, outdir):
         run = ConsensusConfig(graph=graph, alpha=alpha, beta=beta,
                               target=target, x0=ring, v0=v0, horizon=horizon,
                               gamma=gamma, gamma_margin=margin,
-                              step=float(step) if step else None,
-                              output_stride=int(stride) if stride else None)
+                              step=None if step is None else float(step),
+                              output_stride=stride)
         F = _coupling_matrix(run)
         gamma_used = gamma if gamma is not None else \
             gamma_lower_bound(F, beta).bound + margin

@@ -171,6 +171,17 @@ def test_consensus_builds_each_coupling_once(tmp_path, monkeypatch):
     assert calls == {"fractional_power_general": 4, "gamma_lower_bound": 4}
 
 
+@pytest.mark.parametrize("bad", [{"stride": 0}, {"stride": -3},
+                                 {"stride": 2.5}, {"step": 0}])
+def test_consensus_bad_step_or_stride_exits_one(tmp_path, bad):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({
+        "vehicles": 8, "graph": "directed-cycle", "alpha": 0.5,
+        "horizon": 0.5, **bad,
+    }))
+    assert run(["consensus", "--config", str(cfg)], tmp_path) == 1
+
+
 def test_usage_errors_exit_one(ring, tmp_path):
     assert run(["power", "--input", str(ring)], tmp_path) == 1     # no alpha
     assert run(["power", "--input", str(tmp_path / "nope.txt"),

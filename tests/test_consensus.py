@@ -7,8 +7,7 @@ from scipy.linalg import expm
 from fraclap.consensus import (ConsensusConfig, GammaBound, TargetTrajectory,
                                circle_relocation_config, circular_orbit,
                                consensus_error_curve, gamma_lower_bound,
-                               simulate_consensus, static_formation,
-                               target_from_position)
+                               simulate_consensus, static_formation)
 from fraclap.errors import NumericalError
 from fraclap.generators import cycle_graph, random_connected_graph
 from fraclap.graphs import LaplacianKind, build_laplacian
@@ -121,6 +120,91 @@ def test_simulation_matches_matrix_exponential():
     assert abs(states[-1].error - want) < 1e-9
 
 
+def per_step_rk4(cfg):
+    """Classical RK4 on (x, v), one step at a time, with the target
+    evaluated at every stage; the reference for the step-matrix run."""
+    n = cfg.graph.n
+    K = cfg.beta * np.eye(n) + cfg.lalpha
+    tgt, gamma = cfg.target, cfg.gamma
+    nsteps = int(np.ceil(cfg.horizon / cfg.step - 1e-9))
+    dt = cfg.horizon / nsteps
+
+    def accel(t, x, v):
+        return tgt.acceleration(t) + K @ ((tgt.position(t) - x)
+                                          + gamma * (tgt.velocity(t) - v))
+
+    x, v = cfg.x0.copy(), cfg.v0.copy()
+    times, positions = [0.0], [x]
+    for k in range(nsteps):
+        t = k * dt
+        k1x, k1v = v, accel(t, x, v)
+        k2x = v + 0.5 * dt * k1v
+        k2v = accel(t + 0.5 * dt, x + 0.5 * dt * k1x, k2x)
+        k3x = v + 0.5 * dt * k2v
+        k3v = accel(t + 0.5 * dt, x + 0.5 * dt * k2x, k3x)
+        k4x = v + dt * k3v
+        k4v = accel(t + dt, x + dt * k3x, k4x)
+        x = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        if (k + 1) % cfg.output_stride == 0 or k + 1 == nsteps:
+            times.append((k + 1) * dt)
+            positions.append(x)
+    return times, positions
+
+
+def with_coupling(cfg):
+    lalpha = cycle_lalpha(cfg.alpha, cfg.graph.n)
+    gamma = gamma_lower_bound(lalpha, cfg.beta).bound + cfg.gamma_margin
+    return replace(cfg, lalpha=lalpha, gamma=gamma)
+
+
+def max_rel_gap(states, positions):
+    scale = max(np.abs(p).max() for p in positions)
+    return max(np.abs(s.positions - p).max()
+               for s, p in zip(states, positions)) / scale
+
+
+def test_step_matrix_matches_per_step_rk4():
+    # static target, 100 steps in blocks of 7: the last block is a remainder
+    cfg = with_coupling(circle_relocation_config(n=16, horizon=1.0, step=0.01,
+                                                 output_stride=7))
+    times, positions = per_step_rk4(cfg)
+    states = simulate_consensus(cfg)
+    assert [s.time for s in states] == times
+    assert max_rel_gap(states, positions) <= 1e-12
+
+    # moving target: the per-step loop also carries RK4's truncation error
+    # on the target's own motion, which the deviation form does not incur
+    n = 30
+    orbit = circular_orbit((1.0, -1.0), 2.0, 0.8, n)
+    angles = 2.0 * np.pi * np.arange(n) / n
+    ring = np.column_stack([np.cos(angles), np.sin(angles)])
+    cfg = with_coupling(ConsensusConfig(
+        graph=cycle_graph(n, directed=True), alpha=0.5, beta=0.5,
+        target=orbit, x0=ring, v0=np.zeros((n, 2)), horizon=5.0, step=1e-3,
+        output_stride=10))
+    times, positions = per_step_rk4(cfg)
+    states = simulate_consensus(cfg)
+    assert [s.time for s in states] == times
+    assert max_rel_gap(states, positions) <= 1e-9
+
+
+def test_one_output_block_matches_matrix_exponential():
+    # output_stride = nsteps: the whole run is one binary power of the step
+    n, alpha, beta, gamma, T = 12, 0.5, 0.5, 2.0, 3.0
+    cfg = circle_relocation_config(n=n, alpha=alpha, beta=beta, horizon=T,
+                                   gamma=gamma, output_stride=5000)
+    states = simulate_consensus(cfg)
+    assert len(states) == 2 and states[-1].time == pytest.approx(T)
+    K = cycle_lalpha(alpha, n) + beta * np.eye(n)
+    A = np.block([[np.zeros((n, n)), np.eye(n)], [-K, -gamma * K]])
+    tgt = cfg.target.position(0.0)
+    e0 = np.concatenate([tgt - cfg.x0, -cfg.v0])
+    final = expm(T * A) @ e0
+    assert np.abs(states[-1].positions - (tgt - final[:n])).max() < 1e-9
+    assert abs(states[-1].error - np.linalg.norm(final)) < 1e-9
+
+
 def test_precomputed_coupling_and_gamma_reproduce_the_run(monkeypatch):
     import fraclap.consensus as consensus
     cfg = circle_relocation_config(n=30, alpha=0.5, horizon=1.0)
@@ -179,6 +263,20 @@ def test_instability_guard_raises():
         simulate_consensus(cfg)
 
 
+def test_instability_guard_checks_the_final_output():
+    # one output after all ten steps: the guard sees only the final state
+    cfg = circle_relocation_config(n=24, horizon=5.0, gamma=100.0, step=0.5,
+                                   output_stride=10)
+    with pytest.raises(NumericalError):
+        simulate_consensus(cfg)
+
+
+@pytest.mark.parametrize("stride", [0, -3, 2.5])
+def test_bad_output_stride_rejected(stride):
+    with pytest.raises(ValueError):
+        circle_relocation_config(n=8, output_stride=stride)
+
+
 def test_circular_orbit_derivatives_consistent():
     orb = circular_orbit((1.0, -2.0), 3.0, 0.7, 10)
     h = 1e-6
@@ -189,20 +287,6 @@ def test_circular_orbit_derivatives_consistent():
         assert np.abs(num_a - orb.acceleration(t)).max() < 1e-7
     r = np.linalg.norm(orb.position(0.0) - np.array([1.0, -2.0]), axis=1)
     assert np.abs(r - 3.0).max() < 1e-12
-
-
-def test_target_from_position_matches_analytic():
-    n = 6
-    pos = lambda t: np.stack([np.full(n, np.sin(t)),
-                              np.full(n, np.cos(2 * t))], axis=1)
-    tgt = target_from_position(pos, horizon=2.0)
-    for t in (0.3, 1.1):
-        v = np.stack([np.full(n, np.cos(t)),
-                      np.full(n, -2 * np.sin(2 * t))], axis=1)
-        a = np.stack([np.full(n, -np.sin(t)),
-                      np.full(n, -4 * np.cos(2 * t))], axis=1)
-        assert np.abs(tgt.velocity(t) - v).max() < 1e-6
-        assert np.abs(tgt.acceleration(t) - a).max() < 1e-4
 
 
 def test_smaller_alpha_settles_faster():
