@@ -27,17 +27,15 @@ from .decay import (DecayReport, NumericalRangeProfile, distance_decay_slope,
                     verify_decay_bounds, verify_p_alpha_bound)
 from .errors import ConvergenceError, GraphFormatError, NumericalError
 from .generators import (cycle_graph, grid_graph, path_graph,
-                         random_connected_graph, random_geometric_graph,
-                         star_graph)
-from .graphs import (DenseOperator, Graph, LaplacianKind, build_incidence,
-                     build_laplacian, largest_connected_component,
+                         random_connected_graph, random_geometric_graph)
+from .graphs import (DenseOperator, Graph, LaplacianKind, build_laplacian,
                      load_edge_list)
 from .matfun import (FractionalPowerResult, MMatrixReport, SpectralData,
                      binomial_coefficients, exp_fractional_symmetric,
-                     fractional_power_general, fractional_power_series,
-                     fractional_power_symmetric, matrix_exponential,
-                     schur_spectral_data, symmetric_spectral_data,
-                     verify_m_matrix)
+                     fractional_power, fractional_power_general,
+                     fractional_power_series, fractional_power_symmetric,
+                     matrix_exponential, schur_spectral_data,
+                     symmetric_spectral_data, verify_m_matrix)
 from .superdiff import (ExponentFit, LatticeSolution, StableParams,
                         WindowStats, fwhm, lattice_solution, lattice_symbol,
                         lattice_window_stats, stable_density,

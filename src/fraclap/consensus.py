@@ -19,11 +19,10 @@ from typing import Callable
 
 import numpy as np
 
-from .decay import _as_matrix
 from .errors import NumericalError
 from .generators import cycle_graph
-from .graphs import Graph, LaplacianKind, build_laplacian
-from .matfun import fractional_power_general, fractional_power_symmetric
+from .graphs import Graph, LaplacianKind, as_matrix, build_laplacian
+from .matfun import fractional_power
 
 
 @dataclass(frozen=True)
@@ -52,9 +51,11 @@ def static_formation(points) -> TargetTrajectory:
                             acceleration=lambda t: zero)
 
 
-def circular_orbit(center, radius: float, omega: float, n: int, *,
-                   phases=None) -> TargetTrajectory:
+def circular_orbit(center, radius: float, omega: float,
+                   n: int) -> TargetTrajectory:
     """Agents rotating uniformly on a circle, analytic derivatives.
+
+    Agent ``k`` starts at angle ``2 pi k / n``.
 
     Parameters
     ----------
@@ -66,16 +67,11 @@ def circular_orbit(center, radius: float, omega: float, n: int, *,
         Angular velocity.
     n : int
         Agent count.
-    phases : array_like, optional
-        Initial angles, default uniformly spread.
     """
     ctr = np.asarray(center, dtype=float)
     if ctr.shape != (2,):
         raise ValueError("circular orbits are planar; center must be 2-d")
-    ph = (2.0 * math.pi * np.arange(n) / n if phases is None
-          else np.asarray(phases, dtype=float))
-    if ph.shape != (n,):
-        raise ValueError("need one phase per agent")
+    ph = 2.0 * math.pi * np.arange(n) / n
 
     def pos(t: float) -> np.ndarray:
         a = omega * t + ph
@@ -135,8 +131,8 @@ def gamma_lower_bound(lalpha, beta: float) -> GammaBound:
 
     Parameters
     ----------
-    lalpha : array_like
-        Fractional Laplacian power (matrix or result object).
+    lalpha : DenseOperator or array_like
+        Fractional Laplacian power, square with finite entries.
     beta : float
         Positive position-coupling gain.
 
@@ -147,12 +143,13 @@ def gamma_lower_bound(lalpha, beta: float) -> GammaBound:
     Raises
     ------
     ValueError
-        Every index excluded (real spectra leave the bound undefined;
-        pick the damping explicitly in that case).
+        Non-square or non-finite input, or every index excluded (real
+        spectra leave the bound undefined; pick the damping explicitly in
+        that case).
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
-    lam = np.linalg.eigvals(_as_matrix(lalpha).astype(float))
+    lam = np.linalg.eigvals(as_matrix(lalpha).astype(float))
     nu = -beta - lam
     scale = np.maximum(1.0, np.abs(nu))
     real_mask = np.abs(nu.imag) <= 1e-12 * scale
@@ -202,7 +199,7 @@ class ConsensusConfig:
         be an integer >= 1.
     kind : LaplacianKind
         Laplacian flavor built from the graph.
-    lalpha : array_like or None
+    lalpha : DenseOperator, array_like or None
         Precomputed fractional power, overriding the graph build.
     """
 
@@ -266,14 +263,10 @@ def _errors(e: np.ndarray, n: int) -> tuple[float, float]:
 
 def _coupling_matrix(cfg: ConsensusConfig) -> np.ndarray:
     if cfg.lalpha is not None:
-        F = _as_matrix(cfg.lalpha)
+        F = as_matrix(cfg.lalpha)
     else:
-        L = build_laplacian(cfg.graph, cfg.kind)
-        A = L.matrix
-        sym = float(np.abs(A - A.T).max()) <= 1e-12 * max(1.0,
-                                                          float(np.abs(A).max()))
-        F = (fractional_power_symmetric(A, cfg.alpha) if sym
-             else fractional_power_general(A, cfg.alpha)).matrix
+        F = fractional_power(build_laplacian(cfg.graph, cfg.kind),
+                             cfg.alpha).matrix
     if np.iscomplexobj(F):
         resid = float(np.abs(F.imag).max())
         if resid > 1e-10 * max(1.0, float(np.abs(F.real).max())):

@@ -17,7 +17,7 @@ from scipy.sparse import csr_array
 from scipy.sparse.csgraph import shortest_path
 
 from .errors import NumericalError
-from .graphs import Graph
+from .graphs import Graph, as_matrix
 from .matfun import (
     SpectralData,
     exp_fractional_symmetric,
@@ -28,13 +28,6 @@ from .matfun import (
 #: Jackson inequality constant for best uniform polynomial approximation
 #: of Hoelder-continuous functions on an interval.
 JACKSON_CONSTANT = 1.0 + np.pi ** 2 / 2.0
-
-
-def _as_matrix(op) -> np.ndarray:
-    A = np.asarray(getattr(op, "matrix", op))
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("expected a square matrix")
-    return A
 
 
 @dataclass(frozen=True)
@@ -75,72 +68,59 @@ class ExpFractionalModulus:
         return -np.expm1(-self.t * np.power(x, self.alpha))
 
 
-def pattern_distances(A, *, directed: bool = True, source: int | None = None,
+def pattern_distances(A, *, directed: bool = True,
                       tol: float = 0.0) -> np.ndarray:
-    """Unweighted hop distances on the off-diagonal sparsity pattern.
+    """All-pairs unweighted hop distances on the off-diagonal pattern.
 
     Parameters
     ----------
-    A : array_like
-        Square matrix; an arc ``i -> j`` exists wherever
-        ``abs(A[i, j]) > tol`` for ``i != j``.
+    A : DenseOperator or array_like
+        Square matrix with finite entries; an arc ``i -> j`` exists
+        wherever ``abs(A[i, j]) > tol`` for ``i != j``.
     directed : bool, optional
         Respect arc orientation.  With ``False`` the pattern is
         symmetrized.
-    source : int, optional
-        Return distances from this node only; all pairs otherwise.
     tol : float, optional
         Magnitude below which entries count as structural zeros.
 
     Returns
     -------
     numpy.ndarray
-        Hop counts, ``numpy.inf`` for unreachable pairs.  Shape ``(n,)``
-        for a single source, ``(n, n)`` otherwise.
+        ``(n, n)`` hop counts, ``numpy.inf`` for unreachable pairs.
+
+    Raises
+    ------
+    ValueError
+        Non-square input or non-finite entries.
     """
-    M = np.abs(np.asarray(_as_matrix(A)))
-    pattern = (M > tol).astype(np.int8)
+    pattern = (np.abs(as_matrix(A)) > tol).astype(np.int8)
     np.fill_diagonal(pattern, 0)
-    sparse = csr_array(pattern)
-    if source is None:
-        return shortest_path(sparse, method="D", directed=directed,
-                             unweighted=True)
-    n = M.shape[0]
-    source = int(source)
-    if not 0 <= source < n:
-        raise ValueError(f"source {source} out of range for {n} nodes")
-    rows = shortest_path(sparse, method="D", directed=directed,
-                         unweighted=True, indices=[source])
-    return rows[0]
+    return shortest_path(csr_array(pattern), method="D", directed=directed,
+                         unweighted=True)
 
 
-def graph_distances(g: Graph, source: int | None = None, *,
-                    undirected: bool = False) -> np.ndarray:
-    """Hop distances in a graph, ignoring edge weights.
+def graph_distances(g: Graph) -> np.ndarray:
+    """All-pairs hop distances in a graph, ignoring edge weights.
+
+    Arcs of a digraph are followed in their own direction only.
 
     Parameters
     ----------
     g : Graph
         Input graph.
-    source : int, optional
-        Single-source distances if given, all pairs otherwise.
-    undirected : bool, optional
-        For directed graphs, also traverse arcs backwards.
 
     Returns
     -------
     numpy.ndarray
-        Hop counts with ``numpy.inf`` for unreachable pairs.
+        ``(n, n)`` hop counts with ``numpy.inf`` for unreachable pairs.
 
     Examples
     --------
     >>> from fraclap.generators import path_graph
-    >>> graph_distances(path_graph(5), 0)
+    >>> graph_distances(path_graph(5))[0]
     array([0., 1., 2., 3., 4.])
     """
-    return pattern_distances(g.weight_matrix,
-                             directed=g.directed and not undirected,
-                             source=source)
+    return pattern_distances(g.weight_matrix, directed=g.directed)
 
 
 @dataclass(frozen=True)
@@ -240,11 +220,11 @@ def verify_decay_bounds(L, alpha: float, *, lalpha=None, mode: str = "power",
 
     Parameters
     ----------
-    L : array_like
+    L : DenseOperator or array_like
         Symmetric (within 1e-12) positive semidefinite matrix.
     alpha : float
         Exponent in (0, 1].
-    lalpha : array_like, optional
+    lalpha : DenseOperator or array_like, optional
         Precomputed ``L**alpha`` (power mode); recomputed if omitted.
     mode : {'power', 'exponential'}
         Which matrix function to check.
@@ -265,9 +245,10 @@ def verify_decay_bounds(L, alpha: float, *, lalpha=None, mode: str = "power",
     Raises
     ------
     ValueError
-        Nonsymmetric input, bad mode, or missing ``t``.
+        Non-square, non-finite or nonsymmetric input, bad mode, or
+        missing ``t``.
     """
-    A = _as_matrix(L)
+    A = as_matrix(L)
     if data is None:
         data = symmetric_spectral_data(A)
     rho = float(np.abs(data.eigenvalues).max())
@@ -279,7 +260,7 @@ def verify_decay_bounds(L, alpha: float, *, lalpha=None, mode: str = "power",
     if mode == "power":
         F = fractional_power_symmetric(A, alpha, data=data) \
             if lalpha is None else lalpha
-        observed = np.abs(_as_matrix(F))
+        observed = np.abs(as_matrix(F))
         bounds = JACKSON_CONSTANT * HoelderModulus(alpha)(arg)
         t_used = None
     elif mode == "exponential":
@@ -325,7 +306,7 @@ def verify_p_alpha_bound(kernel, L, alpha: float | None = None, *,
     ----------
     kernel : TransitionKernel
         Kernel built from ``L**alpha`` of a symmetric Laplacian.
-    L : array_like
+    L : DenseOperator or array_like
         The symmetric base Laplacian.
     alpha : float, optional
         Defaults to the kernel's exponent.
@@ -336,7 +317,7 @@ def verify_p_alpha_bound(kernel, L, alpha: float | None = None, *,
     -------
     DecayReport
     """
-    A = _as_matrix(L)
+    A = as_matrix(L)
     if alpha is None:
         alpha = kernel.alpha
     if alpha is None:
@@ -421,8 +402,8 @@ def numerical_range_profile(M, angles: int = 360) -> NumericalRangeProfile:
 
     Parameters
     ----------
-    M : array_like
-        Square matrix, real or complex.
+    M : DenseOperator or array_like
+        Square matrix, real or complex, with finite entries.
     angles : int, optional
         Grid resolution, at least 8.
 
@@ -433,11 +414,11 @@ def numerical_range_profile(M, angles: int = 360) -> NumericalRangeProfile:
     Raises
     ------
     ValueError
-        Fewer than 8 angles.
+        Fewer than 8 angles, non-square input or non-finite entries.
     """
     if angles < 8:
         raise ValueError("need at least 8 angles")
-    A = _as_matrix(M).astype(complex)
+    A = as_matrix(M).astype(complex)
     thetas = np.linspace(0.0, 2.0 * np.pi, int(angles), endpoint=False)
     if np.array_equal(A, A.conj().T):
         lam = np.linalg.eigvalsh(A)
@@ -486,18 +467,17 @@ class DistanceProfile:
     intercept: float
 
 
-def distance_decay_slope(values, distances, *,
-                         min_distance: int = 2) -> DistanceProfile:
+def distance_decay_slope(values, distances) -> DistanceProfile:
     """Fit the observed decay rate of entries against hop distance.
+
+    Distance classes ``d >= 2`` enter the fit.
 
     Parameters
     ----------
-    values : array_like
+    values : DenseOperator or array_like
         Matrix whose entry magnitudes are profiled.
     distances : numpy.ndarray
         Matching all-pairs hop distance matrix.
-    min_distance : int, optional
-        Smallest distance class included.
 
     Returns
     -------
@@ -508,9 +488,9 @@ def distance_decay_slope(values, distances, *,
     NumericalError
         Fewer than three usable distance classes.
     """
-    A = np.abs(_as_matrix(values))
+    A = np.abs(as_matrix(values))
     D = np.asarray(distances)
-    finite = np.isfinite(D) & (D >= min_distance)
+    finite = np.isfinite(D) & (D >= 2)
     classes = np.unique(D[finite])
     ds, peaks = [], []
     for d in classes:

@@ -9,7 +9,6 @@ from .graphs import Graph
 __all__ = [
     "path_graph",
     "cycle_graph",
-    "star_graph",
     "grid_graph",
     "random_connected_graph",
     "random_geometric_graph",
@@ -34,12 +33,6 @@ def cycle_graph(n: int, *, directed=False) -> Graph:
     if directed:
         return Graph(n=n, directed=True, edges=tuple(arcs))
     return Graph(n=n, directed=False, edges=_close(arcs))
-
-
-def star_graph(leaves: int) -> Graph:
-    # node 0 is the hub
-    arcs = [(0, i, 1.0) for i in range(1, leaves + 1)]
-    return Graph(n=leaves + 1, directed=False, edges=_close(arcs))
 
 
 def grid_graph(rows: int, cols: int) -> Graph:

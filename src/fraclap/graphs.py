@@ -1,19 +1,19 @@
 """Graph container, edge-list loading, and Laplacian construction.
 
 Graphs are loop-free weighted digraphs; undirected graphs are stored as
-symmetric arc pairs.  All matrices are dense numpy arrays wrapped in
-:class:`DenseOperator` together with construction metadata.
+symmetric arc pairs.  Matrices travel as :class:`DenseOperator`, a
+dense numpy array plus the exponent ``alpha`` when it is a fractional
+power; :func:`as_matrix` turns an operator or an array_like into the
+square, finite array that every numerical routine works on.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse import csgraph
 
 from .errors import GraphFormatError
 
@@ -22,10 +22,8 @@ __all__ = [
     "DenseOperator",
     "LaplacianKind",
     "load_edge_list",
-    "largest_connected_component",
     "degree_vectors",
     "build_laplacian",
-    "build_incidence",
 ]
 
 
@@ -75,12 +73,6 @@ class Graph:
             W[u, v] = w
         return W
 
-    def undirected_edges(self) -> list[tuple[int, int, float]]:
-        """One arc per undirected edge, with src < dst."""
-        if self.directed:
-            raise GraphFormatError("undirected_edges requires an undirected graph")
-        return [(u, v, w) for u, v, w in self.edges if u < v]
-
 
 class LaplacianKind(enum.Enum):
     COMBINATORIAL = "undirected"
@@ -108,41 +100,45 @@ _UNDIRECTED_KINDS = (
 
 @dataclass(frozen=True)
 class DenseOperator:
-    """Dense matrix plus construction metadata.
+    """Square dense matrix, with ``alpha`` set when it is ``L**alpha``.
 
-    ``matrix`` is usually square (n x n); the incidence builder returns the
-    rectangular n x m case.
+    Fractional powers (the power engines, the binomial series and the
+    directed path and cycle closed forms) carry their exponent; every
+    other matrix carries ``None``.  Result types with more bookkeeping
+    subclass this one, so any of them goes wherever a matrix is taken.
     """
 
     matrix: np.ndarray
-    kind: LaplacianKind | None = None
     alpha: float | None = None
-    method: str = ""
-    fixup: bool = False
 
     def __post_init__(self):
-        M = np.asarray(self.matrix)
-        if M.ndim != 2:
-            raise ValueError("DenseOperator needs a 2-d matrix")
-        if not np.all(np.isfinite(M)):
-            raise ValueError("DenseOperator entries must be finite")
-        object.__setattr__(self, "matrix", M)
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
+        object.__setattr__(self, "matrix", as_matrix(self.matrix))
 
 
-def load_edge_list(path, *, one_based=False, force_undirected=False,
-                   return_mapping=False):
+def as_matrix(M) -> np.ndarray:
+    """The array of a :class:`DenseOperator`, or ``M`` as an array.
+
+    Raises ``ValueError`` unless it is square with finite entries; the
+    dtype is kept, so complex input stays complex.
+    """
+    if isinstance(M, DenseOperator):
+        return M.matrix
+    A = np.asarray(M)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError("expected a square matrix")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("matrix entries must be finite")
+    return A
+
+
+def load_edge_list(path, *, one_based=False, force_undirected=False):
     """Read a whitespace-separated edge list.
 
     Each non-comment line is ``src dst [weight]`` (weight defaults to 1.0).
     Node ids may be arbitrary nonnegative integers and are remapped to
-    contiguous 0-based indices in sorted order; the mapping is returned when
-    ``return_mapping`` is set.  With ``force_undirected`` the symmetric
-    closure is stored; a reverse arc listed explicitly must carry the same
-    weight.
+    contiguous 0-based indices in sorted order.  With ``force_undirected``
+    the symmetric closure is stored; a reverse arc listed explicitly must
+    carry the same weight.
     """
     arcs: dict[tuple[int, int], tuple[float, int]] = {}
     least = 1 if one_based else 0
@@ -204,48 +200,11 @@ def load_edge_list(path, *, one_based=False, force_undirected=False,
         for (u, v), (w, _) in sorted(pairs.items()):
             edges.append((index[u], index[v], w))
             edges.append((index[v], index[u], w))
-        g = Graph(n=len(labels), directed=False, edges=tuple(edges))
-    else:
-        edges = tuple(
-            (index[u], index[v], w) for (u, v), (w, _) in sorted(arcs.items())
-        )
-        g = Graph(n=len(labels), directed=True, edges=edges)
-
-    if return_mapping:
-        return g, index
-    return g
-
-
-def largest_connected_component(g: Graph, *, strong=False, return_nodes=False):
-    """Induced subgraph on the largest component, relabeled 0..k-1.
-
-    Digraphs use weak connectivity unless ``strong`` is set.  Ties between
-    equally sized components break toward the one containing the smallest
-    original node id; relabeling preserves the order of the kept ids.
-    """
-    rows = [u for u, v, w in g.edges]
-    cols = [v for u, v, w in g.edges]
-    pattern = csr_array(
-        (np.ones(len(rows)), (rows, cols)), shape=(g.n, g.n)
-    )
-    ncomp, labels = csgraph.connected_components(
-        pattern, directed=g.directed,
-        connection="strong" if strong else "weak",
-    )
-    sizes = np.bincount(labels, minlength=ncomp)
-    best = max(
-        range(ncomp),
-        key=lambda c: (sizes[c], -int(np.argmax(labels == c))),
-    )
-    keep = np.flatnonzero(labels == best)
-    pos = {int(orig): k for k, orig in enumerate(keep)}
+        return Graph(n=len(labels), directed=False, edges=tuple(edges))
     edges = tuple(
-        (pos[u], pos[v], w) for u, v, w in g.edges if u in pos and v in pos
+        (index[u], index[v], w) for (u, v), (w, _) in sorted(arcs.items())
     )
-    sub = Graph(n=len(keep), directed=g.directed, edges=edges)
-    if return_nodes:
-        return sub, [int(i) for i in keep]
-    return sub
+    return Graph(n=len(labels), directed=True, edges=edges)
 
 
 def degree_vectors(g: Graph):
@@ -262,14 +221,13 @@ def degree_vectors(g: Graph):
     return d, d_in, d_out
 
 
-def _fix_dangling_rows(W: np.ndarray) -> tuple[np.ndarray, list[int]]:
+def _fix_dangling_rows(W: np.ndarray) -> np.ndarray:
     # PageRank-style fixup: a zero row becomes the uniform row 1/n.
-    n = W.shape[0]
-    fixed = [int(i) for i in np.flatnonzero(W.sum(axis=1) == 0)]
-    if fixed:
+    dangling = W.sum(axis=1) == 0
+    if dangling.any():
         W = W.copy()
-        W[fixed, :] = 1.0 / n
-    return W, fixed
+        W[dangling, :] = 1.0 / W.shape[0]
+    return W
 
 
 def build_laplacian(g: Graph, kind: LaplacianKind, *, dangling_fixup=False) -> DenseOperator:
@@ -283,14 +241,13 @@ def build_laplacian(g: Graph, kind: LaplacianKind, *, dangling_fixup=False) -> D
         raise ValueError(f"kind {kind.value!r} requires an undirected graph")
     n = g.n
     W = g.weight_matrix
-    fixed: list[int] = []
 
     if kind is LaplacianKind.COMBINATORIAL:
         L = np.diag(W.sum(axis=1)) - W
     elif kind in (LaplacianKind.RANDOM_WALK, LaplacianKind.SYMMETRIC_NORMALIZED,
                   LaplacianKind.DIRECTED_OUT, LaplacianKind.DIRECTED_OUT_NORMALIZED):
         if dangling_fixup:
-            W, fixed = _fix_dangling_rows(W)
+            W = _fix_dangling_rows(W)
         d = W.sum(axis=1)
         if np.any(d == 0) and kind is not LaplacianKind.DIRECTED_OUT:
             bad = int(np.flatnonzero(d == 0)[0])
@@ -306,24 +263,10 @@ def build_laplacian(g: Graph, kind: LaplacianKind, *, dangling_fixup=False) -> D
             L = np.eye(n) - (s[:, None] * W) * s[None, :]
     elif kind is LaplacianKind.DIRECTED_IN:
         if dangling_fixup:
-            Wt, fixed = _fix_dangling_rows(W.T)
-            W = Wt.T
+            W = _fix_dangling_rows(W.T).T
         L = np.diag(W.sum(axis=0)) - W
     else:
         raise ValueError(f"unhandled kind {kind!r}")
 
-    return DenseOperator(L, kind=kind, method="laplacian", fixup=bool(fixed))
+    return DenseOperator(L)
 
-
-def build_incidence(g: Graph) -> DenseOperator:
-    """Weighted incidence matrix B with +sqrt(w) at the source and
-    -sqrt(w) at the target of every edge.  For undirected graphs one
-    column per edge (orientation src < dst); then B @ B.T equals the
-    combinatorial Laplacian."""
-    cols = g.undirected_edges() if not g.directed else list(g.edges)
-    B = np.zeros((g.n, len(cols)))
-    for j, (u, v, w) in enumerate(cols):
-        r = np.sqrt(w)
-        B[u, j] = r
-        B[v, j] = -r
-    return DenseOperator(B, method="incidence")

@@ -1,14 +1,14 @@
 """Matrix functions of graph Laplacians.
 
-Fractional powers L^alpha for alpha in (0, 1] via a symmetric
-eigendecomposition or, for nonsymmetric input, one complex Schur form
-sorted to put the zero eigenvalue cluster first: the nonzero block gets
-its principal power and a single Sylvester solve couples the two.  The
-zero eigenvalue cluster of a singular Laplacian is mapped exactly to 0.  A
-truncated binomial series provides an independent cross-check, and
-``verify_m_matrix`` reports the structural invariants the result must
-satisfy (nonpositive off-diagonal, zero row sums, spectrum in the closed
-right half-plane).
+Fractional powers L^alpha for alpha in (0, 1], entered through
+:func:`fractional_power`: a symmetric eigendecomposition or, for
+nonsymmetric input, one complex Schur form sorted to put the zero
+eigenvalue cluster first: the nonzero block gets its principal power and
+a single Sylvester solve couples the two.  The zero eigenvalue cluster
+of a singular Laplacian is mapped exactly to 0.  A truncated binomial
+series provides an independent cross-check, and ``verify_m_matrix``
+reports the structural invariants the result must satisfy (nonpositive
+off-diagonal, zero row sums, spectrum in the closed right half-plane).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import scipy.linalg
 from scipy.linalg import lapack
 
 from .errors import ConvergenceError, NumericalError
-from .graphs import DenseOperator
+from .graphs import DenseOperator, as_matrix
 
 __all__ = [
     "SpectralData",
@@ -29,6 +29,7 @@ __all__ = [
     "MMatrixReport",
     "symmetric_spectral_data",
     "schur_spectral_data",
+    "fractional_power",
     "fractional_power_symmetric",
     "fractional_power_general",
     "fractional_power_series",
@@ -39,19 +40,6 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
-
-
-def _as_matrix(M, *, square=True) -> np.ndarray:
-    A = M.matrix if isinstance(M, DenseOperator) else np.asarray(M, dtype=float)
-    if A.ndim != 2 or (square and A.shape[0] != A.shape[1]):
-        raise ValueError("expected a square matrix")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("matrix entries must be finite")
-    return A
-
-
-def _meta_kind(M):
-    return M.kind if isinstance(M, DenseOperator) else None
 
 
 def _check_alpha(alpha: float) -> float:
@@ -75,27 +63,22 @@ class SpectralData:
     symmetric: bool
 
 
-@dataclass(frozen=True)
-class FractionalPowerResult:
-    """Fractional power plus the spectral bookkeeping behind it.
+@dataclass(frozen=True, kw_only=True)
+class FractionalPowerResult(DenseOperator):
+    """``L**alpha`` in ``matrix``, plus the spectral bookkeeping behind it.
 
-    ``zero_cluster`` indexes the entries of ``eigenvalues`` that were
-    mapped exactly to 0.
+    ``method`` names the engine (``"symmetric-eig"`` or
+    ``"schur-parlett"``); ``zero_cluster`` indexes the entries of
+    ``eigenvalues`` that were mapped exactly to 0.
     """
 
-    operator: DenseOperator
-    alpha: float
     zero_cluster: tuple[int, ...]
     method: str
     eigenvalues: np.ndarray
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.operator.matrix
 
-
-@dataclass(frozen=True)
-class SeriesApproximation:
+@dataclass(frozen=True, kw_only=True)
+class SeriesApproximation(DenseOperator):
     """Truncated binomial series for L^alpha with its remainder estimate.
 
     The estimate rho^alpha * |sum_{k>terms} (-1)^k binom(alpha, k)| bounds
@@ -103,7 +86,6 @@ class SeriesApproximation:
     row-stochastic.
     """
 
-    operator: DenseOperator
     remainder: float
     terms: int
 
@@ -120,7 +102,7 @@ class MMatrixReport:
 
 def symmetric_spectral_data(L) -> SpectralData:
     """Eigendecomposition of a symmetric matrix (checked to 1e-12)."""
-    A = _as_matrix(L)
+    A = as_matrix(L)
     scale = max(1.0, float(np.abs(A).max()))
     if float(np.abs(A - A.T).max()) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric within 1e-12")
@@ -133,7 +115,7 @@ def symmetric_spectral_data(L) -> SpectralData:
 
 def schur_spectral_data(M) -> SpectralData:
     """Complex Schur form of a real square matrix."""
-    A = _as_matrix(M)
+    A = as_matrix(M)
     T, Q = scipy.linalg.schur(A.astype(complex), output="complex")
     return SpectralData(eigenvalues=np.diag(T).copy(), basis=Q,
                         triangular=T, symmetric=False)
@@ -171,8 +153,7 @@ def fractional_power_symmetric(L, alpha, *, data: SpectralData | None = None
     powers, zero_idx = _clamped_powers(w, alpha)
     F = (U * powers) @ U.T
     F = (F + F.T) / 2.0
-    op = DenseOperator(F, kind=_meta_kind(L), alpha=alpha, method="symmetric-eig")
-    return FractionalPowerResult(operator=op, alpha=alpha,
+    return FractionalPowerResult(matrix=F, alpha=alpha,
                                  zero_cluster=tuple(int(i) for i in zero_idx),
                                  method="symmetric-eig", eigenvalues=w.copy())
 
@@ -190,8 +171,7 @@ def exp_fractional_symmetric(L, alpha, t, *, data: SpectralData | None = None
     powers, _ = _clamped_powers(w, alpha)
     F = (U * np.exp(-t * powers)) @ U.T
     F = (F + F.T) / 2.0
-    return DenseOperator(F, kind=_meta_kind(L), alpha=alpha,
-                         method="symmetric-eig-exp")
+    return DenseOperator(F)
 
 
 def _atomic_power(Tb, alpha):
@@ -226,7 +206,7 @@ def fractional_power_general(M, alpha) -> FractionalPowerResult:
     1e-10 * max|result| raises :class:`NumericalError`.
     """
     alpha = _check_alpha(alpha)
-    A = _as_matrix(M)
+    A = as_matrix(M)
     n = A.shape[0]
     data = schur_spectral_data(A)
     lam = np.diag(data.triangular)
@@ -273,12 +253,25 @@ def fractional_power_general(M, alpha) -> FractionalPowerResult:
         raise NumericalError(
             f"imaginary residue {resid:.3e} above realification tolerance"
         )
-    op = DenseOperator(R.real.copy(), kind=_meta_kind(M), alpha=alpha,
-                       method="schur-parlett")
-    return FractionalPowerResult(operator=op, alpha=alpha,
+    return FractionalPowerResult(matrix=R.real.copy(), alpha=alpha,
                                  zero_cluster=tuple(range(k)),
                                  method="schur-parlett",
                                  eigenvalues=np.diag(T).copy())
+
+
+def fractional_power(L, alpha) -> FractionalPowerResult:
+    """L^alpha by the engine its symmetry calls for.
+
+    Input symmetric within 1e-12 * max(1, max|L|) goes to
+    :func:`fractional_power_symmetric`, anything else to
+    :func:`fractional_power_general`; the result's ``method`` names the
+    engine that ran.
+    """
+    A = as_matrix(L)
+    scale = max(1.0, float(np.abs(A).max()))
+    if float(np.abs(A - A.T).max()) <= 1e-12 * scale:
+        return fractional_power_symmetric(A, alpha)
+    return fractional_power_general(A, alpha)
 
 
 def binomial_coefficients(alpha: float, count: int) -> np.ndarray:
@@ -304,7 +297,7 @@ def fractional_power_series(L, alpha, terms: int) -> SeriesApproximation:
     terms = int(terms)
     if terms < 0:
         raise ValueError("terms must be >= 0")
-    A = _as_matrix(L)
+    A = as_matrix(L)
     n = A.shape[0]
     scale = max(1.0, float(np.abs(A).max()))
     off = A - np.diag(np.diag(A))
@@ -317,9 +310,8 @@ def fractional_power_series(L, alpha, terms: int) -> SeriesApproximation:
 
     rho = float(np.diag(A).max(initial=0.0))
     if rho == 0.0:
-        op = DenseOperator(np.zeros_like(A), kind=_meta_kind(L), alpha=alpha,
-                           method="series-oracle")
-        return SeriesApproximation(operator=op, remainder=0.0, terms=terms)
+        return SeriesApproximation(matrix=np.zeros_like(A), alpha=alpha,
+                                   remainder=0.0, terms=terms)
 
     Bs = np.eye(n) - A / rho          # B / rho, row-stochastic and nonnegative
     S = np.eye(n)
@@ -332,9 +324,8 @@ def fractional_power_series(L, alpha, terms: int) -> SeriesApproximation:
         S += coeff * P
         partial += coeff
     remainder = float(rho ** alpha * abs(partial))
-    op = DenseOperator(rho ** alpha * S, kind=_meta_kind(L), alpha=alpha,
-                       method="series-oracle")
-    return SeriesApproximation(operator=op, remainder=remainder, terms=terms)
+    return SeriesApproximation(matrix=rho ** alpha * S, alpha=alpha,
+                               remainder=remainder, terms=terms)
 
 
 def matrix_exponential(M, t) -> DenseOperator:
@@ -343,27 +334,27 @@ def matrix_exponential(M, t) -> DenseOperator:
     ``t`` must be nonnegative; t = 0 returns the exact identity.  A
     Gershgorin bound on the spectrum flags overflow before computing.
     """
-    A = _as_matrix(M)
+    A = as_matrix(M)
     t = float(t)
     if t < 0:
         raise ValueError("t must be nonnegative")
     n = A.shape[0]
     if t == 0.0:
-        return DenseOperator(np.eye(n), kind=_meta_kind(M), method="expm")
+        return DenseOperator(np.eye(n))
     growth = np.diag(A) - (np.abs(A).sum(axis=1) - np.abs(np.diag(A)))
     if t * max(0.0, -float(growth.min())) > 700.0:
         raise NumericalError("exp(-tM) would overflow (Gershgorin bound)")
     E = scipy.linalg.expm(-t * A)
     if not np.all(np.isfinite(E)):
         raise NumericalError("matrix exponential overflowed")
-    return DenseOperator(E, kind=_meta_kind(M), method="expm")
+    return DenseOperator(E)
 
 
 def verify_m_matrix(M, tol: float = 1e-10) -> MMatrixReport:
     """Check the singular-M-matrix structure of a (fractional) Laplacian:
     off-diagonal <= tol, diagonal >= -tol, row sums within tol of zero,
     eigenvalue real parts >= -tol (all scaled by max(1, max|M|))."""
-    A = _as_matrix(M)
+    A = as_matrix(M)
     scale = max(1.0, float(np.abs(A).max()))
     off = A - np.diag(np.diag(A))
     max_off = float(off.max(initial=0.0))

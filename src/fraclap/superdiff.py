@@ -580,8 +580,8 @@ def _sample_curve(evaluator, xs):
     return np.array([float(evaluator(float(x))) for x in xs]), False
 
 
-def fwhm(evaluator, bracket, *, samples: int = 129, tol: float = 1e-10,
-         value_noise: float = 1e-9) -> float:
+def fwhm(evaluator, bracket, *, samples: int = 129,
+         tol: float = 1e-10) -> float:
     """Full width at half maximum of a unimodal curve.
 
     Locates the peak by golden-section refinement of a coarse sample,
@@ -600,9 +600,6 @@ def fwhm(evaluator, bracket, *, samples: int = 129, tol: float = 1e-10,
         Coarse sample count (at least 5).
     tol : float, optional
         Crossing resolution.
-    value_noise : float, optional
-        Absolute wiggle allowed by the unimodality check; keep above the
-        evaluator's own accuracy.
 
     Returns
     -------
@@ -632,8 +629,8 @@ def fwhm(evaluator, bracket, *, samples: int = 129, tol: float = 1e-10,
     if k in (0, xs.shape[0] - 1):
         raise ValueError("peak not interior to the bracket")
     # band-limited index extensions ring at ~1e-5 of the peak near empty
-    # support, so the floor is relative with an absolute backstop
-    noise = max(1e-4 * float(ys[k]), value_noise)
+    # support, so the floor is relative, with an absolute 1e-9 backstop
+    noise = max(1e-4 * float(ys[k]), 1e-9)
     rises = np.diff(ys[:k + 1])
     falls = np.diff(ys[k:])
     if np.any(rises < -noise) or np.any(falls > noise):

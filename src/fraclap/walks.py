@@ -15,8 +15,8 @@ import numpy as np
 from scipy.special import gammaln, gammasgn
 
 from .errors import ConvergenceError, NumericalError
-from .graphs import DenseOperator, LaplacianKind
-from .matfun import binomial_coefficients, matrix_exponential
+from .graphs import DenseOperator, as_matrix
+from .matfun import _check_alpha, binomial_coefficients, matrix_exponential
 
 __all__ = [
     "TransitionKernel",
@@ -48,7 +48,6 @@ class TransitionKernel:
     P: np.ndarray
     d_alpha: np.ndarray
     alpha: float
-    kind: LaplacianKind | None
     absorbing: tuple[int, ...]
 
     @property
@@ -82,27 +81,20 @@ class ReturnProbabilityCurve:
     eigenvalues: np.ndarray
 
 
-def _operator_matrix(op):
-    if hasattr(op, "operator"):          # FractionalPowerResult
-        return op.operator.matrix, op.alpha, op.operator.kind
-    if isinstance(op, DenseOperator):
-        return op.matrix, op.alpha, op.kind
-    A = np.asarray(op, dtype=float)
-    return A, None, None
-
-
-def transition_kernel(lalpha, *, clamp_tol=1e-12) -> TransitionKernel:
+def transition_kernel(lalpha: DenseOperator) -> TransitionKernel:
     """Jump kernel P = I - diag(L^alpha)^-1 L^alpha.
 
+    ``lalpha`` is a :class:`DenseOperator` that carries its ``alpha``: a
+    fractional power result, a series approximation or a closed form.  A
+    bare array, or an operator without ``alpha``, raises ``ValueError``.
     Rows of L^alpha that vanish entirely (absorbing nodes, e.g. the sink
     of a directed path) become identity rows.  A nonpositive diagonal on a
-    structurally nonzero row raises.  Entries in [-clamp_tol, 0) are
-    clamped to 0 and rows renormalized; more negative entries raise.
+    structurally nonzero row raises.  Entries in [-1e-12, 0) are clamped
+    to 0 and rows renormalized; more negative entries raise.
     """
-    A, alpha, kind = _operator_matrix(lalpha)
-    n = A.shape[0]
-    if alpha is None:
+    if not isinstance(lalpha, DenseOperator) or lalpha.alpha is None:
         raise ValueError("input carries no alpha; build it from a fractional power")
+    A = lalpha.matrix
     scale = max(1.0, float(np.abs(A).max()))
     diag = np.diag(A).copy()
     row_mag = np.abs(A).max(axis=1)
@@ -119,7 +111,7 @@ def transition_kernel(lalpha, *, clamp_tol=1e-12) -> TransitionKernel:
     P[act, :] = -A[act, :] / diag[act, None]
     P[act, np.flatnonzero(act)] = 0.0
     worst = float(P.min())
-    if worst < -clamp_tol:
+    if worst < -1e-12:
         i, j = np.unravel_index(int(np.argmin(P)), P.shape)
         raise NumericalError(
             f"kernel entry ({i}, {j}) = {worst:.3e} below clamp tolerance"
@@ -132,7 +124,7 @@ def transition_kernel(lalpha, *, clamp_tol=1e-12) -> TransitionKernel:
 
     d_alpha = diag.copy()
     d_alpha[absorbing] = 0.0
-    return TransitionKernel(P=P, d_alpha=d_alpha, alpha=float(alpha), kind=kind,
+    return TransitionKernel(P=P, d_alpha=d_alpha, alpha=float(lalpha.alpha),
                             absorbing=tuple(int(i) for i in np.flatnonzero(absorbing)))
 
 
@@ -190,10 +182,10 @@ def simulate_discrete(kernel: TransitionKernel, start: int, steps: int,
 
 
 def absorption_time_samples(kernel: TransitionKernel, start: int, runs: int,
-                            seed: int, *, max_steps=1_000_000) -> np.ndarray:
+                            seed: int) -> np.ndarray:
     """Steps until absorption for ``runs`` independent walks (lockstep).
 
-    Raises :class:`ConvergenceError` if any replica survives ``max_steps``.
+    Raises :class:`ConvergenceError` if any replica survives 10**6 steps.
     """
     start = _check_start(kernel, start)
     if not kernel.absorbing:
@@ -209,9 +201,9 @@ def absorption_time_samples(kernel: TransitionKernel, start: int, runs: int,
     t = 0
     while np.any(alive):
         t += 1
-        if t > max_steps:
+        if t > 1_000_000:
             raise ConvergenceError(f"{int(alive.sum())} walks not absorbed "
-                                   f"after {max_steps} steps")
+                                   "after 1000000 steps")
         u = rng.random(int(alive.sum()))
         rows = cum[state[alive]]
         nxt = np.minimum((rows < u[:, None]).sum(axis=1), kernel.n - 1)
@@ -221,15 +213,12 @@ def absorption_time_samples(kernel: TransitionKernel, start: int, runs: int,
     return steps
 
 
-def evolve_continuous(kernel: TransitionKernel, u0, times, *,
-                      transpose=True) -> TrajectoryResult:
+def evolve_continuous(kernel: TransitionKernel, u0, times) -> TrajectoryResult:
     """Heat-semigroup evolution of a probability vector.
 
-    The generator is I - P (the normalized fractional Laplacian); with
-    ``transpose`` (default) its adjoint drives the evolution, which
-    conserves mass exactly for every graph.  ``transpose=False`` exposes
-    the non-conserving orientation; the 1e-8 drift check then does not
-    apply.
+    The generator is I - P (the normalized fractional Laplacian); its
+    adjoint drives the evolution, which conserves mass exactly for every
+    graph.  A conservation drift above 1e-8 raises.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(times < 0) or np.any(np.diff(times) < 0):
@@ -244,8 +233,7 @@ def evolve_continuous(kernel: TransitionKernel, u0, times, *,
         if vec.min() < -1e-12 or abs(vec.sum() - 1.0) > 1e-8:
             raise ValueError("u0 is not a probability vector")
 
-    G = np.eye(kernel.n) - kernel.P
-    M = G.T if transpose else G
+    M = (np.eye(kernel.n) - kernel.P).T
     out = np.empty((times.shape[0], kernel.n))
     for k, t in enumerate(times):
         u = matrix_exponential(M, t).matrix @ vec
@@ -254,7 +242,7 @@ def evolve_continuous(kernel: TransitionKernel, u0, times, *,
         np.clip(u, 0.0, None, out=u)
         out[k] = u
     drift = float(np.abs(1.0 - out.sum(axis=1)).max())
-    if transpose and drift > 1e-8:
+    if drift > 1e-8:
         raise NumericalError(f"conservation drift {drift:.3e} above 1e-8")
     return TrajectoryResult(times=times, states=out, kind="probability",
                             conservation_drift=drift)
@@ -268,9 +256,7 @@ def path_fractional_entries(n: int, alpha: float) -> DenseOperator:
     """
     if n < 2:
         raise ValueError("path needs n >= 2")
-    alpha = float(alpha)
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError("alpha must lie in (0, 1]")
+    alpha = _check_alpha(alpha)
     b = binomial_coefficients(alpha, n)
     signed = ((-1.0) ** np.arange(n)) * b
     F = np.zeros((n, n))
@@ -278,8 +264,7 @@ def path_fractional_entries(n: int, alpha: float) -> DenseOperator:
         width = (n - 1) - h
         F[h, h:n - 1] = signed[:width]
         F[h, n - 1] = -F[h, h:n - 1].sum()
-    return DenseOperator(F, kind=LaplacianKind.DIRECTED_OUT, alpha=alpha,
-                         method="closed-form-path")
+    return DenseOperator(F, alpha)
 
 
 def cycle_fractional_entries(n: int, alpha: float) -> DenseOperator:
@@ -290,9 +275,7 @@ def cycle_fractional_entries(n: int, alpha: float) -> DenseOperator:
     """
     if n < 3:
         raise ValueError("cycle needs n >= 3")
-    alpha = float(alpha)
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError("alpha must lie in (0, 1]")
+    alpha = _check_alpha(alpha)
     l = np.arange(n)
     symbol = (1.0 - np.exp(-2j * np.pi * l / n)) ** alpha
     symbol[0] = 0.0
@@ -304,8 +287,7 @@ def cycle_fractional_entries(n: int, alpha: float) -> DenseOperator:
     F = np.empty((n, n))
     for h in range(n):
         F[h] = np.roll(first, h)
-    return DenseOperator(F, kind=LaplacianKind.DIRECTED_OUT, alpha=alpha,
-                         method="closed-form-cycle")
+    return DenseOperator(F, alpha)
 
 
 def cycle_entry_limit(alpha: float, gap: int) -> float:
@@ -328,9 +310,7 @@ def expected_absorption_steps(n: int, alpha: float) -> AbsorptionResult:
     """
     if n < 2:
         raise ValueError("path needs n >= 2")
-    alpha = float(alpha)
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError("alpha must lie in (0, 1]")
+    alpha = _check_alpha(alpha)
     term = 1.0                        # (-1)^(l-1) binom(-alpha, l-1), l = 1
     total = term
     for l in range(1, n - 1):
@@ -364,7 +344,7 @@ def return_probability(lbar, times) -> ReturnProbabilityCurve:
     """Average return probability (1/n) sum_i exp(-lambda_i t) of the
     normalized generator, with the relative spectral gap
     |lambda|_max / |lambda|_min-nonzero and the zero multiplicity."""
-    A, _, _ = _operator_matrix(lbar)
+    A = as_matrix(lbar)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(times < 0):
         raise ValueError("times must be nonnegative")

@@ -70,7 +70,7 @@ def test_criterion_02_random_graph_kernels():
             powers = [fractional_power_general(L.matrix, a)
                       for a in (0.25, 0.5, 0.75, 1.0)]
         for res in powers:
-            rep = verify_m_matrix(res.operator.matrix)
+            rep = verify_m_matrix(res.matrix)
             worst_offdiag = max(worst_offdiag, rep.max_positive_offdiag)
             k = transition_kernel(res)
             worst_rowsum = max(worst_rowsum,
@@ -95,9 +95,9 @@ def test_criterion_03_closed_forms():
                          LaplacianKind.DIRECTED_OUT).matrix
     for alpha in (0.3, 0.5, 0.9):
         dp = np.abs(path_fractional_entries(10, alpha).matrix
-                    - fractional_power_general(Lp, alpha).operator.matrix)
+                    - fractional_power_general(Lp, alpha).matrix)
         dc = np.abs(cycle_fractional_entries(32, alpha).matrix
-                    - fractional_power_general(Lc, alpha).operator.matrix)
+                    - fractional_power_general(Lc, alpha).matrix)
         worst = max(worst, dp.max(), dc.max())
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-10 and elapsed < 10.0
@@ -136,7 +136,7 @@ def test_criterion_04_decay_bounds():
                 pairs += rep.n_pairs
             if L is cases[-1]:
                 prof = distance_decay_slope(
-                    np.abs(fa.operator.matrix), graph_distances(grid))
+                    np.abs(fa.matrix), graph_distances(grid))
                 slopes.append((alpha, prof.slope))
     slopes_ok = all(s <= -a + 0.15 for a, s in slopes)
     elapsed = time.monotonic() - t0
@@ -254,7 +254,7 @@ def test_criterion_08_return_probability(tmp_path):
                                  LaplacianKind.DIRECTED_OUT))
     for L in cases:
         n = L.matrix.shape[0]
-        la = fractional_power_general(L.matrix, 0.5).operator.matrix
+        la = fractional_power_general(L.matrix, 0.5).matrix
         times = np.array([0.0, 0.1, 1.0, 10.0])
         curve = return_probability(la, times)
         assert curve.values[0] == 1.0
@@ -315,9 +315,9 @@ def test_criterion_10_series_oracle():
     for i, n in enumerate((20, 30, 40, 50, 25)):
         g = random_connected_graph(n, seed=100 + i)
         L = build_laplacian(g, LaplacianKind.COMBINATORIAL)
-        exact = fractional_power_symmetric(L, 0.5).operator.matrix
+        exact = fractional_power_symmetric(L, 0.5).matrix
         approx = fractional_power_series(L, 0.5, terms=3000)
-        err = np.abs(approx.operator.matrix - exact).max()
+        err = np.abs(approx.matrix - exact).max()
         within &= err <= approx.remainder
         worst_slack = max(worst_slack, err - approx.remainder)
     elapsed = time.monotonic() - t0

@@ -108,6 +108,24 @@ def test_decay_pairs_sampling(und, tmp_path):
     assert len(lines) == 6
 
 
+def test_decay_kernel_mode_builds_the_laplacian_once(und, tmp_path,
+                                                     monkeypatch):
+    import fraclap.cli as cli
+    calls = []
+    build = cli.build_laplacian
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_laplacian", counted)
+    assert run(["decay", "--input", str(und), "--alpha", "0.5",
+                "--mode", "kernel"], tmp_path) == 0
+    assert len(calls) == 1
+    summary = json.loads((tmp_path / "decay_summary.json").read_text())
+    assert summary["mode"] == "kernel" and summary["all_satisfied"]
+
+
 def test_frange_three_node_eigendarkness(tmp_path):
     tri = tmp_path / "tri.txt"
     tri.write_text("0 1\n1 2\n2 0\n2 1\n")
@@ -148,6 +166,7 @@ def test_consensus_multi_alpha_outputs(tmp_path):
 def test_consensus_builds_each_coupling_once(tmp_path, monkeypatch):
     import fraclap.cli as cli
     import fraclap.consensus as consensus
+    import fraclap.matfun as matfun
     calls = {"fractional_power_general": 0, "gamma_lower_bound": 0}
 
     def counted(name, fn):
@@ -156,9 +175,10 @@ def test_consensus_builds_each_coupling_once(tmp_path, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in calls:
-        fn = getattr(consensus, name)
-        for module in (cli, consensus):
+    for name, home in (("fractional_power_general", matfun),
+                       ("gamma_lower_bound", consensus)):
+        fn = getattr(home, name)
+        for module in (cli, consensus, matfun):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, fn))
     cfg = tmp_path / "cons.json"

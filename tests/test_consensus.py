@@ -35,7 +35,7 @@ FINAL_ORACLE = {
 def cycle_lalpha(alpha, n=120):
     g = cycle_graph(n, directed=True)
     L = build_laplacian(g, LaplacianKind.DIRECTED_OUT)
-    return fractional_power_general(L.matrix, alpha).operator.matrix.real
+    return fractional_power_general(L.matrix, alpha).matrix.real
 
 
 def test_gamma_bound_frozen_oracles():
@@ -66,7 +66,7 @@ def test_gamma_bound_undefined_for_symmetric_coupling():
     g = random_connected_graph(20, seed=0)
     L = build_laplacian(g, LaplacianKind.COMBINATORIAL)
     from fraclap.matfun import fractional_power_symmetric
-    la = fractional_power_symmetric(L, 0.5).operator.matrix
+    la = fractional_power_symmetric(L, 0.5).matrix
     with pytest.raises(ValueError):
         gamma_lower_bound(la, 0.5)
 
@@ -207,6 +207,7 @@ def test_one_output_block_matches_matrix_exponential():
 
 def test_precomputed_coupling_and_gamma_reproduce_the_run(monkeypatch):
     import fraclap.consensus as consensus
+    import fraclap.matfun as matfun
     cfg = circle_relocation_config(n=30, alpha=0.5, horizon=1.0)
     lalpha = cycle_lalpha(0.5, 30)
     gamma = gamma_lower_bound(lalpha, cfg.beta).bound + cfg.gamma_margin
@@ -215,7 +216,7 @@ def test_precomputed_coupling_and_gamma_reproduce_the_run(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("coupling or damping recomputed")
 
-    monkeypatch.setattr(consensus, "fractional_power_general", forbidden)
+    monkeypatch.setattr(matfun, "fractional_power_general", forbidden)
     monkeypatch.setattr(consensus, "gamma_lower_bound", forbidden)
     given = simulate_consensus(replace(cfg, lalpha=lalpha, gamma=gamma))
     assert len(given) == len(own)

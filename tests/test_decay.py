@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fraclap.consensus import gamma_lower_bound
 from fraclap.decay import (ExpFractionalModulus, HoelderModulus,
                            distance_decay_slope, graph_distances,
                            numerical_range_profile, pattern_distances,
@@ -153,7 +154,7 @@ def test_distance_decay_slope_on_grid():
     L = build_laplacian(g, LaplacianKind.COMBINATORIAL)
     dist = graph_distances(g)
     for alpha in (0.25, 0.5, 0.75):
-        A = fractional_power_symmetric(L, alpha).operator.matrix
+        A = fractional_power_symmetric(L, alpha).matrix
         prof = distance_decay_slope(np.abs(A), dist)
         assert prof.slope <= -alpha + 0.15
 
@@ -165,3 +166,36 @@ def test_pattern_and_graph_distances_agree():
     dg = graph_distances(g)
     assert np.array_equal(dp, dg)
     assert (np.diag(dg) == 0).all()
+
+
+_BAD_INPUTS = {"nan": np.array([[1.0, -1.0, np.nan], [-1.0, 1.0, 0.0],
+                                [np.nan, 0.0, 0.0]]),
+               "rectangular": np.ones((3, 4))}
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD_INPUTS))
+@pytest.mark.parametrize("call", [
+    lambda A: pattern_distances(A),
+    lambda A: verify_decay_bounds(A, 0.5),
+    lambda A: numerical_range_profile(A),
+    lambda A: gamma_lower_bound(A, 0.5),
+], ids=["pattern_distances", "verify_decay_bounds",
+        "numerical_range_profile", "gamma_lower_bound"])
+def test_bad_matrices_raise_value_error(call, bad):
+    with pytest.raises(ValueError):
+        call(_BAD_INPUTS[bad])
+
+
+def test_numerical_range_of_complex_hermitian_input():
+    rng = np.random.default_rng(7)
+    X = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    H = (X + X.conj().T) / 2.0
+    assert np.array_equal(H, H.conj().T) and np.abs(H.imag).max() > 0.1
+    prof = numerical_range_profile(H, angles=16)
+    lam = np.linalg.eigvalsh(H)
+    cos = np.cos(prof.angles)
+    want = np.where(cos >= 0.0, cos * lam[-1], cos * lam[0])
+    tol = 1e-12 * max(1.0, np.abs(lam).max())
+    assert np.abs(prof.support - want).max() <= tol
+    assert abs(prof.min_real - lam[0]) <= tol
+    assert np.abs(prof.boundary.imag).max() <= tol

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from fraclap.errors import GraphFormatError
+from fraclap.decay import graph_distances
 from fraclap.generators import (cycle_graph, grid_graph, path_graph,
-                                random_connected_graph, star_graph)
-from fraclap.graphs import (Graph, LaplacianKind, build_incidence,
-                            build_laplacian, degree_vectors,
-                            largest_connected_component, load_edge_list)
+                                random_connected_graph)
+from fraclap.graphs import (Graph, LaplacianKind, build_laplacian,
+                            degree_vectors, load_edge_list)
 
 
 def test_graph_rejects_self_loop():
@@ -62,7 +62,7 @@ def test_directed_out_laplacian_row_sums():
 
 
 def test_symmetric_normalized_spectrum_bounded():
-    g = star_graph(9)
+    g = grid_graph(3, 4)                              # bipartite: max is 2
     L = build_laplacian(g, LaplacianKind.SYMMETRIC_NORMALIZED).matrix
     w = np.linalg.eigvalsh(L)
     assert w.min() > -1e-12 and w.max() <= 2.0 + 1e-12
@@ -72,30 +72,11 @@ def test_dangling_fixup_pagerank_rows():
     g = path_graph(4, directed=True)                  # node 3 dangles
     L = build_laplacian(g, LaplacianKind.DIRECTED_OUT_NORMALIZED,
                         dangling_fixup=True)
-    assert L.fixup
     row = L.matrix[3]
     # uniform jump row: L = I - W/d with W_3j = 1/n
     expect = np.full(4, -0.25)
     expect[3] = 0.75
     assert np.allclose(row, expect)
-
-
-def test_largest_component_weak_vs_strong():
-    # two directed triangles joined by a one-way bridge
-    edges = [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0),
-             (3, 4, 1.0), (4, 5, 1.0), (5, 3, 1.0), (2, 3, 1.0)]
-    g = Graph(n=6, directed=True, edges=tuple(edges))
-    weak = largest_connected_component(g)
-    assert weak.n == 6
-    strong = largest_connected_component(g, strong=True)
-    assert strong.n == 3
-
-
-def test_incidence_gives_laplacian():
-    g = random_connected_graph(25, seed=11)
-    B = build_incidence(g).matrix
-    L = build_laplacian(g, LaplacianKind.COMBINATORIAL).matrix
-    assert np.allclose(B @ B.T, L, atol=1e-12)
 
 
 def test_degree_vectors_directed():
@@ -117,4 +98,4 @@ def test_grid_graph_shape():
 def test_generators_connected():
     for seed in range(4):
         g = random_connected_graph(30, seed=seed)
-        assert largest_connected_component(g).n == 30
+        assert np.isfinite(graph_distances(g)).all()

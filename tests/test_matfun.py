@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 from scipy.linalg import expm, fractional_matrix_power
 
 from fraclap.generators import cycle_graph, random_connected_graph
-from fraclap.graphs import LaplacianKind, build_laplacian
-from fraclap.matfun import (binomial_coefficients, exp_fractional_symmetric,
-                            fractional_power_general,
+from fraclap import matfun
+from fraclap.graphs import DenseOperator, LaplacianKind, build_laplacian
+from fraclap.matfun import (FractionalPowerResult, SeriesApproximation,
+                            binomial_coefficients, exp_fractional_symmetric,
+                            fractional_power, fractional_power_general,
                             fractional_power_series,
                             fractional_power_symmetric, matrix_exponential,
                             symmetric_spectral_data,
@@ -23,7 +25,7 @@ def combinatorial(n, seed):
 def test_alpha_one_is_identity_map():
     L = combinatorial(15, 2)
     r = fractional_power_symmetric(L, 1.0)
-    assert np.abs(r.operator.matrix - L.matrix).max() < 1e-12
+    assert np.abs(r.matrix - L.matrix).max() < 1e-12
 
 
 def test_symmetric_engine_matches_eigh_reconstruction():
@@ -33,7 +35,7 @@ def test_symmetric_engine_matches_eigh_reconstruction():
     for alpha in (0.3, 0.5, 0.9):
         direct = (V * w**alpha) @ V.T
         r = fractional_power_symmetric(L, alpha)
-        assert np.abs(r.operator.matrix - direct).max() < 1e-10
+        assert np.abs(r.matrix - direct).max() < 1e-10
 
 
 @settings(max_examples=20, deadline=None)
@@ -42,7 +44,7 @@ def test_general_engine_matches_symmetric_engine(seed, alpha):
     L = combinatorial(18, seed)
     sym = fractional_power_symmetric(L, alpha)
     gen = fractional_power_general(L.matrix, alpha)
-    assert np.abs(gen.operator.matrix - sym.operator.matrix).max() < 1e-10
+    assert np.abs(gen.matrix - sym.matrix).max() < 1e-10
     assert len(gen.zero_cluster) == len(sym.zero_cluster) == 1
 
 
@@ -52,7 +54,7 @@ def test_general_engine_matches_scipy_on_digraph():
     L = build_laplacian(g, LaplacianKind.DIRECTED_OUT).matrix
     M = L + 0.3 * np.eye(9)
     for alpha in (0.4, 0.7):
-        ours = fractional_power_general(M, alpha).operator.matrix
+        ours = fractional_power_general(M, alpha).matrix
         ref = fractional_matrix_power(M, alpha)
         assert np.abs(ours - ref.real).max() < 1e-10
 
@@ -66,14 +68,14 @@ def test_zero_cluster_counts_components():
     L = build_laplacian(g, LaplacianKind.COMBINATORIAL)
     r = fractional_power_symmetric(L, 0.5)
     assert len(r.zero_cluster) == 2
-    assert np.abs(r.operator.matrix.sum(axis=1)).max() < 1e-10
+    assert np.abs(r.matrix.sum(axis=1)).max() < 1e-10
 
 
 def test_semigroup_property():
     L = combinatorial(12, 9)
-    a = fractional_power_symmetric(L, 0.3).operator.matrix
-    b = fractional_power_symmetric(L, 0.4).operator.matrix
-    c = fractional_power_symmetric(L, 0.7).operator.matrix
+    a = fractional_power_symmetric(L, 0.3).matrix
+    b = fractional_power_symmetric(L, 0.4).matrix
+    c = fractional_power_symmetric(L, 0.7).matrix
     assert np.abs(a @ b - c).max() < 1e-10
 
 
@@ -82,14 +84,14 @@ def test_spectral_data_reuse():
     data = symmetric_spectral_data(L)
     r1 = fractional_power_symmetric(L, 0.6, data=data)
     r2 = fractional_power_symmetric(L, 0.6)
-    assert np.abs(r1.operator.matrix - r2.operator.matrix).max() == 0.0
+    assert np.abs(r1.matrix - r2.matrix).max() == 0.0
 
 
 def test_series_error_within_reported_remainder():
     L = combinatorial(10, 3)
-    exact = fractional_power_symmetric(L, 0.5).operator.matrix
+    exact = fractional_power_symmetric(L, 0.5).matrix
     approx = fractional_power_series(L, 0.5, terms=4000)
-    err = np.abs(approx.operator.matrix - exact).max()
+    err = np.abs(approx.matrix - exact).max()
     assert err <= approx.remainder + 1e-13
     # zero eigenvalue sits on the series boundary: tail decays like k**-alpha
     assert approx.remainder < 0.05
@@ -116,7 +118,7 @@ def test_binomial_coefficients_closed_form():
 
 def test_exp_fractional_matches_expm():
     L = combinatorial(16, 6)
-    la = fractional_power_symmetric(L, 0.5).operator.matrix
+    la = fractional_power_symmetric(L, 0.5).matrix
     for t in (0.1, 1.0, 10.0):
         ours = exp_fractional_symmetric(L, 0.5, t).matrix
         ref = expm(-t * la)
@@ -132,7 +134,7 @@ def test_matrix_exponential_general():
 
 def test_verify_m_matrix_reports():
     L = combinatorial(20, 8)
-    rep = verify_m_matrix(fractional_power_symmetric(L, 0.5).operator.matrix)
+    rep = verify_m_matrix(fractional_power_symmetric(L, 0.5).matrix)
     assert rep.is_sign_pattern and rep.spectrum_ok
     assert rep.max_positive_offdiag <= 1e-10
     assert rep.min_real_eigenvalue >= -1e-10
@@ -147,7 +149,7 @@ def test_verify_m_matrix_reports():
 def test_fractional_power_keeps_laplacian_structure(seed, alpha):
     # rows sum to zero and off-diagonal entries stay nonpositive
     L = combinatorial(12, seed)
-    A = fractional_power_symmetric(L, alpha).operator.matrix
+    A = fractional_power_symmetric(L, alpha).matrix
     assert np.abs(A.sum(axis=1)).max() < 1e-9
     off = A - np.diag(np.diag(A))
     assert off.max() <= 1e-9
@@ -159,7 +161,7 @@ def test_eigenvalues_map_to_alpha_power(seed, alpha):
     L = combinatorial(10, seed)
     w = np.linalg.eigvalsh(L.matrix)
     r = fractional_power_symmetric(L, alpha)
-    wa = np.linalg.eigvalsh(r.operator.matrix)
+    wa = np.linalg.eigvalsh(r.matrix)
     want = np.where(w < 1e-12, 0.0, w) ** alpha
     assert np.abs(np.sort(wa) - np.sort(want)).max() < 1e-8
 
@@ -186,7 +188,7 @@ def test_general_engine_zero_cluster_on_digraph():
     L = random_digraph_laplacian(30, 2)
     assert closed_class_count(L) == 5
     r = fractional_power_general(L, 0.5)
-    F = r.operator.matrix
+    F = r.matrix
     assert len(r.zero_cluster) == 5
     lam = np.abs(r.eigenvalues)
     assert lam[:5].max() <= 30 * np.finfo(float).eps * lam.max() < lam[5:].min()
@@ -198,12 +200,79 @@ def test_general_engine_zero_cluster_on_digraph():
 
 def test_general_engine_zero_matrix():
     r = fractional_power_general(np.zeros((5, 5)), 0.5)
-    assert np.array_equal(r.operator.matrix, np.zeros((5, 5)))
+    assert np.array_equal(r.matrix, np.zeros((5, 5)))
     assert r.zero_cluster == (0, 1, 2, 3, 4)
 
 
 def test_general_engine_one_node():
     for alpha in (0.3, 0.5, 1.0):
         r = fractional_power_general(np.array([[2.0]]), alpha)
-        assert r.operator.matrix[0, 0] == pytest.approx(2.0 ** alpha, rel=1e-15)
+        assert r.matrix[0, 0] == pytest.approx(2.0 ** alpha, rel=1e-15)
         assert r.zero_cluster == ()
+
+
+def _dispatch_cases():
+    L = combinatorial(20, 4)
+    A = L.matrix
+    # off by 1e-14 relative: not exactly symmetric, but within 1e-12
+    near = A + 1e-14 * np.abs(A).max() * np.triu(np.ones_like(A), 1)
+    assert not np.array_equal(near, near.T)
+    return [(A, "symmetric-eig"), (near, "symmetric-eig"),
+            (random_digraph_laplacian(12, 5), "schur-parlett"),
+            (L, "symmetric-eig")]
+
+
+@pytest.mark.parametrize("case", range(4),
+                         ids=["symmetric", "near-symmetric", "digraph",
+                              "operator"])
+def test_fractional_power_is_the_engine_it_picks(case):
+    M, method = _dispatch_cases()[case]
+    engine = {"symmetric-eig": fractional_power_symmetric,
+              "schur-parlett": fractional_power_general}[method]
+    got = fractional_power(M, 0.6)
+    ref = engine(M, 0.6)
+    assert isinstance(got, FractionalPowerResult)
+    assert got.method == ref.method == method
+    assert got.alpha == 0.6
+    assert np.array_equal(got.matrix, ref.matrix)
+    assert got.zero_cluster == ref.zero_cluster
+    assert np.array_equal(got.eigenvalues, ref.eigenvalues)
+
+
+def test_fractional_power_calls_engines_through_module_globals(monkeypatch):
+    seen = []
+    for name in ("fractional_power_symmetric", "fractional_power_general"):
+        fn = getattr(matfun, name)
+
+        def spy(*args, _name=name, _fn=fn, **kwargs):
+            seen.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(matfun, name, spy)
+    fractional_power(combinatorial(10, 1), 0.5)
+    fractional_power(random_digraph_laplacian(10, 2), 0.5)
+    assert seen == ["fractional_power_symmetric", "fractional_power_general"]
+
+
+def test_results_are_dense_operators():
+    L = combinatorial(15, 2)
+    res = fractional_power_symmetric(L, 0.5)
+    series = fractional_power_series(L, 0.5, 400)
+    for op in (res, series):
+        assert isinstance(op, DenseOperator) and op.alpha == 0.5
+    assert isinstance(series, SeriesApproximation)
+    assert np.abs(series.matrix - res.matrix).max() <= series.remainder
+    assert exp_fractional_symmetric(L, 0.5, 1.0).alpha is None
+    assert matrix_exponential(L, 1.0).alpha is None
+    assert build_laplacian(random_connected_graph(5, seed=0),
+                           LaplacianKind.COMBINATORIAL).alpha is None
+
+
+@pytest.mark.parametrize("bad", [np.ones((3, 4)), np.ones(3),
+                                 np.array([[1.0, np.nan], [0.0, 1.0]]),
+                                 np.array([[np.inf, 0.0], [0.0, 1.0]])],
+                         ids=["rectangular", "vector", "nan", "inf"])
+def test_dense_operator_rejects_bad_matrices(bad):
+    with pytest.raises(ValueError):
+        DenseOperator(bad)
+    with pytest.raises(ValueError):
+        fractional_power(bad, 0.5)

@@ -6,6 +6,7 @@ from fraclap.generators import (cycle_graph, path_graph,
                                 random_connected_graph)
 from fraclap.graphs import DenseOperator, LaplacianKind, build_laplacian
 from fraclap.matfun import (fractional_power_general,
+                            fractional_power_series,
                             fractional_power_symmetric)
 from fraclap.walks import (absorption_time_samples, cycle_entry_limit,
                            cycle_fractional_entries,
@@ -35,6 +36,21 @@ def test_kernel_requires_alpha_metadata():
     L = build_laplacian(g, LaplacianKind.COMBINATORIAL)
     with pytest.raises(ValueError):
         transition_kernel(L)
+    la = fractional_power_symmetric(L, 0.5)
+    with pytest.raises(ValueError):
+        transition_kernel(la.matrix)             # a bare array has no alpha
+    assert transition_kernel(DenseOperator(la.matrix, 0.5)).alpha == 0.5
+
+
+def test_power_and_series_results_feed_the_kernel():
+    g = random_connected_graph(12, seed=3)
+    L = build_laplacian(g, LaplacianKind.COMBINATORIAL)
+    approx = fractional_power_series(L, 0.5, 400)
+    exact = transition_kernel(fractional_power_symmetric(L, 0.5))
+    series = transition_kernel(approx)
+    assert exact.alpha == series.alpha == 0.5
+    assert np.abs(exact.d_alpha - series.d_alpha).max() <= approx.remainder
+    np.testing.assert_allclose(series.P.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_stationary_distribution_fractional_degrees():
@@ -95,8 +111,7 @@ def test_absorption_monte_carlo_matches():
     g = path_graph(20, directed=True)
     L = build_laplacian(g, LaplacianKind.DIRECTED_OUT)
     M = fractional_power_general(L.matrix, 0.5)
-    op = DenseOperator(matrix=M.operator.matrix.real,
-                       kind=LaplacianKind.DIRECTED_OUT, alpha=0.5)
+    op = DenseOperator(M.matrix.real, 0.5)
     k = transition_kernel(op)
     assert k.absorbing == (19,)
     samples = absorption_time_samples(k, 0, 4000, seed=11)
@@ -126,7 +141,7 @@ def test_path_closed_form_matches_engine():
     L = build_laplacian(g, LaplacianKind.DIRECTED_OUT).matrix
     for alpha in (0.3, 0.5, 0.9):
         got = path_fractional_entries(10, alpha).matrix
-        ref = fractional_power_general(L, alpha).operator.matrix
+        ref = fractional_power_general(L, alpha).matrix
         assert np.abs(got - ref).max() < 1e-10
 
 
@@ -135,7 +150,7 @@ def test_cycle_closed_form_matches_engine():
     L = build_laplacian(g, LaplacianKind.DIRECTED_OUT).matrix
     for alpha in (0.3, 0.5, 0.9):
         got = cycle_fractional_entries(16, alpha).matrix
-        ref = fractional_power_general(L, alpha).operator.matrix
+        ref = fractional_power_general(L, alpha).matrix
         assert np.abs(got - ref).max() < 1e-10
 
 
@@ -159,8 +174,7 @@ def test_path_jump_probability_power_law():
     g = path_graph(400, directed=True)
     L = build_laplacian(g, LaplacianKind.DIRECTED_OUT)
     M = fractional_power_general(L.matrix, alpha)
-    op = DenseOperator(matrix=M.operator.matrix.real,
-                       kind=LaplacianKind.DIRECTED_OUT, alpha=alpha)
+    op = DenseOperator(M.matrix.real, alpha)
     k = transition_kernel(op)
     for gap in (50, 100, 200):
         approx = path_transition_asymptotic(alpha, gap)
@@ -170,7 +184,7 @@ def test_path_jump_probability_power_law():
 def test_return_probability_basics():
     g = cycle_graph(20, directed=True)
     L = build_laplacian(g, LaplacianKind.DIRECTED_OUT)
-    la = fractional_power_general(L.matrix, 0.5).operator.matrix.real
+    la = fractional_power_general(L.matrix, 0.5).matrix.real
     times = np.array([0.0, 0.1, 1.0, 10.0, 1e6])
     curve = return_probability(la, times)
     assert curve.values[0] == 1.0
@@ -183,7 +197,7 @@ def test_return_probability_basics():
 def test_return_probability_monotone_when_symmetric():
     g = random_connected_graph(30, seed=9)
     L = build_laplacian(g, LaplacianKind.COMBINATORIAL)
-    la = fractional_power_symmetric(L, 0.5).operator.matrix
+    la = fractional_power_symmetric(L, 0.5).matrix
     times = np.linspace(0.0, 20.0, 40)
     curve = return_probability(la, times)
     assert (np.diff(curve.values) <= 1e-12).all()
