@@ -17,14 +17,12 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .consensus import (ConsensusConfig, _coupling_matrix,
-                        consensus_error_curve, gamma_lower_bound,
+from .consensus import (ConsensusConfig, consensus_error_curve,
                         simulate_consensus, static_formation)
 from .decay import (graph_distances, numerical_range_profile,
                     verify_decay_bounds, verify_p_alpha_bound)
@@ -347,8 +345,8 @@ def _cmd_decay(args, outdir):
     _, _, L = _laplacian(args)
     sample = _parse_pairs(args.pairs)
     if args.mode == "kernel":
-        report = verify_p_alpha_bound(_kernel_of(args, L), L, args.alpha,
-                                      sample=sample, seed=args.seed)
+        report = verify_p_alpha_bound(_kernel_of(args, L), L, sample=sample,
+                                      seed=args.seed)
     else:
         if args.mode == "exponential" and args.t is None:
             raise UsageError("exponential mode needs --t")
@@ -494,10 +492,7 @@ def _cmd_consensus(args, outdir):
                               gamma=gamma, gamma_margin=margin,
                               step=None if step is None else float(step),
                               output_stride=stride)
-        F = _coupling_matrix(run)
-        gamma_used = gamma if gamma is not None else \
-            gamma_lower_bound(F, beta).bound + margin
-        states = simulate_consensus(replace(run, lalpha=F, gamma=gamma_used))
+        states = simulate_consensus(run)
         tag = _alpha_tag(alpha)
 
         pos = np.stack([s.positions for s in states])
@@ -515,7 +510,7 @@ def _cmd_consensus(args, outdir):
                                [curve[:, 0], curve[:, 1], curve[:, 2]],
                                args.format)
         results[f"alpha={alpha:g}"] = {
-            "gamma": gamma_used,
+            "gamma": run.damping,
             "initial_position_error": states[0].position_error,
             "final_position_error": states[-1].position_error,
             "trajectory": traj_path.name,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -172,10 +173,13 @@ def gamma_lower_bound(lalpha, beta: float) -> GammaBound:
 class ConsensusConfig:
     """Configuration of one consensus run.
 
+    `coupling` and `damping` are derived from the fields on first use;
+    `dataclasses.replace` gives a new instance that derives them afresh.
+
     Attributes
     ----------
     graph : Graph
-        Communication topology.
+        Communication topology; its out-degree Laplacian ``L`` is used.
     alpha : float
         Fractional exponent of the Laplacian coupling.
     beta : float
@@ -197,10 +201,6 @@ class ConsensusConfig:
     output_stride : int or None
         Record every this many steps, default about 500 snapshots; must
         be an integer >= 1.
-    kind : LaplacianKind
-        Laplacian flavor built from the graph.
-    lalpha : DenseOperator, array_like or None
-        Precomputed fractional power, overriding the graph build.
     """
 
     graph: Graph
@@ -214,8 +214,6 @@ class ConsensusConfig:
     gamma_margin: float = 1.0
     step: float | None = None
     output_stride: int | None = None
-    kind: LaplacianKind = LaplacianKind.DIRECTED_OUT
-    lalpha: object = None
 
     def __post_init__(self):
         x0 = np.asarray(self.x0, dtype=float)
@@ -239,6 +237,20 @@ class ConsensusConfig:
                 and self.output_stride >= 1):
             raise ValueError("output_stride must be an integer >= 1")
 
+    @cached_property
+    def coupling(self) -> np.ndarray:
+        """``L^alpha`` of the graph's out-degree Laplacian."""
+        L = build_laplacian(self.graph, LaplacianKind.DIRECTED_OUT)
+        return fractional_power(L, self.alpha).matrix
+
+    @cached_property
+    def damping(self) -> float:
+        """``gamma``, or the threshold of `coupling` plus ``gamma_margin``."""
+        if self.gamma is not None:
+            return self.gamma
+        return gamma_lower_bound(self.coupling, self.beta).bound \
+            + self.gamma_margin
+
 
 @dataclass(frozen=True)
 class ConsensusState:
@@ -259,20 +271,6 @@ class ConsensusState:
 def _errors(e: np.ndarray, n: int) -> tuple[float, float]:
     pe = float(np.linalg.norm(e[:n]))
     return math.hypot(pe, float(np.linalg.norm(e[n:]))), pe
-
-
-def _coupling_matrix(cfg: ConsensusConfig) -> np.ndarray:
-    if cfg.lalpha is not None:
-        F = as_matrix(cfg.lalpha)
-    else:
-        F = fractional_power(build_laplacian(cfg.graph, cfg.kind),
-                             cfg.alpha).matrix
-    if np.iscomplexobj(F):
-        resid = float(np.abs(F.imag).max())
-        if resid > 1e-10 * max(1.0, float(np.abs(F.real).max())):
-            raise NumericalError(f"imaginary residue {resid:.3e} in coupling")
-        F = F.real.copy()
-    return F
 
 
 def _check_target(cfg: ConsensusConfig):
@@ -321,9 +319,10 @@ def simulate_consensus(cfg: ConsensusConfig) -> list[ConsensusState]:
     The deviation ``e = (x* - x, v* - v)`` obeys the linear,
     time-invariant ``e' = A e`` with ``A = [[0, I], [-K, -gamma K]]``,
     so one RK4 step is the matrix ``R(hA)``, ``R`` the RK4 stability
-    polynomial.  Its ``output_stride``-th power is formed once by binary
-    powering and applied between outputs; the target is evaluated only
-    at output times, and the blow-up guard runs at every output,
+    polynomial, with ``K`` and ``gamma`` read from ``cfg.coupling`` and
+    ``cfg.damping``.  Its ``output_stride``-th power is formed once by
+    binary powering and applied between outputs; the target is evaluated
+    only at output times, and the blow-up guard runs at every output,
     including the final time.
 
     Parameters
@@ -334,7 +333,8 @@ def simulate_consensus(cfg: ConsensusConfig) -> list[ConsensusState]:
     Returns
     -------
     list of ConsensusState
-        Snapshots every ``output_stride`` steps plus the final time.
+        Snapshots every ``output_stride`` steps plus the final one, which
+        is stamped ``cfg.horizon``.
 
     Raises
     ------
@@ -343,11 +343,8 @@ def simulate_consensus(cfg: ConsensusConfig) -> list[ConsensusState]:
         (step too large for the spectrum).
     """
     _check_target(cfg)
-    lalpha = _coupling_matrix(cfg)
     n = cfg.graph.n
-    K = cfg.beta * np.eye(n) + lalpha
-    gamma = cfg.gamma if cfg.gamma is not None \
-        else gamma_lower_bound(lalpha, cfg.beta).bound + cfg.gamma_margin
+    K = cfg.beta * np.eye(n) + cfg.coupling
     step_request = cfg.step if cfg.step is not None else cfg.horizon / 5000.0
     nsteps = max(1, int(math.ceil(cfg.horizon / step_request - 1e-9)))
     dt = cfg.horizon / nsteps
@@ -358,7 +355,7 @@ def simulate_consensus(cfg: ConsensusConfig) -> list[ConsensusState]:
     hA = np.zeros((2 * n, 2 * n))
     hA[:n, n:] = dt * np.eye(n)
     hA[n:, :n] = -dt * K
-    hA[n:, n:] = -dt * gamma * K
+    hA[n:, n:] = -dt * cfg.damping * K
     E = hA / 4.0
     for c in (3.0, 2.0, 1.0):
         E.flat[::2 * n + 1] += 1.0
@@ -387,7 +384,7 @@ def simulate_consensus(cfg: ConsensusConfig) -> list[ConsensusState]:
     for steps, D in blocks:
         e += D @ e
         k += steps
-        tn = k * dt
+        tn = cfg.horizon if k == nsteps else k * dt
         err, pe = _errors(e, n)
         if not math.isfinite(err) or err > guard:
             raise NumericalError(
@@ -408,28 +405,25 @@ def consensus_error_curve(states) -> np.ndarray:
 
 
 def circle_relocation_config(n: int = 120, alpha: float = 0.5,
-                             beta: float = 0.5, center=(3.0, 3.0),
-                             horizon: float = 5.0, *,
+                             beta: float = 0.5, horizon: float = 5.0, *,
                              gamma: float | None = None,
-                             gamma_margin: float = 1.0,
                              step: float | None = None,
                              output_stride: int | None = None
                              ) -> ConsensusConfig:
     """Benchmark run: a rotating ring relocates to a shifted circle.
 
     Agents start uniformly on the unit circle moving tangentially at
-    unit speed; the target is the same circle translated by `center`,
+    unit speed; the target is the same circle translated by ``(3, 3)``,
     static with zero terminal velocity.  Communication is a directed
-    cycle.  The initial position error is ``sqrt(n * |center|^2)``.
+    cycle, and without an explicit `gamma` the damping is the spectral
+    threshold plus 1.  The initial position error is ``sqrt(18 n)``.
     """
     angles = 2.0 * math.pi * np.arange(n) / n
     ring = np.column_stack([np.cos(angles), np.sin(angles)])
     x0 = ring.copy()
     v0 = np.column_stack([-np.sin(angles), np.cos(angles)])
-    ctr = np.asarray(center, dtype=float)
-    target = static_formation(ctr + ring)
+    target = static_formation(np.array([3.0, 3.0]) + ring)
     return ConsensusConfig(graph=cycle_graph(n, directed=True), alpha=alpha,
                            beta=beta, target=target, x0=x0, v0=v0,
-                           horizon=horizon, gamma=gamma,
-                           gamma_margin=gamma_margin, step=step,
+                           horizon=horizon, gamma=gamma, step=step,
                            output_stride=output_stride)

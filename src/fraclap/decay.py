@@ -68,20 +68,17 @@ class ExpFractionalModulus:
         return -np.expm1(-self.t * np.power(x, self.alpha))
 
 
-def pattern_distances(A, *, directed: bool = True,
-                      tol: float = 0.0) -> np.ndarray:
+def pattern_distances(A, *, directed: bool = True) -> np.ndarray:
     """All-pairs unweighted hop distances on the off-diagonal pattern.
 
     Parameters
     ----------
     A : DenseOperator or array_like
         Square matrix with finite entries; an arc ``i -> j`` exists
-        wherever ``abs(A[i, j]) > tol`` for ``i != j``.
+        wherever ``A[i, j] != 0`` for ``i != j``.
     directed : bool, optional
         Respect arc orientation.  With ``False`` the pattern is
         symmetrized.
-    tol : float, optional
-        Magnitude below which entries count as structural zeros.
 
     Returns
     -------
@@ -93,7 +90,7 @@ def pattern_distances(A, *, directed: bool = True,
     ValueError
         Non-square input or non-finite entries.
     """
-    pattern = (np.abs(as_matrix(A)) > tol).astype(np.int8)
+    pattern = (as_matrix(A) != 0).astype(np.int8)
     np.fill_diagonal(pattern, 0)
     return shortest_path(csr_array(pattern), method="D", directed=directed,
                          unweighted=True)
@@ -286,8 +283,7 @@ def verify_decay_bounds(L, alpha: float, *, lalpha=None, mode: str = "power",
         bounds=bnd_r, satisfied=obs_r <= bnd_r, secondary_bounds=sec_r)
 
 
-def verify_p_alpha_bound(kernel, L, alpha: float | None = None, *,
-                         data: SpectralData | None = None,
+def verify_p_alpha_bound(kernel, L, *, data: SpectralData | None = None,
                          sample: int | None = None,
                          seed: int = 0) -> DecayReport:
     """Check decay bounds on fractional transition probabilities.
@@ -305,11 +301,10 @@ def verify_p_alpha_bound(kernel, L, alpha: float | None = None, *,
     Parameters
     ----------
     kernel : TransitionKernel
-        Kernel built from ``L**alpha`` of a symmetric Laplacian.
+        Kernel built from ``L**alpha`` of a symmetric Laplacian; the
+        bound uses its exponent ``kernel.alpha``.
     L : DenseOperator or array_like
         The symmetric base Laplacian.
-    alpha : float, optional
-        Defaults to the kernel's exponent.
     data, sample, seed :
         As in `verify_decay_bounds`.
 
@@ -318,10 +313,7 @@ def verify_p_alpha_bound(kernel, L, alpha: float | None = None, *,
     DecayReport
     """
     A = as_matrix(L)
-    if alpha is None:
-        alpha = kernel.alpha
-    if alpha is None:
-        raise ValueError("alpha not stored on the kernel; pass it explicitly")
+    alpha = kernel.alpha
     if data is None:
         data = symmetric_spectral_data(A)
     rho = float(np.abs(data.eigenvalues).max())

@@ -49,22 +49,18 @@ def grid_graph(rows: int, cols: int) -> Graph:
     return Graph(n=rows * cols, directed=False, edges=_close(arcs))
 
 
-def random_connected_graph(n: int, *, avg_degree=4.0, directed=False,
-                           weighted=True, seed=0) -> Graph:
-    """Random spanning tree plus extra arcs; connected by construction
+def random_connected_graph(n: int, *, directed=False, seed=0) -> Graph:
+    """Random spanning tree plus up to ``n + 1`` extra arcs (``2 n`` in
+    all, mean degree 4 when undirected); connected by construction
     (weakly connected when directed).  Weights uniform in [0.5, 1.5)."""
     rng = np.random.default_rng(seed)
-
-    def weight():
-        return float(rng.uniform(0.5, 1.5)) if weighted else 1.0
-
     pairs = set()
     for v in range(1, n):
         u = int(rng.integers(0, v))
         a, b = (u, v) if (not directed or rng.random() < 0.5) else (v, u)
         pairs.add((a, b))
 
-    target = max(0, int(round(avg_degree * n / 2)) - (n - 1))
+    target = n + 1
     guard = 0
     while target > 0 and guard < 50 * n:
         u, v = (int(x) for x in rng.integers(0, n, size=2))
@@ -77,7 +73,7 @@ def random_connected_graph(n: int, *, avg_degree=4.0, directed=False,
         pairs.add(key)
         target -= 1
 
-    arcs = [(u, v, weight()) for u, v in sorted(pairs)]
+    arcs = [(u, v, float(rng.uniform(0.5, 1.5))) for u, v in sorted(pairs)]
     if directed:
         return Graph(n=n, directed=True, edges=tuple(arcs))
     return Graph(n=n, directed=False, edges=_close(arcs))

@@ -350,25 +350,24 @@ def matrix_exponential(M, t) -> DenseOperator:
     return DenseOperator(E)
 
 
-def verify_m_matrix(M, tol: float = 1e-10) -> MMatrixReport:
+def verify_m_matrix(M) -> MMatrixReport:
     """Check the singular-M-matrix structure of a (fractional) Laplacian:
     off-diagonal <= tol, diagonal >= -tol, row sums within tol of zero,
-    eigenvalue real parts >= -tol (all scaled by max(1, max|M|))."""
+    eigenvalue real parts >= -tol, with tol = 1e-10 * max(1, max|M|)."""
     A = as_matrix(M)
-    scale = max(1.0, float(np.abs(A).max()))
+    tol = 1e-10 * max(1.0, float(np.abs(A).max()))
     off = A - np.diag(np.diag(A))
     max_off = float(off.max(initial=0.0))
     min_diag = float(np.diag(A).min(initial=0.0))
     max_row = float(np.abs(A.sum(axis=1)).max())
     eigs = np.linalg.eigvals(A)
     min_re = float(eigs.real.min())
-    sign_ok = (max_off <= tol * scale and min_diag >= -tol * scale
-               and max_row <= tol * scale)
+    sign_ok = max_off <= tol and min_diag >= -tol and max_row <= tol
     return MMatrixReport(
         is_sign_pattern=bool(sign_ok),
         max_positive_offdiag=max_off,
         min_diag=min_diag,
-        spectrum_ok=bool(min_re >= -tol * scale),
+        spectrum_ok=bool(min_re >= -tol),
         max_abs_row_sum=max_row,
         min_real_eigenvalue=min_re,
     )

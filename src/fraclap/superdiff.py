@@ -285,8 +285,7 @@ class LatticeSolution:
         return vals if np.ndim(z) else float(vals[0])
 
 
-def lattice_solution(alpha: float, orientation: str, t: float, z, *,
-                     tol: float = 1e-10):
+def lattice_solution(alpha: float, orientation: str, t: float, z):
     """Lattice solution ``u(t)_z``; see `LatticeSolution`.
 
     Examples
@@ -294,7 +293,7 @@ def lattice_solution(alpha: float, orientation: str, t: float, z, *,
     >>> round(lattice_solution(0.5, "undirected", 1e-6, 0), 6)
     1.0
     """
-    return LatticeSolution(alpha, orientation, tol=tol)(t, z)
+    return LatticeSolution(alpha, orientation)(t, z)
 
 
 @dataclass(frozen=True)
@@ -313,8 +312,9 @@ class WindowStats:
     kmax : int
         Window half-width.
     grid : int
-        FFT grid size used; aliasing folds tails of order ``grid - kmax``
-        back into the window, so the grid must dominate the spread.
+        FFT grid size used, the next power of two at or above
+        ``max(8 * kmax, 4096)``; aliasing folds tails of order
+        ``grid - kmax`` back into the window.
     """
 
     mass: float
@@ -325,12 +325,12 @@ class WindowStats:
 
 
 def lattice_window_stats(alpha: float, orientation: str, t: float,
-                         kmax: int, *, grid: int | None = None) -> WindowStats:
+                         kmax: int) -> WindowStats:
     """Mass, truncated second moment and minimum of ``u(t)_k``, |k| <= kmax.
 
     Computed through one FFT of the sampled symbol, which equals the
-    solution on a cycle of length ``grid``; entries are exact up to the
-    cyclic fold-in of the far tails.
+    solution on a cycle of length ``grid`` (see `WindowStats`); entries
+    are exact up to the cyclic fold-in of the far tails.
 
     Parameters
     ----------
@@ -338,19 +338,14 @@ def lattice_window_stats(alpha: float, orientation: str, t: float,
         As in `lattice_solution`.
     kmax : int
         Window half-width.
-    grid : int, optional
-        FFT size, default the next power of two above ``8 * kmax``.
 
     Returns
     -------
     WindowStats
     """
-    _check_orientation(orientation)
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    n = int(grid) if grid is not None else _next_pow2(max(8 * kmax, 4096))
-    if n <= 2 * kmax:
-        raise ValueError("grid must exceed twice the window half-width")
+    n = _next_pow2(max(8 * kmax, 4096))
     x = 2.0 * math.pi * np.arange(n) / n
     # conjugate symbol so coeff[k] pairs with index +k on directed chains
     coeff = np.fft.ifft(np.exp(-float(t)
@@ -370,7 +365,7 @@ def lattice_window_stats(alpha: float, orientation: str, t: float,
 class StableParams:
     """Parameters of a stable distribution with characteristic function
     ``exp(-|gamma z|**alpha (1 + 1j * beta * sign(z) * omega))`` where
-    ``omega = -tan(pi alpha / 2)``.
+    ``omega = -tan(pi alpha / 2)``; the location is 0.
 
     Only the symmetric (``beta = 0``) and maximally skewed (``beta = 1``)
     families are supported, and ``alpha = 1`` requires ``beta = 0``
@@ -384,14 +379,11 @@ class StableParams:
         Skewness, 0 or 1.
     gamma : float
         Positive scale.
-    delta : float
-        Location, fixed at 0.
     """
 
     alpha: float
     beta: float
     gamma: float
-    delta: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 2.0:
@@ -402,8 +394,6 @@ class StableParams:
             raise ValueError("alpha = 1 requires beta = 0")
         if self.gamma <= 0.0:
             raise ValueError("gamma must be positive")
-        if self.delta != 0.0:
-            raise ValueError("delta is fixed at 0")
 
     @property
     def omega(self) -> float:
@@ -420,8 +410,9 @@ class StableParams:
         return np.exp(-mag * phase)
 
 
-def stable_density(params: StableParams, xi, *, tol: float = 1e-10):
-    """Stable density by Fourier inversion of its characteristic function.
+def stable_density(params: StableParams, xi):
+    """Stable density by Fourier inversion of its characteristic function,
+    refined until two passes agree within 1e-10.
 
     Parameters
     ----------
@@ -429,8 +420,6 @@ def stable_density(params: StableParams, xi, *, tol: float = 1e-10):
         Distribution parameters.
     xi : array_like
         Evaluation points.
-    tol : float, optional
-        Quadrature refinement tolerance.
 
     Returns
     -------
@@ -449,7 +438,7 @@ def stable_density(params: StableParams, xi, *, tol: float = 1e-10):
     n0 = min(_start_nodes(float(np.abs(xiarr).max(initial=0.0)), zmax),
              NODE_CAP // 2)
     vals = _fourier_inversion(_NestedGrid(params.characteristic, zmax),
-                              xiarr, n0=n0, tol=tol)
+                              xiarr, n0=n0, tol=1e-10)
     negative = vals < 0.0
     if np.any(vals < -1e-9):
         raise NumericalError(
@@ -513,8 +502,8 @@ def stable_limit_params(alpha: float, orientation: str) -> StableParams:
     return StableParams(alpha=alpha, beta=1.0, gamma=gamma)
 
 
-def verify_stable_limit(alpha: float, orientation: str, t_values, xi=None, *,
-                        tol: float = 1e-10) -> StableLimitReport:
+def verify_stable_limit(alpha: float, orientation: str, t_values,
+                        xi=None) -> StableLimitReport:
     """Compare rescaled lattice solutions against the stable limit law.
 
     For each time ``t`` evaluates ``s_t * u(t)_{s_t xi}`` with
@@ -534,8 +523,6 @@ def verify_stable_limit(alpha: float, orientation: str, t_values, xi=None, *,
         Comparison grid; defaults to 41 points on [-8, 8] (undirected)
         or [-2, 10] (directed, whose limit is supported on the right
         half-line).
-    tol : float, optional
-        Quadrature tolerance.
 
     Returns
     -------
@@ -550,10 +537,10 @@ def verify_stable_limit(alpha: float, orientation: str, t_values, xi=None, *,
         xi = np.linspace(-8.0, 8.0, 41) if orientation == "undirected" \
             else np.linspace(-2.0, 10.0, 41)
     xi = np.asarray(xi, dtype=float)
-    target = np.atleast_1d(stable_density(params, xi, tol=tol))
+    target = np.atleast_1d(stable_density(params, xi))
     scale_exp = 1.0 / (2.0 * alpha) if orientation == "undirected" \
         else 1.0 / alpha
-    solution = LatticeSolution(alpha, orientation, tol=tol)
+    solution = LatticeSolution(alpha, orientation)
     rescaled = []
     errors = np.empty(ts.shape[0])
     for i, t in enumerate(ts):
@@ -570,16 +557,6 @@ def verify_stable_limit(alpha: float, orientation: str, t_values, xi=None, *,
         tail_decreasing=bool(np.all(tail < 0)))
 
 
-def _sample_curve(evaluator, xs):
-    try:
-        ys = np.asarray(evaluator(xs), dtype=float)
-        if ys.shape == xs.shape:
-            return ys, True
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(evaluator(float(x))) for x in xs]), False
-
-
 def fwhm(evaluator, bracket, *, samples: int = 129,
          tol: float = 1e-10) -> float:
     """Full width at half maximum of a unimodal curve.
@@ -593,7 +570,8 @@ def fwhm(evaluator, bracket, *, samples: int = 129,
     Parameters
     ----------
     evaluator : callable
-        Density evaluator, scalar or vectorized over ndarray input.
+        Density evaluator, vectorized: maps an ndarray to values of the
+        same shape.
     bracket : tuple of float
         Search interval containing the peak strictly inside.
     samples : int, optional
@@ -618,12 +596,10 @@ def fwhm(evaluator, bracket, *, samples: int = 129,
     if samples < 5:
         raise ValueError("need at least 5 samples")
     xs = np.linspace(lo, hi, int(samples))
-    ys, vectorized = _sample_curve(evaluator, xs)
+    ys = np.asarray(evaluator(xs), dtype=float)
 
     def f(x: float) -> float:
-        if vectorized:
-            return float(np.asarray(evaluator(np.array([x])))[0])
-        return float(evaluator(x))
+        return float(np.asarray(evaluator(np.array([x])))[0])
 
     k = int(np.argmax(ys))
     if k in (0, xs.shape[0] - 1):
@@ -721,7 +697,7 @@ def _auto_bracket(g, orientation: str) -> tuple[float, float]:
     lo, hi = (-8.0, 8.0) if orientation == "undirected" else (-1.0, 10.0)
     for _ in range(8):
         xs = np.linspace(lo, hi, 41)
-        ys, _ = _sample_curve(g, xs)
+        ys = np.asarray(g(xs), dtype=float)
         k = int(np.argmax(ys))
         peak = float(ys[k])
         grew = False

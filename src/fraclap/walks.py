@@ -128,20 +128,20 @@ def transition_kernel(lalpha: DenseOperator) -> TransitionKernel:
                             absorbing=tuple(int(i) for i in np.flatnonzero(absorbing)))
 
 
-def stationary_distribution(kernel: TransitionKernel, *, tol=1e-10):
+def stationary_distribution(kernel: TransitionKernel):
     """pi proportional to the fractional degrees, with its residual.
 
     Valid for kernels built from symmetric L^alpha; a residual above
-    ``tol`` (directed or absorbing input) raises.
+    1e-10 (directed or absorbing input) raises.
     """
     total = kernel.d_alpha.sum()
     if total <= 0:
         raise ValueError("fractional degrees do not sum to a positive value")
     pi = kernel.d_alpha / total
     residual = float(np.abs(pi @ kernel.P - pi).max())
-    if residual > tol:
+    if residual > 1e-10:
         raise NumericalError(
-            f"stationarity residual {residual:.3e} above {tol:.1e}; "
+            f"stationarity residual {residual:.3e} above 1e-10; "
             "kernel is not reversible (directed or absorbing input?)"
         )
     return pi, residual

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from fraclap.cli import cli_dispatch
+from fraclap.consensus import gamma_lower_bound
+from fraclap.graphs import LaplacianKind, build_laplacian, load_edge_list
+from fraclap.matfun import fractional_power
 
 
 @pytest.fixture
@@ -37,6 +40,18 @@ def test_laplacian_writes_matrix_and_manifest(ring, tmp_path):
     assert str(ring) in man["inputs"]
     assert len(man["inputs"][str(ring)]) == 64
     assert man["version"] and man["duration_s"] >= 0
+
+
+def test_directed_in_kind_has_zero_column_sums(tmp_path):
+    tri = tmp_path / "tri.txt"
+    tri.write_text("0 1\n1 2\n2 0\n2 1\n")
+    assert run(["laplacian", "--input", str(tri), "--kind", "directed-in"],
+               tmp_path) == 0
+    L = np.loadtxt(tmp_path / "laplacian.csv", delimiter=",")
+    assert np.abs(L.sum(axis=0)).max() == 0.0
+    assert np.abs(L.sum(axis=1)).max() == 1.0  # not the out-degree one
+    man = json.loads((tmp_path / "laplacian_manifest.json").read_text())
+    assert man["results"]["kind"] == "directed-in"
 
 
 def test_power_row_sums_vanish(ring, tmp_path):
@@ -90,6 +105,17 @@ def test_absorb_against_analytic(tmp_path):
     assert out["n_step"] == 5
     assert abs(out["expectation"] - 4.886242184147704) < 1e-12
     assert abs(out["mc_mean"] - out["expectation"]) < 4 * out["mc_stderr"]
+
+
+def test_absorb_monte_carlo_csv(tmp_path):
+    assert run(["absorb", "--n", "20", "--alpha", "0.5", "--runs", "500",
+                "--seed", "3"], tmp_path) == 0
+    header, values = (tmp_path / "absorb.csv").read_text().splitlines()
+    row = dict(zip(header.split(","), map(float, values.split(","))))
+    assert list(row) == ["expectation", "fundamental_expectation",
+                         "mc_mean", "mc_stderr", "n_step"]
+    assert row["n_step"] == 5
+    assert abs(row["mc_mean"] - row["expectation"]) < 4 * row["mc_stderr"]
 
 
 def test_decay_reports_distances_as_integers(und, tmp_path):
@@ -161,6 +187,28 @@ def test_consensus_multi_alpha_outputs(tmp_path):
         assert err[0, 1] >= err[-1, 1]
     man = json.loads((tmp_path / "consensus_manifest.json").read_text())
     assert str(cfg) in man["inputs"]
+
+
+def test_consensus_on_an_edge_list_graph(tmp_path):
+    # one-based directed 9-cycle with two chords; loaded undirected, its
+    # coupling would be symmetric and the damping bound undefined (exit 1)
+    net = tmp_path / "net.txt"
+    net.write_text("".join(f"{i + 1} {(i + 1) % 9 + 1}\n" for i in range(9))
+                   + "1 5\n4 8\n")
+    cfg = tmp_path / "cons.json"
+    cfg.write_text(json.dumps({"graph": str(net), "one_based": True,
+                               "alpha": 0.5, "horizon": 1.0, "step": 0.01}))
+    assert run(["consensus", "--config", str(cfg)], tmp_path) == 0
+    traj = np.loadtxt(tmp_path / "consensus_traj_alpha0p5.csv",
+                      delimiter=",", skiprows=1)
+    assert traj.shape == (101, 1 + 2 * 9) and traj[-1, 0] == 1.0
+    man = json.loads((tmp_path / "consensus_manifest.json").read_text())
+    assert man["results"]["inputs"] == [str(net)]
+    g = load_edge_list(net, one_based=True)
+    L = build_laplacian(g, LaplacianKind.DIRECTED_OUT)
+    want = gamma_lower_bound(fractional_power(L, 0.5).matrix, 0.5).bound
+    got = man["results"]["runs"]["alpha=0.5"]["gamma"]
+    assert g.directed and got == pytest.approx(want + 1.0, rel=1e-12)
 
 
 def test_consensus_builds_each_coupling_once(tmp_path, monkeypatch):

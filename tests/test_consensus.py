@@ -97,8 +97,8 @@ def test_translation_invariance():
 
 def test_rk4_step_halving_converges():
     base = circle_relocation_config(n=20, horizon=2.0, gamma=2.5)
-    coarse = ConsensusConfig(**{**base.__dict__, "step": 2.0 / 500})
-    fine = ConsensusConfig(**{**base.__dict__, "step": 2.0 / 1000})
+    coarse = replace(base, step=2.0 / 500)
+    fine = replace(base, step=2.0 / 1000)
     e1 = simulate_consensus(coarse)[-1].error
     e2 = simulate_consensus(fine)[-1].error
     assert abs(e1 - e2) < 1e-6
@@ -124,8 +124,8 @@ def per_step_rk4(cfg):
     """Classical RK4 on (x, v), one step at a time, with the target
     evaluated at every stage; the reference for the step-matrix run."""
     n = cfg.graph.n
-    K = cfg.beta * np.eye(n) + cfg.lalpha
-    tgt, gamma = cfg.target, cfg.gamma
+    K = cfg.beta * np.eye(n) + cfg.coupling
+    tgt, gamma = cfg.target, cfg.damping
     nsteps = int(np.ceil(cfg.horizon / cfg.step - 1e-9))
     dt = cfg.horizon / nsteps
 
@@ -152,12 +152,6 @@ def per_step_rk4(cfg):
     return times, positions
 
 
-def with_coupling(cfg):
-    lalpha = cycle_lalpha(cfg.alpha, cfg.graph.n)
-    gamma = gamma_lower_bound(lalpha, cfg.beta).bound + cfg.gamma_margin
-    return replace(cfg, lalpha=lalpha, gamma=gamma)
-
-
 def max_rel_gap(states, positions):
     scale = max(np.abs(p).max() for p in positions)
     return max(np.abs(s.positions - p).max()
@@ -166,8 +160,8 @@ def max_rel_gap(states, positions):
 
 def test_step_matrix_matches_per_step_rk4():
     # static target, 100 steps in blocks of 7: the last block is a remainder
-    cfg = with_coupling(circle_relocation_config(n=16, horizon=1.0, step=0.01,
-                                                 output_stride=7))
+    cfg = circle_relocation_config(n=16, horizon=1.0, step=0.01,
+                                   output_stride=7)
     times, positions = per_step_rk4(cfg)
     states = simulate_consensus(cfg)
     assert [s.time for s in states] == times
@@ -179,10 +173,10 @@ def test_step_matrix_matches_per_step_rk4():
     orbit = circular_orbit((1.0, -1.0), 2.0, 0.8, n)
     angles = 2.0 * np.pi * np.arange(n) / n
     ring = np.column_stack([np.cos(angles), np.sin(angles)])
-    cfg = with_coupling(ConsensusConfig(
+    cfg = ConsensusConfig(
         graph=cycle_graph(n, directed=True), alpha=0.5, beta=0.5,
         target=orbit, x0=ring, v0=np.zeros((n, 2)), horizon=5.0, step=1e-3,
-        output_stride=10))
+        output_stride=10)
     times, positions = per_step_rk4(cfg)
     states = simulate_consensus(cfg)
     assert [s.time for s in states] == times
@@ -195,7 +189,7 @@ def test_one_output_block_matches_matrix_exponential():
     cfg = circle_relocation_config(n=n, alpha=alpha, beta=beta, horizon=T,
                                    gamma=gamma, output_stride=5000)
     states = simulate_consensus(cfg)
-    assert len(states) == 2 and states[-1].time == pytest.approx(T)
+    assert len(states) == 2 and states[-1].time == T
     K = cycle_lalpha(alpha, n) + beta * np.eye(n)
     A = np.block([[np.zeros((n, n)), np.eye(n)], [-K, -gamma * K]])
     tgt = cfg.target.position(0.0)
@@ -205,25 +199,49 @@ def test_one_output_block_matches_matrix_exponential():
     assert abs(states[-1].error - np.linalg.norm(final)) < 1e-9
 
 
-def test_precomputed_coupling_and_gamma_reproduce_the_run(monkeypatch):
+def test_final_snapshot_is_stamped_at_the_horizon():
+    # 5000 * (3.0 / 5000) rounds to 2.9999999999999996
+    cfg = circle_relocation_config(n=12, horizon=3.0, output_stride=5000)
+    assert [s.time for s in simulate_consensus(cfg)] == [0.0, 3.0]
+    # a remainder block ends there too; earlier outputs keep k * dt
+    states = simulate_consensus(replace(cfg, output_stride=4999))
+    assert [s.time for s in states] == [0.0, 4999 * (3.0 / 5000), 3.0]
+
+
+def test_coupling_and_damping_are_derived_once(monkeypatch):
     import fraclap.consensus as consensus
     import fraclap.matfun as matfun
     cfg = circle_relocation_config(n=30, alpha=0.5, horizon=1.0)
-    lalpha = cycle_lalpha(0.5, 30)
-    gamma = gamma_lower_bound(lalpha, cfg.beta).bound + cfg.gamma_margin
     own = simulate_consensus(cfg)
+    assert np.abs(cfg.coupling - cycle_lalpha(0.5, 30)).max() < 1e-12
+    assert cfg.damping == pytest.approx(
+        gamma_lower_bound(cfg.coupling, cfg.beta).bound + 1.0, rel=1e-12)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("coupling or damping recomputed")
 
     monkeypatch.setattr(matfun, "fractional_power_general", forbidden)
     monkeypatch.setattr(consensus, "gamma_lower_bound", forbidden)
-    given = simulate_consensus(replace(cfg, lalpha=lalpha, gamma=gamma))
-    assert len(given) == len(own)
-    for a, b in zip(own, given):
+    again = simulate_consensus(cfg)
+    assert len(again) == len(own)
+    for a, b in zip(own, again):
         assert a.time == b.time and a.error == b.error
         assert np.array_equal(a.positions, b.positions)
         assert np.array_equal(a.velocities, b.velocities)
+
+
+def test_replace_derives_coupling_and_damping_afresh():
+    cfg = circle_relocation_config(n=30, alpha=0.5, horizon=1.0)
+    coupling, damping = cfg.coupling, cfg.damping
+    other = replace(cfg, alpha=0.8)
+    assert np.abs(other.coupling - cycle_lalpha(0.8, 30)).max() < 1e-12
+    assert other.damping == pytest.approx(
+        gamma_lower_bound(other.coupling, cfg.beta).bound + 1.0, rel=1e-12)
+    assert abs(other.damping - damping) > 0.1
+    fixed = replace(cfg, gamma=2.5)
+    assert fixed.damping == 2.5
+    assert np.array_equal(fixed.coupling, coupling)
+    assert cfg.coupling is coupling and cfg.damping == damping
 
 
 def test_circle_relocation_frozen_finals():

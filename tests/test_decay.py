@@ -91,7 +91,7 @@ def test_sampling_keeps_summary_exact():
 def test_kernel_bounds_on_cycle():
     L = build_laplacian(cycle_graph(64), LaplacianKind.COMBINATORIAL)
     k = transition_kernel(fractional_power_symmetric(L, 0.5))
-    rep = verify_p_alpha_bound(k, L.matrix, 0.5)
+    rep = verify_p_alpha_bound(k, L.matrix)
     assert rep.all_satisfied
     assert rep.mode == "kernel"
     assert rep.diagonal_ok and rep.diagonal_margin > 0

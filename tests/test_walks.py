@@ -93,6 +93,19 @@ def test_long_range_jumps_present_for_small_alpha():
     assert hops.max() > 1
 
 
+def test_simulate_discrete_freezes_at_the_absorbing_node():
+    # the directed path only jumps forward, so node 5 is hit within 5 steps
+    L = build_laplacian(path_graph(6, directed=True),
+                        LaplacianKind.DIRECTED_OUT)
+    k = transition_kernel(fractional_power_general(L.matrix, 0.5))
+    assert k.absorbing == (5,)
+    states = simulate_discrete(k, 0, 50, seed=1).states
+    hit = int(np.argmax(states == 5))
+    assert 0 < hit <= 5
+    assert (states[hit:] == 5).all() and (np.diff(states[:hit + 1]) > 0).all()
+    assert (simulate_discrete(k, 5, 10, seed=1).states == 5).all()
+
+
 def test_expected_absorption_closed_form():
     res = expected_absorption_steps(20, 0.5)
     assert res.n_step == 5
