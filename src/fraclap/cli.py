@@ -201,12 +201,20 @@ def _kernel_of(args, L):
 
 
 def _parse_times(text: str) -> np.ndarray:
+    """Comma-separated times as a float array.
+
+    An unparsable entry, a non-finite one (``nan``, ``inf``) or an empty
+    list raises :class:`UsageError`.
+    """
     try:
         times = np.array([float(v) for v in text.split(",") if v.strip()])
     except ValueError as exc:
         raise UsageError(f"bad time list {text!r}: {exc}") from None
     if times.size == 0:
         raise UsageError("empty time list")
+    bad = times[~np.isfinite(times)]
+    if bad.size:
+        raise UsageError(f"non-finite time {bad[0]} in {text!r}")
     return times
 
 

@@ -462,7 +462,8 @@ class DistanceProfile:
 def distance_decay_slope(values, distances) -> DistanceProfile:
     """Fit the observed decay rate of entries against hop distance.
 
-    Distance classes ``d >= 2`` enter the fit.
+    Distance classes ``d >= 2`` with a nonzero largest entry enter the
+    fit; one ``np.maximum.at`` pass finds every class's largest entry.
 
     Parameters
     ----------
@@ -483,17 +484,14 @@ def distance_decay_slope(values, distances) -> DistanceProfile:
     A = np.abs(as_matrix(values))
     D = np.asarray(distances)
     finite = np.isfinite(D) & (D >= 2)
-    classes = np.unique(D[finite])
-    ds, peaks = [], []
-    for d in classes:
-        peak = float(A[D == d].max())
-        if peak > 0.0:
-            ds.append(float(d))
-            peaks.append(peak)
-    if len(ds) < 3:
+    classes, cls = np.unique(D[finite], return_inverse=True)
+    peaks = np.zeros(classes.shape[0])
+    np.maximum.at(peaks, cls, A[finite])
+    keep = peaks > 0.0
+    ds = classes[keep].astype(float)
+    peaks = peaks[keep]
+    if ds.shape[0] < 3:
         raise NumericalError("need at least 3 distance classes for a fit")
-    ds = np.asarray(ds)
-    peaks = np.asarray(peaks)
     slope, intercept = np.polyfit(np.log(ds - 1.0), np.log(peaks), 1)
     return DistanceProfile(distances=ds, max_entries=peaks,
                            slope=float(slope), intercept=float(intercept))

@@ -9,6 +9,8 @@ of a singular Laplacian is mapped exactly to 0.  A truncated binomial
 series provides an independent cross-check, and ``verify_m_matrix``
 reports the structural invariants the result must satisfy (nonpositive
 off-diagonal, zero row sums, spectrum in the closed right half-plane).
+``matrix_exponential`` applies exp(-t M) to a vector at several times
+without forming the dense exponential.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack
+from scipy.sparse.linalg import expm_multiply
 
 from .errors import ConvergenceError, NumericalError
 from .graphs import DenseOperator, as_matrix
@@ -40,6 +43,15 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
+
+
+def _check_times(times: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the first non-finite or negative time."""
+    bad = times[~np.isfinite(times)]
+    if bad.size:
+        raise ValueError(f"time {bad[0]} is not finite")
+    if np.any(times < 0):
+        raise ValueError("times must be nonnegative")
 
 
 def _check_alpha(alpha: float) -> float:
@@ -328,26 +340,29 @@ def fractional_power_series(L, alpha, terms: int) -> SeriesApproximation:
                                remainder=remainder, terms=terms)
 
 
-def matrix_exponential(M, t) -> DenseOperator:
-    """exp(-t M) by scaling and squaring with diagonal Pade approximants.
+def matrix_exponential(M, times, v) -> np.ndarray:
+    """Action of the exponential: the rows exp(-t M) v, one per time.
 
-    ``t`` must be nonnegative; t = 0 returns the exact identity.  A
-    Gershgorin bound on the spectrum flags overflow before computing.
+    Each row is computed from ``v`` by the truncated Taylor method of
+    Al-Mohy & Higham (SISC 33(2), 2011), ``expm_multiply``; no dense
+    exp(-t M) is formed.  Times must be finite and nonnegative; t = 0
+    returns ``v`` exactly.  A Gershgorin bound on the spectrum flags
+    overflow before computing, and a non-finite result raises
+    :class:`NumericalError`.
     """
     A = as_matrix(M)
-    t = float(t)
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    n = A.shape[0]
-    if t == 0.0:
-        return DenseOperator(np.eye(n))
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    v = np.asarray(v, dtype=float)
+    _check_times(times)
     growth = np.diag(A) - (np.abs(A).sum(axis=1) - np.abs(np.diag(A)))
-    if t * max(0.0, -float(growth.min())) > 700.0:
+    if times.max(initial=0.0) * max(0.0, -float(growth.min())) > 700.0:
         raise NumericalError("exp(-tM) would overflow (Gershgorin bound)")
-    E = scipy.linalg.expm(-t * A)
-    if not np.all(np.isfinite(E)):
+    out = np.empty((times.shape[0], v.shape[0]))
+    for k, t in enumerate(times):
+        out[k] = v if t == 0.0 else expm_multiply(-t * A, v)
+    if not np.all(np.isfinite(out)):
         raise NumericalError("matrix exponential overflowed")
-    return DenseOperator(E)
+    return out
 
 
 def verify_m_matrix(M) -> MMatrixReport:

@@ -16,7 +16,8 @@ from scipy.special import gammaln, gammasgn
 
 from .errors import ConvergenceError, NumericalError
 from .graphs import DenseOperator, as_matrix
-from .matfun import _check_alpha, binomial_coefficients, matrix_exponential
+from .matfun import (_check_alpha, _check_times, binomial_coefficients,
+                     matrix_exponential)
 
 __all__ = [
     "TransitionKernel",
@@ -218,11 +219,16 @@ def evolve_continuous(kernel: TransitionKernel, u0, times) -> TrajectoryResult:
 
     The generator is I - P (the normalized fractional Laplacian); its
     adjoint drives the evolution, which conserves mass exactly for every
-    graph.  A conservation drift above 1e-8 raises.
+    graph.  One :func:`matrix_exponential` call applies exp(-t (I - P)^T)
+    to the start vector at every time, with no dense exponential per time.
+    Times must be finite, nonnegative and ascending.  An entry below
+    -1e-10 raises; smaller negative roundoff is clipped to 0.  A
+    conservation drift above 1e-8 raises.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    if np.any(times < 0) or np.any(np.diff(times) < 0):
-        raise ValueError("times must be nonnegative and ascending")
+    _check_times(times)
+    if np.any(np.diff(times) < 0):
+        raise ValueError("times must be ascending")
     if np.isscalar(u0) or np.ndim(u0) == 0:
         vec = np.zeros(kernel.n)
         vec[_check_start(kernel, u0)] = 1.0
@@ -234,13 +240,12 @@ def evolve_continuous(kernel: TransitionKernel, u0, times) -> TrajectoryResult:
             raise ValueError("u0 is not a probability vector")
 
     M = (np.eye(kernel.n) - kernel.P).T
-    out = np.empty((times.shape[0], kernel.n))
-    for k, t in enumerate(times):
-        u = matrix_exponential(M, t).matrix @ vec
-        if u.min() < -1e-10:
-            raise NumericalError(f"negative mass {u.min():.3e} at t={t}")
-        np.clip(u, 0.0, None, out=u)
-        out[k] = u
+    out = matrix_exponential(M, times, vec)
+    low = out.min(axis=1)
+    if np.any(low < -1e-10):
+        k = int(np.argmax(low < -1e-10))
+        raise NumericalError(f"negative mass {low[k]:.3e} at t={times[k]}")
+    np.clip(out, 0.0, None, out=out)
     drift = float(np.abs(1.0 - out.sum(axis=1)).max())
     if drift > 1e-8:
         raise NumericalError(f"conservation drift {drift:.3e} above 1e-8")
@@ -343,11 +348,11 @@ def path_transition_asymptotic(alpha: float, gap: int) -> float:
 def return_probability(lbar, times) -> ReturnProbabilityCurve:
     """Average return probability (1/n) sum_i exp(-lambda_i t) of the
     normalized generator, with the relative spectral gap
-    |lambda|_max / |lambda|_min-nonzero and the zero multiplicity."""
+    |lambda|_max / |lambda|_min-nonzero and the zero multiplicity.
+    Times must be finite and nonnegative."""
     A = as_matrix(lbar)
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    if np.any(times < 0):
-        raise ValueError("times must be nonnegative")
+    _check_times(times)
     lam = np.linalg.eigvals(A)
     n = A.shape[0]
     rho = float(np.abs(lam).max(initial=0.0))

@@ -172,6 +172,22 @@ def test_returnprob_starts_at_one(ring, tmp_path):
     assert rows.shape[0] == 4
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_evolve_non_finite_time_exits_one(und, tmp_path, capsys, bad):
+    assert run(["evolve", "--input", str(und), "--alpha", "0.5",
+                "--times", f"0,{bad}"], tmp_path) == 1
+    assert "non-finite time" in capsys.readouterr().err
+    assert not (tmp_path / "evolve.csv").exists()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_returnprob_non_finite_time_exits_one(ring, tmp_path, capsys, bad):
+    assert run(["returnprob", "--input", str(ring), "--alpha", "0.5",
+                "--times", f"0,{bad}"], tmp_path) == 1
+    assert "non-finite time" in capsys.readouterr().err
+    assert not (tmp_path / "returnprob.csv").exists()
+
+
 def test_consensus_multi_alpha_outputs(tmp_path):
     cfg = tmp_path / "cons.json"
     cfg.write_text(json.dumps({

@@ -159,6 +159,19 @@ def test_distance_decay_slope_on_grid():
         assert prof.slope <= -alpha + 0.15
 
 
+def test_distance_decay_peaks_match_the_per_class_loop():
+    for g in (grid_graph(15, 15), random_geometric_graph(60, 0.2, seed=3)):
+        L = build_laplacian(g, LaplacianKind.COMBINATORIAL)
+        dist = graph_distances(g)
+        A = np.abs(fractional_power_symmetric(L, 0.5).matrix)
+        prof = distance_decay_slope(A, dist)
+        classes = np.unique(dist[np.isfinite(dist) & (dist >= 2)])
+        peaks = np.array([A[dist == d].max() for d in classes])
+        keep = peaks > 0.0
+        assert np.array_equal(prof.distances, classes[keep])
+        assert np.array_equal(prof.max_entries, peaks[keep])
+
+
 def test_pattern_and_graph_distances_agree():
     g = random_geometric_graph(40, 0.3, seed=2)
     L = build_laplacian(g, LaplacianKind.COMBINATORIAL)

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm, fractional_matrix_power
 
-from fraclap.generators import cycle_graph, random_connected_graph
+from fraclap.errors import NumericalError
+from fraclap.generators import cycle_graph, path_graph, random_connected_graph
 from fraclap import matfun
 from fraclap.graphs import DenseOperator, LaplacianKind, build_laplacian
 from fraclap.matfun import (FractionalPowerResult, SeriesApproximation,
@@ -128,8 +129,47 @@ def test_exp_fractional_matches_expm():
 def test_matrix_exponential_general():
     g = cycle_graph(11, directed=True)
     L = build_laplacian(g, LaplacianKind.DIRECTED_OUT).matrix
-    ours = matrix_exponential(L, 2.5).matrix
-    assert np.abs(ours - expm(-2.5 * L)).max() < 1e-12
+    v = np.random.default_rng(0).random(11)
+    ours = matrix_exponential(L, [2.5], v)
+    assert ours.shape == (1, 11)
+    assert np.abs(ours[0] - expm(-2.5 * L) @ v).max() < 1e-12
+
+
+def test_matrix_exponential_action_on_non_normal_matrices():
+    path = build_laplacian(path_graph(12, directed=True),
+                           LaplacianKind.DIRECTED_OUT).matrix
+    for L in (path, random_digraph_laplacian(40, 3)):
+        assert np.abs(L @ L.T - L.T @ L).max() > 0.5
+        v = np.random.default_rng(1).random(L.shape[0])
+        times = [0.1, 1.0, 2.5, 10.0]
+        rows = matrix_exponential(L, times, v)
+        for row, t in zip(rows, times):
+            assert np.abs(row - expm(-t * L) @ v).max() < 1e-12
+
+
+def test_matrix_exponential_at_zero_returns_the_vector():
+    L = random_digraph_laplacian(20, 4)
+    v = np.random.default_rng(2).standard_normal(20)
+    rows = matrix_exponential(L, [0.0, 1.0, 0.0], v)
+    assert np.array_equal(rows[0], v) and np.array_equal(rows[2], v)
+    assert not np.array_equal(rows[1], v)
+
+
+def test_matrix_exponential_guards(monkeypatch):
+    L = build_laplacian(cycle_graph(7, directed=True),
+                        LaplacianKind.DIRECTED_OUT).matrix
+    v = np.ones(7)
+    # exp(+t L): Gershgorin growth 2 per unit time
+    with pytest.raises(NumericalError, match="Gershgorin"):
+        matrix_exponential(-L, [1.0, 400.0], v)
+    assert np.all(np.isfinite(matrix_exponential(-L, [300.0], v)))
+    for bad in ([0.0, np.nan], [np.inf], [1.0, -0.5]):
+        with pytest.raises(ValueError):
+            matrix_exponential(L, bad, v)
+    monkeypatch.setattr(matfun, "expm_multiply",
+                        lambda A, b: np.full_like(b, np.inf))
+    with pytest.raises(NumericalError, match="overflowed"):
+        matrix_exponential(L, [1.0], v)
 
 
 def test_verify_m_matrix_reports():
@@ -262,7 +302,6 @@ def test_results_are_dense_operators():
     assert isinstance(series, SeriesApproximation)
     assert np.abs(series.matrix - res.matrix).max() <= series.remainder
     assert exp_fractional_symmetric(L, 0.5, 1.0).alpha is None
-    assert matrix_exponential(L, 1.0).alpha is None
     assert build_laplacian(random_connected_graph(5, seed=0),
                            LaplacianKind.COMBINATORIAL).alpha is None
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from fraclap.generators import (cycle_graph, path_graph,
@@ -7,7 +9,8 @@ from fraclap.generators import (cycle_graph, path_graph,
 from fraclap.graphs import DenseOperator, LaplacianKind, build_laplacian
 from fraclap.matfun import (fractional_power_general,
                             fractional_power_series,
-                            fractional_power_symmetric)
+                            fractional_power_symmetric,
+                            matrix_exponential)
 from fraclap.walks import (absorption_time_samples, cycle_entry_limit,
                            cycle_fractional_entries,
                            expected_absorption_steps,
@@ -147,6 +150,48 @@ def test_evolve_conserves_mass_and_matches_expm():
     pi, _ = stationary_distribution(k)
     tail = evolve_continuous(k, u0, [200.0]).states[0]
     assert np.abs(tail - pi).max() < 1e-8
+
+
+def test_evolve_on_directed_path_with_absorbing_sink():
+    L = build_laplacian(path_graph(12, directed=True),
+                        LaplacianKind.DIRECTED_OUT).matrix
+    k = transition_kernel(fractional_power_general(L, 0.6))
+    assert k.absorbing == (11,)
+    times = [0.0, 0.3, 1.0, 4.0, 20.0]
+    traj = evolve_continuous(k, 0, times)
+    assert traj.conservation_drift < 1e-12
+    G = np.eye(12) - k.P
+    u0 = np.eye(12)[0]
+    for row, t in zip(traj.states, times):
+        assert np.abs(row - expm(-t * G.T) @ u0).max() < 1e-10
+    assert np.array_equal(traj.states[0], u0)
+    assert np.all(np.diff(traj.states[:, 11]) > 0)  # mass drains to the sink
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10**6),
+       alpha=st.floats(0.0, 1.0, exclude_min=True))
+def test_evolution_on_random_digraphs_conserves_mass(seed, alpha):
+    g = random_connected_graph(25, directed=True, seed=seed)
+    L = build_laplacian(g, LaplacianKind.DIRECTED_OUT)
+    k = transition_kernel(fractional_power_general(L, alpha))
+    start = np.zeros(k.n)
+    start[seed % k.n] = 1.0
+    times = [0.0, 0.5, 3.0, 25.0]
+    raw = matrix_exponential((np.eye(k.n) - k.P).T, times, start)
+    assert raw.min() >= -1e-10
+    assert np.abs(raw.sum(axis=1) - 1.0).max() < 1e-12
+    traj = evolve_continuous(k, start, times)
+    assert traj.conservation_drift < 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_times_are_rejected(bad):
+    k = kernel_for(10, 1, 0.5)
+    with pytest.raises(ValueError, match="not finite"):
+        evolve_continuous(k, 0, [0.0, bad])
+    with pytest.raises(ValueError, match="not finite"):
+        return_probability(np.eye(k.n) - k.P, [0.0, bad])
 
 
 def test_path_closed_form_matches_engine():
