@@ -470,7 +470,8 @@ def distance_decay_slope(values, distances) -> DistanceProfile:
     values : DenseOperator or array_like
         Matrix whose entry magnitudes are profiled.
     distances : numpy.ndarray
-        Matching all-pairs hop distance matrix.
+        Matching all-pairs hop distance matrix: whole hop counts, ``inf``
+        for unreachable pairs.
 
     Returns
     -------
@@ -478,18 +479,24 @@ def distance_decay_slope(values, distances) -> DistanceProfile:
 
     Raises
     ------
+    ValueError
+        A finite distance that is not a whole number.
     NumericalError
         Fewer than three usable distance classes.
     """
     A = np.abs(as_matrix(values))
     D = np.asarray(distances)
     finite = np.isfinite(D) & (D >= 2)
-    classes, cls = np.unique(D[finite], return_inverse=True)
-    peaks = np.zeros(classes.shape[0])
-    np.maximum.at(peaks, cls, A[finite])
-    keep = peaks > 0.0
-    ds = classes[keep].astype(float)
-    peaks = peaks[keep]
+    d = D[finite]
+    hops = d.astype(np.intp)
+    if np.any(hops != d):
+        raise ValueError("distances must be whole hop counts")
+    peaks = np.zeros(int(hops.max(initial=0)) + 1)
+    np.maximum.at(peaks, hops, A[finite])
+    # absent classes, and d < 2, keep their initial 0 and drop out here
+    ds = np.flatnonzero(peaks > 0.0)
+    peaks = peaks[ds]
+    ds = ds.astype(float)
     if ds.shape[0] < 3:
         raise NumericalError("need at least 3 distance classes for a fit")
     slope, intercept = np.polyfit(np.log(ds - 1.0), np.log(peaks), 1)

@@ -170,6 +170,8 @@ def test_distance_decay_peaks_match_the_per_class_loop():
         keep = peaks > 0.0
         assert np.array_equal(prof.distances, classes[keep])
         assert np.array_equal(prof.max_entries, peaks[keep])
+    with pytest.raises(ValueError, match="whole hop counts"):
+        distance_decay_slope(A, dist + 0.5)
 
 
 def test_pattern_and_graph_distances_agree():
