@@ -6,14 +6,17 @@ Usage, from the repository root:
         --workload undirected --seeds 11,12,13 --out BENCH_x.json
 
 Each seed is one pair: ``perfbench/run.py --workload W --seed S
---seconds 35 --trace 0`` runs once in each checkout, with the parent
+--seconds R --trace 0`` runs once in each checkout, with the parent
 first on even pairs and the change first on odd ones, so that drift in
 machine load falls on both sides alike.  ``run.py`` is each checkout's
-own, unchanged.  The record for the workload (every result line with its
-side, seed and order; each side's median and quartiles per metric; the
-pairs the change wins; the git shas; the load average) is merged into
-``--out`` under ``workloads``, next to the machine and library versions.
-Standard library only.
+own, unchanged, and the run length ``R`` is ``run_seconds`` from the
+checkouts' ``BENCHMARK.json``, which must agree.  Each call appends one
+set to ``--out`` under ``sets``: every result line with its side, seed
+and order; each side's median and quartiles per metric over the
+complete pairs; the pairs the change wins; the git shas; the load
+average.  ``--out`` is rewritten after every run, so a stopped set keeps
+the runs it made and reads ``"complete": false``.  The machine and
+library versions sit next to the sets.  Standard library only.
 """
 
 from __future__ import annotations
@@ -70,6 +73,15 @@ def machine(checkout):
             "blas_threads": _blas_threads(checkout)}
 
 
+def run_seconds(dirs):
+    """The run length the checkouts' ``BENCHMARK.json`` fixes."""
+    found = {side: json.loads((d / "BENCHMARK.json").read_text())["run_seconds"]
+             for side, d in dirs.items()}
+    if len(set(found.values())) != 1:
+        raise SystemExit(f"run_seconds differs between checkouts: {found}")
+    return found["change"]
+
+
 def run_once(checkout, workload, seed, seconds):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -89,11 +101,13 @@ def quartiles(values):
 def summarize(runs):
     """Per metric: each side's median and quartiles, and the pairs in
     which the change has the lower value (every metric here is
-    lower-is-better)."""
+    lower-is-better), over the complete pairs; empty below two."""
     by_pair = {}
     for r in runs:
         by_pair.setdefault(r["pair"], {})[r["side"]] = r["result"]
-    pairs = [p for _, p in sorted(by_pair.items())]
+    pairs = [p for _, p in sorted(by_pair.items()) if len(p) == len(SIDES)]
+    if len(pairs) < 2:
+        return {}
     out = {}
     for metric in pairs[0]["parent"]["metrics"]:
         vals = {s: [p[s]["metrics"][metric]["value"] for p in pairs]
@@ -109,6 +123,12 @@ def summarize(runs):
     return out
 
 
+def _save(path, doc):
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(json.dumps(doc, indent=1) + "\n")
+    os.replace(tmp, path)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -116,34 +136,36 @@ def main(argv=None):
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True,
                         help="comma-separated, one pair per seed")
-    parser.add_argument("--seconds", type=float, default=35.0)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    seconds = run_seconds(dirs)
 
-    record = {"seconds": args.seconds, "seeds": seeds,
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    doc["machine"] = machine(dirs["change"])
+    record = {"workload": args.workload, "seconds": seconds, "seeds": seeds,
               "sha": {s: _git_sha(d) for s, d in dirs.items()},
               "loadavg_start": _loadavg(),
               "started": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-              "runs": []}
+              "complete": False, "runs": [], "summary": {}}
+    doc.setdefault("sets", []).append(record)
+    _save(args.out, doc)
     for pair, seed in enumerate(seeds):
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
         for position, side in enumerate(order):
             load = _loadavg()
-            result = run_once(dirs[side], args.workload, seed, args.seconds)
+            result = run_once(dirs[side], args.workload, seed, seconds)
             record["runs"].append({"pair": pair, "seed": seed, "side": side,
                                    "order": position, "loadavg": load,
                                    "result": result})
+            record["summary"] = summarize(record["runs"])
+            _save(args.out, doc)
             wall = result["metrics"]["wall_s"]["value"]
             print(f"pair {pair} seed {seed} {side:6s} wall_s {wall:.3f}",
                   file=sys.stderr)
-    record["summary"] = summarize(record["runs"])
-
-    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    doc["machine"] = machine(dirs["change"])
-    doc.setdefault("workloads", {})[args.workload] = record
-    args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    record["complete"] = True
+    _save(args.out, doc)
     return 0
 
 
