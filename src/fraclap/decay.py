@@ -13,11 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import shortest_path
 
 from .errors import NumericalError
-from .graphs import Graph, as_matrix
+from .graphs import DenseOperator, Graph, as_matrix, pattern_distances
 from .matfun import (
     SpectralData,
     exp_fractional_symmetric,
@@ -66,34 +64,6 @@ class ExpFractionalModulus:
 
     def __call__(self, x):
         return -np.expm1(-self.t * np.power(x, self.alpha))
-
-
-def pattern_distances(A, *, directed: bool = True) -> np.ndarray:
-    """All-pairs unweighted hop distances on the off-diagonal pattern.
-
-    Parameters
-    ----------
-    A : DenseOperator or array_like
-        Square matrix with finite entries; an arc ``i -> j`` exists
-        wherever ``A[i, j] != 0`` for ``i != j``.
-    directed : bool, optional
-        Respect arc orientation.  With ``False`` the pattern is
-        symmetrized.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``(n, n)`` hop counts, ``numpy.inf`` for unreachable pairs.
-
-    Raises
-    ------
-    ValueError
-        Non-square input or non-finite entries.
-    """
-    pattern = (as_matrix(A) != 0).astype(np.int8)
-    np.fill_diagonal(pattern, 0)
-    return shortest_path(csr_array(pattern), method="D", directed=directed,
-                         unweighted=True)
 
 
 def graph_distances(g: Graph) -> np.ndarray:
@@ -199,6 +169,12 @@ def _summarize(mask, observed, bounds):
         float(ratio.max()) if obs.size else 0.0
 
 
+def _operator(L) -> DenseOperator:
+    # a bare array gets a throwaway operator, so its distances are
+    # computed for this call only
+    return L if isinstance(L, DenseOperator) else DenseOperator(L)
+
+
 def verify_decay_bounds(L, alpha: float, *, lalpha=None, mode: str = "power",
                         t: float | None = None,
                         data: SpectralData | None = None,
@@ -214,6 +190,11 @@ def verify_decay_bounds(L, alpha: float, *, lalpha=None, mode: str = "power",
     (power mode) and ``w(x) = 1 - exp(-t * x**alpha)`` for
     ``exp(-t * L**alpha)`` (exponential mode).  Pairs at distance 0, 1
     or infinity carry no information and are excluded.
+
+    Hop distances come from ``L.hop_distances``, which the operator
+    computes once and keeps; pass the same :class:`DenseOperator` to
+    every check on one Laplacian to reuse them.  A bare array is wrapped
+    in a throwaway operator, so its distances are recomputed per call.
 
     Parameters
     ----------
@@ -245,11 +226,12 @@ def verify_decay_bounds(L, alpha: float, *, lalpha=None, mode: str = "power",
         Non-square, non-finite or nonsymmetric input, bad mode, or
         missing ``t``.
     """
-    A = as_matrix(L)
+    op = _operator(L)
+    A = op.matrix
     if data is None:
         data = symmetric_spectral_data(A)
     rho = float(np.abs(data.eigenvalues).max())
-    D = pattern_distances(A, directed=False)
+    D = op.hop_distances
     mask = (D >= 2) & np.isfinite(D)
     # d >= 2 keeps the base argument rho/(2(d-1)) inside the spectrum window
     arg = np.where(mask, rho / (2.0 * np.where(mask, D - 1.0, 1.0)), 1.0)
@@ -298,6 +280,10 @@ def verify_p_alpha_bound(kernel, L, *, data: SpectralData | None = None,
     The diagonal lower bound itself is asserted with slack ``1e-10`` and
     reported through ``diagonal_ok`` and ``diagonal_margin``.
 
+    Hop distances come from ``L.hop_distances``, as in
+    `verify_decay_bounds`: pass the operator, not its matrix, to reuse
+    the distances its other checks have already computed.
+
     Parameters
     ----------
     kernel : TransitionKernel
@@ -312,12 +298,13 @@ def verify_p_alpha_bound(kernel, L, *, data: SpectralData | None = None,
     -------
     DecayReport
     """
-    A = as_matrix(L)
+    op = _operator(L)
+    A = op.matrix
     alpha = kernel.alpha
     if data is None:
         data = symmetric_spectral_data(A)
     rho = float(np.abs(data.eigenvalues).max())
-    D = pattern_distances(A, directed=False)
+    D = op.hop_distances
     mask = (D >= 2) & np.isfinite(D)
     diag = np.diag(A).astype(float)
     observed = np.abs(kernel.P)

@@ -3,8 +3,9 @@
 Graphs are loop-free weighted digraphs; undirected graphs are stored as
 symmetric arc pairs.  Matrices travel as :class:`DenseOperator`, a
 dense numpy array plus the exponent ``alpha`` when it is a fractional
-power; :func:`as_matrix` turns an operator or an array_like into the
-square, finite array that every numerical routine works on.
+power, with the hop distances of its pattern computed on first use;
+:func:`as_matrix` turns an operator or an array_like into the square,
+finite array that every numerical routine works on.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import shortest_path
 
 from .errors import GraphFormatError
 
@@ -24,6 +27,7 @@ __all__ = [
     "load_edge_list",
     "degree_vectors",
     "build_laplacian",
+    "pattern_distances",
 ]
 
 
@@ -106,6 +110,11 @@ class DenseOperator:
     directed path and cycle closed forms) carry their exponent; every
     other matrix carries ``None``.  Result types with more bookkeeping
     subclass this one, so any of them goes wherever a matrix is taken.
+
+    Operators are treated as immutable: the hop distances of the
+    pattern are computed once, on first use, and cached on the
+    operator, so ``matrix`` must not be written to after that.
+    ``dataclasses.replace`` gives a new operator with a fresh cache.
     """
 
     matrix: np.ndarray
@@ -113,6 +122,14 @@ class DenseOperator:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", as_matrix(self.matrix))
+
+    @cached_property
+    def hop_distances(self) -> np.ndarray:
+        """Read-only undirected hop distances of the off-diagonal pattern,
+        ``pattern_distances(matrix, directed=False)``, computed once."""
+        D = pattern_distances(self.matrix, directed=False)
+        D.flags.writeable = False
+        return D
 
 
 def as_matrix(M) -> np.ndarray:
@@ -129,6 +146,34 @@ def as_matrix(M) -> np.ndarray:
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix entries must be finite")
     return A
+
+
+def pattern_distances(A, *, directed: bool = True) -> np.ndarray:
+    """All-pairs unweighted hop distances on the off-diagonal pattern.
+
+    Parameters
+    ----------
+    A : DenseOperator or array_like
+        Square matrix with finite entries; an arc ``i -> j`` exists
+        wherever ``A[i, j] != 0`` for ``i != j``.
+    directed : bool, optional
+        Respect arc orientation.  With ``False`` the pattern is
+        symmetrized.
+
+    Returns
+    -------
+    numpy.ndarray
+        ``(n, n)`` hop counts, ``numpy.inf`` for unreachable pairs.
+
+    Raises
+    ------
+    ValueError
+        Non-square input or non-finite entries.
+    """
+    pattern = (as_matrix(A) != 0).astype(np.int8)
+    np.fill_diagonal(pattern, 0)
+    return shortest_path(csr_array(pattern), method="D", directed=directed,
+                         unweighted=True)
 
 
 def load_edge_list(path, *, one_based=False, force_undirected=False):

@@ -346,16 +346,20 @@ def matrix_exponential(M, times, v) -> np.ndarray:
     Each row is computed from ``v`` by the truncated Taylor method of
     Al-Mohy & Higham (SISC 33(2), 2011), ``expm_multiply``; no dense
     exp(-t M) is formed.  Times must be finite and nonnegative; t = 0
-    returns ``v`` exactly.  A Gershgorin bound on the spectrum flags
-    overflow before computing, and a non-finite result raises
-    :class:`NumericalError`.
+    returns ``v`` exactly.  Overflow is flagged before computing by the
+    Gershgorin row and column sums of ``-M``: they give its logarithmic
+    norms ``mu`` in the inf- and 1-norms, each bounding
+    ``||exp(-t M)|| <= exp(t mu)`` in its own norm, and the smaller one
+    is used.  A non-finite result raises :class:`NumericalError`.
     """
     A = as_matrix(M)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     v = np.asarray(v, dtype=float)
     _check_times(times)
-    growth = np.diag(A) - (np.abs(A).sum(axis=1) - np.abs(np.diag(A)))
-    if times.max(initial=0.0) * max(0.0, -float(growth.min())) > 700.0:
+    off = np.abs(A) - np.diag(np.abs(np.diag(A)))
+    mu = min(float((off.sum(axis=1) - np.diag(A)).max()),
+             float((off.sum(axis=0) - np.diag(A)).max()))
+    if times.max(initial=0.0) * max(0.0, mu) > 700.0:
         raise NumericalError("exp(-tM) would overflow (Gershgorin bound)")
     out = np.empty((times.shape[0], v.shape[0]))
     for k, t in enumerate(times):

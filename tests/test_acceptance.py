@@ -117,6 +117,7 @@ def test_criterion_04_decay_bounds():
                         LaplacianKind.COMBINATORIAL),
         build_laplacian(grid, LaplacianKind.COMBINATORIAL),
     ]
+    grid_distances = graph_distances(grid)
     violations = 0
     pairs = 0
     slopes = []
@@ -124,19 +125,19 @@ def test_criterion_04_decay_bounds():
         data = symmetric_spectral_data(L)
         for alpha in (0.25, 0.5, 0.75):
             fa = fractional_power_symmetric(L, alpha, data=data)
-            rep = verify_decay_bounds(L.matrix, alpha, lalpha=fa,
+            rep = verify_decay_bounds(L, alpha, lalpha=fa,
                                       mode="power", data=data, sample=50)
             violations += rep.violations
             pairs += rep.n_pairs
             for t in (0.1, 1.0, 10.0):
-                rep = verify_decay_bounds(L.matrix, alpha,
+                rep = verify_decay_bounds(L, alpha,
                                           mode="exponential", t=t,
                                           data=data, sample=50)
                 violations += rep.violations
                 pairs += rep.n_pairs
             if L is cases[-1]:
-                prof = distance_decay_slope(
-                    np.abs(fa.matrix), graph_distances(grid))
+                prof = distance_decay_slope(np.abs(fa.matrix),
+                                            grid_distances)
                 slopes.append((alpha, prof.slope))
     slopes_ok = all(s <= -a + 0.15 for a, s in slopes)
     elapsed = time.monotonic() - t0

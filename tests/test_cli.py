@@ -4,11 +4,13 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from fraclap.cli import cli_dispatch
 from fraclap.consensus import gamma_lower_bound
 from fraclap.graphs import LaplacianKind, build_laplacian, load_edge_list
 from fraclap.matfun import fractional_power
+from fraclap.walks import transition_kernel
 
 
 @pytest.fixture
@@ -96,6 +98,24 @@ def test_evolve_outputs_distributions(und, tmp_path):
     rows = np.loadtxt(tmp_path / "evolve.csv", delimiter=",", skiprows=1)
     assert rows.shape == (3, 9)
     assert np.abs(rows[:, 1:].sum(axis=1) - 1.0).max() < 1e-10
+
+
+def test_evolve_on_a_star_is_not_refused(tmp_path):
+    # hub column sum 19: the row-sum Gershgorin bound of (I - P)^T alone
+    # would refuse t = 50, but exp(-t (I - P)^T) is a contraction in the
+    # 1-norm, which the column-sum bound sees
+    star = tmp_path / "star.txt"
+    star.write_text("".join(f"0 {i}\n" for i in range(1, 20)))
+    assert run(["evolve", "--input", str(star), "--force-undirected",
+                "--alpha", "1", "--times", "0,10,50"], tmp_path) == 0
+    rows = np.loadtxt(tmp_path / "evolve.csv", delimiter=",", skiprows=1)
+    assert np.abs(rows[:, 1:].sum(axis=1) - 1.0).max() < 1e-8
+    L = build_laplacian(load_edge_list(star, force_undirected=True),
+                        LaplacianKind.COMBINATORIAL)
+    M = (np.eye(20) - transition_kernel(fractional_power(L, 1.0)).P).T
+    v = np.eye(20)[0]
+    want = np.array([expm(-t * M) @ v for t in (0.0, 10.0, 50.0)])
+    assert np.abs(rows[:, 1:] - want).max() < 1e-12
 
 
 def test_absorb_against_analytic(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 
 import numpy as np
@@ -12,6 +13,7 @@ from fraclap.decay import (ExpFractionalModulus, HoelderModulus,
                            verify_decay_bounds, verify_p_alpha_bound)
 from fraclap.generators import (cycle_graph, grid_graph,
                                 random_geometric_graph)
+from fraclap import graphs
 from fraclap.graphs import (Graph, LaplacianKind, build_laplacian)
 from fraclap.matfun import fractional_power_symmetric
 from fraclap.walks import transition_kernel
@@ -95,6 +97,64 @@ def test_kernel_bounds_on_cycle():
     assert rep.all_satisfied
     assert rep.mode == "kernel"
     assert rep.diagonal_ok and rep.diagonal_margin > 0
+
+
+def _count_pattern_distances(monkeypatch):
+    calls = []
+    real = graphs.pattern_distances
+
+    def counting(A, **kwargs):
+        calls.append(kwargs)
+        return real(A, **kwargs)
+    monkeypatch.setattr(graphs, "pattern_distances", counting)
+    return calls
+
+
+def _three_checks(L, kernel):
+    return [verify_decay_bounds(L, 0.5, mode="power"),
+            verify_decay_bounds(L, 0.5, mode="exponential", t=1.0),
+            verify_p_alpha_bound(kernel, L)]
+
+
+def test_one_distance_search_per_operator(monkeypatch):
+    L = build_laplacian(random_geometric_graph(60, 0.25, seed=8),
+                        LaplacianKind.COMBINATORIAL)
+    kernel = transition_kernel(fractional_power_symmetric(L, 0.5))
+    calls = _count_pattern_distances(monkeypatch)
+    _three_checks(L, kernel)
+    assert calls == [{"directed": False}]
+
+
+def test_bare_arrays_search_distances_per_check(monkeypatch):
+    L = build_laplacian(random_geometric_graph(60, 0.25, seed=8),
+                        LaplacianKind.COMBINATORIAL)
+    kernel = transition_kernel(fractional_power_symmetric(L, 0.5))
+    calls = _count_pattern_distances(monkeypatch)
+    _three_checks(L.matrix, kernel)
+    assert len(calls) == 3
+
+
+def _same_report(a, b):
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+        else:
+            assert type(x) is type(y) and x == y, f.name
+
+
+def test_cached_distances_give_identical_reports(monkeypatch):
+    cases = []
+    for g in (grid_graph(10, 10), random_geometric_graph(70, 0.22, seed=9)):
+        L = build_laplacian(g, LaplacianKind.COMBINATORIAL)
+        kernel = transition_kernel(fractional_power_symmetric(L, 0.5))
+        cases.append((L, kernel, _three_checks(L, kernel)))
+    # the reference searches the pattern on every read, with no cache
+    monkeypatch.setattr(graphs.DenseOperator, "hop_distances", property(
+        lambda op: pattern_distances(op.matrix, directed=False)))
+    for L, kernel, cached in cases:
+        for a, b in zip(cached, _three_checks(L, kernel)):
+            _same_report(a, b)
 
 
 def _per_angle_profile(A, thetas):

@@ -1,12 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from fraclap.errors import GraphFormatError
 from fraclap.decay import graph_distances
 from fraclap.generators import (cycle_graph, grid_graph, path_graph,
-                                random_connected_graph)
-from fraclap.graphs import (Graph, LaplacianKind, build_laplacian,
-                            degree_vectors, load_edge_list)
+                                random_connected_graph,
+                                random_geometric_graph)
+from fraclap.graphs import (DenseOperator, Graph, LaplacianKind,
+                            build_laplacian, degree_vectors, load_edge_list,
+                            pattern_distances)
 
 
 def test_graph_rejects_self_loop():
@@ -99,3 +103,38 @@ def test_generators_connected():
     for seed in range(4):
         g = random_connected_graph(30, seed=seed)
         assert np.isfinite(graph_distances(g)).all()
+
+
+def test_hop_distances_are_the_undirected_pattern_distances():
+    for g, kind in [(random_geometric_graph(80, 0.2, seed=6),
+                     LaplacianKind.COMBINATORIAL),
+                    (grid_graph(9, 7), LaplacianKind.COMBINATORIAL),
+                    (path_graph(6, directed=True), LaplacianKind.DIRECTED_OUT)]:
+        op = build_laplacian(g, kind)
+        want = pattern_distances(op.matrix, directed=False)
+        assert np.array_equal(op.hop_distances, want)
+        assert op.hop_distances is op.hop_distances
+    # the directed path is reachable both ways only when symmetrized
+    assert np.isfinite(op.hop_distances).all()
+
+
+def test_hop_distances_are_read_only():
+    op = build_laplacian(cycle_graph(10), LaplacianKind.COMBINATORIAL)
+    D = op.hop_distances
+    assert not D.flags.writeable
+    with pytest.raises(ValueError):
+        D[0, 5] = 1.0
+    assert np.array_equal(op.hop_distances,
+                          pattern_distances(op.matrix, directed=False))
+
+
+def test_replace_gives_a_fresh_distance_cache():
+    ring = build_laplacian(cycle_graph(12), LaplacianKind.COMBINATORIAL)
+    line = build_laplacian(path_graph(12), LaplacianKind.COMBINATORIAL)
+    assert ring.hop_distances[0, 11] == 1.0
+    op = dataclasses.replace(ring, matrix=line.matrix)
+    assert op.hop_distances is not ring.hop_distances
+    assert op.hop_distances[0, 11] == 11.0
+    assert np.array_equal(op.hop_distances, line.hop_distances)
+    assert ring.hop_distances[0, 11] == 1.0
+    assert isinstance(op, DenseOperator)

@@ -13,10 +13,11 @@ own, unchanged, and the run length ``R`` is ``run_seconds`` from the
 checkouts' ``BENCHMARK.json``, which must agree.  Each call appends one
 set to ``--out`` under ``sets``: every result line with its side, seed
 and order; each side's median and quartiles per metric over the
-complete pairs; the pairs the change wins; the git shas; the load
-average.  ``--out`` is rewritten after every run, so a stopped set keeps
-the runs it made and reads ``"complete": false``.  The machine and
-library versions sit next to the sets.  Standard library only.
+complete pairs; the pairs the change wins and a verdict (see
+`verdict`); the git shas; the load average.  ``--out`` is rewritten
+after every run, so a stopped set keeps the runs it made and reads
+``"complete": false``.  The machine and library versions sit next to
+the sets.  Standard library only.
 """
 
 from __future__ import annotations
@@ -82,6 +83,12 @@ def run_seconds(dirs):
     return found["change"]
 
 
+def end_to_end_bounds(checkout):
+    """Each end-to-end metric's relative bound, from ``BENCHMARK.json``."""
+    doc = json.loads((checkout / "BENCHMARK.json").read_text())
+    return {m["name"]: m["bound"] for m in doc["end_to_end"]}
+
+
 def run_once(checkout, workload, seed, seconds):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -98,10 +105,33 @@ def quartiles(values):
     return {"median": q2, "q1": q1, "q3": q3}
 
 
-def summarize(runs):
-    """Per metric: each side's median and quartiles, and the pairs in
-    which the change has the lower value (every metric here is
-    lower-is-better), over the complete pairs; empty below two."""
+def verdict(parent, change, wins, pairs, bound):
+    """One metric's verdict from each side's quartiles, checked in order:
+
+    - ``gain``: the change wins at least 9 in 10 of the pairs, and its
+      median is lower than the parent's by more than the parent's
+      interquartile spread;
+    - ``regression``: the change's median exceeds the parent's by more
+      than ``bound`` times the parent's median;
+    - ``unresolved``: either side's interquartile spread exceeds
+      ``bound`` times its median, too wide to tell;
+    - ``unchanged``: none of these.
+    """
+    gap = parent["median"] - change["median"]
+    if 10 * wins >= 9 * pairs and gap > parent["q3"] - parent["q1"]:
+        return "gain"
+    if -gap > bound * parent["median"]:
+        return "regression"
+    if any(s["q3"] - s["q1"] > bound * s["median"] for s in (parent, change)):
+        return "unresolved"
+    return "unchanged"
+
+
+def summarize(runs, bounds):
+    """Per metric: each side's median and quartiles, the pairs in which
+    the change has the lower value (every metric here is
+    lower-is-better) and the `verdict` under the metric's relative bound
+    from ``bounds``, over the complete pairs; empty below two."""
     by_pair = {}
     for r in runs:
         by_pair.setdefault(r["pair"], {})[r["side"]] = r["result"]
@@ -113,8 +143,10 @@ def summarize(runs):
         vals = {s: [p[s]["metrics"][metric]["value"] for p in pairs]
                 for s in SIDES}
         wins = sum(c < p for p, c in zip(vals["parent"], vals["change"]))
-        out[metric] = {**{s: quartiles(vals[s]) for s in SIDES},
-                       "change_wins": wins, "pairs": len(pairs)}
+        q = {s: quartiles(vals[s]) for s in SIDES}
+        out[metric] = {**q, "change_wins": wins, "pairs": len(pairs),
+                       "verdict": verdict(q["parent"], q["change"], wins,
+                                          len(pairs), bounds[metric])}
     for side in SIDES:
         out[f"{side}_failed"] = {
             "failed": sum(p[side]["failed"] for p in pairs),
@@ -141,6 +173,7 @@ def main(argv=None):
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     seconds = run_seconds(dirs)
+    bounds = end_to_end_bounds(dirs["change"])
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc["machine"] = machine(dirs["change"])
@@ -159,7 +192,7 @@ def main(argv=None):
             record["runs"].append({"pair": pair, "seed": seed, "side": side,
                                    "order": position, "loadavg": load,
                                    "result": result})
-            record["summary"] = summarize(record["runs"])
+            record["summary"] = summarize(record["runs"], bounds)
             _save(args.out, doc)
             wall = result["metrics"]["wall_s"]["value"]
             print(f"pair {pair} seed {seed} {side:6s} wall_s {wall:.3f}",
