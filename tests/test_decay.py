@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fraclap import graphs
 from fraclap.consensus import gamma_lower_bound
 from fraclap.decay import (ExpFractionalModulus, HoelderModulus,
                            distance_decay_slope, graph_distances,
@@ -13,7 +14,6 @@ from fraclap.decay import (ExpFractionalModulus, HoelderModulus,
                            verify_decay_bounds, verify_p_alpha_bound)
 from fraclap.generators import (cycle_graph, grid_graph,
                                 random_geometric_graph)
-from fraclap import graphs
 from fraclap.graphs import (Graph, LaplacianKind, build_laplacian)
 from fraclap.matfun import fractional_power_symmetric
 from fraclap.walks import transition_kernel
