@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import NumericalError
 from .graphs import DenseOperator, Graph, as_matrix, pattern_distances
@@ -372,12 +373,21 @@ def numerical_range_profile(M, angles: int = 360) -> NumericalRangeProfile:
     ``cos(theta) * M``, so one eigenvalue solve serves every angle: the
     support is ``cos(theta)`` times the largest eigenvalue where
     ``cos(theta) >= 0`` and times the smallest one elsewhere, and the
-    boundary point is that eigenvalue.  Every other input runs one
-    Hermitian eigendecomposition per angle.  At an angle where the
-    supporting line meets a whole edge of the range (a segment for
-    Hermitian ``M``), any point on that edge may be returned.
-    ``min_real`` and ``eigenvector_condition`` are computed the same
-    way on both paths.
+    boundary point is that eigenvalue.  Every other input takes, per
+    angle, only the top eigenpair of the rotated Hermitian part
+    (LAPACK ``evr`` on one index), not its full eigendecomposition.
+    When that input is real the range is symmetric about the real axis:
+    the Hermitian part at ``-theta`` is the conjugate of the one at
+    ``theta``, so only the angles in ``[0, pi]`` are solved and each
+    row ``k > angles // 2`` is the conjugate of row ``angles - k``.  At
+    an angle where the supporting line meets a whole edge of the range
+    (a segment for Hermitian ``M``), any point on that edge may be
+    returned.
+
+    ``min_real`` is the smallest eigenvalue of the Hermitian part of
+    ``M``.  ``eigenvector_condition`` is the condition number of the
+    eigenvector matrix of ``M``; on the Hermitian path it is exactly 1,
+    since those eigenvectors are unitary.
 
     Parameters
     ----------
@@ -397,26 +407,36 @@ def numerical_range_profile(M, angles: int = 360) -> NumericalRangeProfile:
     """
     if angles < 8:
         raise ValueError("need at least 8 angles")
-    A = as_matrix(M).astype(complex)
-    thetas = np.linspace(0.0, 2.0 * np.pi, int(angles), endpoint=False)
+    A = as_matrix(M)
+    m = int(angles)
+    thetas = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
     if np.array_equal(A, A.conj().T):
-        lam = np.linalg.eigvalsh(A)
+        lam = np.linalg.eigvalsh(A.astype(complex))
         cos = np.cos(thetas)
         extreme = np.where(cos >= 0.0, lam[-1], lam[0])
-        support = cos * extreme
-        boundary = extreme.astype(complex)
-    else:
-        boundary = np.empty(thetas.shape[0], dtype=complex)
-        support = np.empty(thetas.shape[0])
-        for k, theta in enumerate(thetas):
-            R = np.exp(1j * theta) * A
-            w, V = np.linalg.eigh((R + R.conj().T) / 2.0)
-            support[k] = w[-1]
-            x = V[:, -1]
-            boundary[k] = x.conj() @ A @ x
+        return NumericalRangeProfile(
+            angles=thetas, boundary=extreme.astype(complex),
+            support=cos * extreme, min_real=float(lam[0]),
+            eigenvector_condition=1.0)
+    n = A.shape[0]
+    real = not np.iscomplexobj(A)
+    boundary = np.empty(m, dtype=complex)
+    support = np.empty(m)
+    for k in range(m // 2 + 1 if real else m):
+        R = np.exp(1j * thetas[k]) * A
+        w, V = scipy.linalg.eigh((R + R.conj().T) / 2.0,
+                                 subset_by_index=[n - 1, n - 1],
+                                 driver="evr", check_finite=False)
+        support[k] = w[0]
+        x = V[:, 0]
+        boundary[k] = x.conj() @ A @ x
+    if real:
+        k = np.arange(m // 2 + 1, m)
+        support[k] = support[m - k]
+        boundary[k] = boundary[m - k].conj()
     H = -(A + A.conj().T) / 2.0
     mu_pi = float(np.linalg.eigvalsh(H)[-1])
-    eigvals, vecs = np.linalg.eig(A)
+    _, vecs = np.linalg.eig(A)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         cond = float(np.linalg.cond(vecs))
     return NumericalRangeProfile(angles=thetas, boundary=boundary,

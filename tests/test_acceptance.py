@@ -12,8 +12,8 @@ from scipy.linalg import expm
 
 from fraclap.cli import cli_dispatch
 from fraclap.consensus import circle_relocation_config, simulate_consensus
-from fraclap.decay import (distance_decay_slope, graph_distances,
-                           numerical_range_profile, verify_decay_bounds)
+from fraclap.decay import (distance_decay_slope, numerical_range_profile,
+                           verify_decay_bounds)
 from fraclap.generators import (cycle_graph, grid_graph, path_graph,
                                 random_connected_graph,
                                 random_geometric_graph)
@@ -117,7 +117,6 @@ def test_criterion_04_decay_bounds():
                         LaplacianKind.COMBINATORIAL),
         build_laplacian(grid, LaplacianKind.COMBINATORIAL),
     ]
-    grid_distances = graph_distances(grid)
     violations = 0
     pairs = 0
     slopes = []
@@ -137,7 +136,7 @@ def test_criterion_04_decay_bounds():
                 pairs += rep.n_pairs
             if L is cases[-1]:
                 prof = distance_decay_slope(np.abs(fa.matrix),
-                                            grid_distances)
+                                            L.hop_distances)
                 slopes.append((alpha, prof.slope))
     slopes_ok = all(s <= -a + 0.15 for a, s in slopes)
     elapsed = time.monotonic() - t0

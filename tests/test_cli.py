@@ -184,6 +184,23 @@ def test_frange_three_node_eigendarkness(tmp_path):
     assert res["eigenvector_condition"] > 1e6
 
 
+def test_frange_odd_angle_count_matches_per_angle_sweep(tmp_path):
+    tri = tmp_path / "tri.txt"
+    tri.write_text("0 1\n1 2\n2 0\n2 1\n")
+    assert run(["frange", "--input", str(tri), "--angles", "9"],
+               tmp_path) == 0
+    rows = np.loadtxt(tmp_path / "frange.csv", delimiter=",", skiprows=1)
+    assert rows.shape == (9, 4)
+    L = build_laplacian(load_edge_list(tri),
+                        LaplacianKind.DIRECTED_OUT).matrix
+    top = []
+    for theta in rows[:, 0]:
+        R = np.exp(1j * theta) * L
+        top.append(np.linalg.eigvalsh((R + R.conj().T) / 2.0)[-1])
+    tol = 1e-12 * max(1.0, np.linalg.norm(L, 2))
+    assert np.abs(rows[:, 3] - np.array(top)).max() <= tol
+
+
 def test_returnprob_starts_at_one(ring, tmp_path):
     assert run(["returnprob", "--input", str(ring), "--alpha", "0.5",
                 "--times", "0,0.5,2,10"], tmp_path) == 0

@@ -13,6 +13,7 @@ from fraclap.decay import (ExpFractionalModulus, HoelderModulus,
                            numerical_range_profile, pattern_distances,
                            verify_decay_bounds, verify_p_alpha_bound)
 from fraclap.generators import (cycle_graph, grid_graph,
+                                random_connected_graph,
                                 random_geometric_graph)
 from fraclap.graphs import (Graph, LaplacianKind, build_laplacian)
 from fraclap.matfun import fractional_power_symmetric
@@ -177,10 +178,44 @@ def test_numerical_range_dips_negative_on_defective_digraph():
     assert prof.eigenvector_condition > 1e6
     w = np.linalg.eigvals(L.matrix)
     assert w.real.min() > -1e-12        # spectrum stays in the closed RHP
-    # non-Hermitian input takes the per-angle sweep
     support, boundary = _per_angle_profile(L.matrix, prof.angles)
-    assert np.array_equal(prof.support, support)
-    assert np.array_equal(prof.boundary, boundary)
+    tol = 1e-12 * max(1.0, np.linalg.norm(L.matrix, 2))
+    assert np.abs(prof.support - support).max() <= tol
+    assert np.abs(prof.boundary - boundary).max() <= tol
+
+
+def _check_sweep(A, angles):
+    """Supports against the full per-angle sweep, and each boundary
+    point on its supporting line, within ``1e-12 * max(1, |A|_2)``."""
+    prof = numerical_range_profile(A, angles=angles)
+    assert prof.support.shape == prof.boundary.shape == (angles,)
+    support, _ = _per_angle_profile(A, prof.angles)
+    tol = 1e-12 * max(1.0, np.linalg.norm(A, 2))
+    assert np.abs(prof.support - support).max() <= tol
+    on_line = (np.exp(1j * prof.angles) * prof.boundary).real
+    assert np.abs(on_line - prof.support).max() <= tol
+    return prof
+
+
+@pytest.mark.parametrize("angles", [8, 9, 360])
+def test_numerical_range_mirrors_real_nonnormal_input(angles):
+    g = random_connected_graph(40, directed=True, seed=11)
+    A = build_laplacian(g, LaplacianKind.DIRECTED_OUT).matrix
+    assert not np.array_equal(A, A.T)
+    prof = _check_sweep(A, angles)
+    k = np.arange(angles // 2 + 1, angles)
+    assert np.array_equal(prof.support[k], prof.support[angles - k])
+    assert np.array_equal(prof.boundary[k], prof.boundary[angles - k].conj())
+
+
+def test_numerical_range_of_complex_nonnormal_input():
+    rng = np.random.default_rng(13)
+    A = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    prof = _check_sweep(A, 37)
+    # no mirror: the range of a complex matrix is not symmetric about
+    # the real axis
+    k = np.arange(1, 37)
+    assert np.abs(prof.support[k] - prof.support[37 - k]).max() > 0.1
 
 
 def test_numerical_range_hermitian_path_matches_per_angle_sweep():
