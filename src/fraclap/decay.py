@@ -411,6 +411,8 @@ def numerical_range_profile(M, angles: int = 360) -> NumericalRangeProfile:
     m = int(angles)
     thetas = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
     if np.array_equal(A, A.conj().T):
+        # the complex solver, not the real one, so that symmetric
+        # `frange` outputs keep their last bits
         lam = np.linalg.eigvalsh(A.astype(complex))
         cos = np.cos(thetas)
         extreme = np.where(cos >= 0.0, lam[-1], lam[0])
@@ -419,28 +421,30 @@ def numerical_range_profile(M, angles: int = 360) -> NumericalRangeProfile:
             support=cos * extreme, min_real=float(lam[0]),
             eigenvector_condition=1.0)
     n = A.shape[0]
-    real = not np.iscomplexobj(A)
-    boundary = np.empty(m, dtype=complex)
+    solved = m // 2 + 1 if np.isrealobj(A) else m
     support = np.empty(m)
-    for k in range(m // 2 + 1 if real else m):
+    X = np.empty((n, solved), dtype=complex)
+    for k in range(solved):
         R = np.exp(1j * thetas[k]) * A
         w, V = scipy.linalg.eigh((R + R.conj().T) / 2.0,
                                  subset_by_index=[n - 1, n - 1],
                                  driver="evr", check_finite=False)
         support[k] = w[0]
-        x = V[:, 0]
-        boundary[k] = x.conj() @ A @ x
-    if real:
-        k = np.arange(m // 2 + 1, m)
-        support[k] = support[m - k]
-        boundary[k] = boundary[m - k].conj()
-    H = -(A + A.conj().T) / 2.0
-    mu_pi = float(np.linalg.eigvalsh(H)[-1])
+        X[:, k] = V[:, 0]
+    # every x* A x from one product after the sweep: a matrix-vector
+    # product between solves stalls threaded BLAS (2.2 s against 0.44 s
+    # for 181 angles at n=120 with two threads on two vCPUs)
+    boundary = np.empty(m, dtype=complex)
+    boundary[:solved] = (X.conj() * (A @ X)).sum(axis=0)
+    k = np.arange(solved, m)
+    support[k] = support[m - k]
+    boundary[k] = boundary[m - k].conj()
+    min_real = float(np.linalg.eigvalsh((A + A.conj().T) / 2.0)[0])
     _, vecs = np.linalg.eig(A)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         cond = float(np.linalg.cond(vecs))
     return NumericalRangeProfile(angles=thetas, boundary=boundary,
-                                 support=support, min_real=-mu_pi,
+                                 support=support, min_real=min_real,
                                  eigenvector_condition=cond)
 
 
