@@ -215,7 +215,8 @@ def fractional_power_general(M, alpha) -> FractionalPowerResult:
     squaring, and the coupling X solves the Sylvester equation
     T0 X - X T1 = -T01 T1^alpha that FT = TF imposes (the two-block
     Parlett step).  The result is realified; an imaginary residue above
-    1e-10 * max|result| raises :class:`NumericalError`.
+    1e-10 * max|result| raises :class:`NumericalError`.  Rows and
+    columns where ``M`` is zero are exactly zero in the result.
     """
     alpha = _check_alpha(alpha)
     A = as_matrix(M)
@@ -265,7 +266,13 @@ def fractional_power_general(M, alpha) -> FractionalPowerResult:
         raise NumericalError(
             f"imaginary residue {resid:.3e} above realification tolerance"
         )
-    return FractionalPowerResult(matrix=R.real.copy(), alpha=alpha,
+    R = R.real.copy()
+    # a zero row (column) of M is a left (right) null vector, which the
+    # power maps to 0 exactly; Schur roundoff there would make an
+    # absorbing node look live
+    R[~A.any(axis=1)] = 0.0
+    R[:, ~A.any(axis=0)] = 0.0
+    return FractionalPowerResult(matrix=R, alpha=alpha,
                                  zero_cluster=tuple(range(k)),
                                  method="schur-parlett",
                                  eigenvalues=np.diag(T).copy())

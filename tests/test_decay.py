@@ -232,6 +232,7 @@ def test_numerical_range_hermitian_path_matches_per_angle_sweep():
             assert np.abs(prof.boundary - boundary).max() <= tol
             pi = np.argmin(np.abs(prof.angles - np.pi))
             assert abs(prof.min_real + support[pi]) <= tol
+            assert prof.eigenvector_condition == 1.0
 
 
 def test_numerical_range_nonnegative_for_symmetric_psd():

@@ -16,6 +16,7 @@ from fraclap.matfun import (FractionalPowerResult, SeriesApproximation,
                             fractional_power_symmetric, matrix_exponential,
                             symmetric_spectral_data,
                             verify_m_matrix)
+from fraclap.walks import transition_kernel
 
 
 def combinatorial(n, seed):
@@ -236,6 +237,20 @@ def test_general_engine_zero_cluster_on_digraph():
     assert np.abs(F.sum(axis=1)).max() < 1e-12
     assert (F - np.diag(np.diag(F))).max() <= 1e-12
     assert np.diag(F).min() >= -1e-12
+
+
+def test_general_engine_keeps_zero_rows_and_columns_exact():
+    # nodes 12 and 22 have no out-arcs; Schur roundoff in row 22 reaches
+    # 1.1e-14 at this alpha, above the kernel's absorbing cutoff
+    g = random_connected_graph(25, directed=True, seed=67)
+    L = build_laplacian(g, LaplacianKind.DIRECTED_OUT).matrix
+    sinks = ~L.any(axis=1)
+    assert np.flatnonzero(sinks).tolist() == [12, 22]
+    alpha = 0.05263247970794184
+    r = fractional_power_general(L, alpha)
+    assert not r.matrix[sinks].any()
+    assert not fractional_power_general(L.T, alpha).matrix[:, sinks].any()
+    assert transition_kernel(r).P[22, 22] == 1.0
 
 
 def test_general_engine_zero_matrix():
