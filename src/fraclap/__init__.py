@@ -19,9 +19,8 @@ __version__ = "0.1.0"
 
 from .consensus import (ConsensusConfig, ConsensusState, GammaBound,
                         TargetTrajectory, circle_relocation_config,
-                        circular_orbit, consensus_error_curve,
-                        gamma_lower_bound, simulate_consensus,
-                        static_formation)
+                        consensus_error_curve, gamma_lower_bound,
+                        simulate_consensus, static_formation)
 from .decay import (DecayReport, NumericalRangeProfile, distance_decay_slope,
                     graph_distances, numerical_range_profile,
                     verify_decay_bounds, verify_p_alpha_bound)

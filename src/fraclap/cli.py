@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--runs", type=int, default=0,
-                   help="optional Monte Carlo sample count")
+                   help="Monte Carlo sample count: 0 (none) or at least 2")
     _add_common(p)
 
     p = sub.add_parser("decay", help="verify entry decay bounds")
@@ -314,6 +314,9 @@ def _cmd_evolve(args, outdir):
 
 
 def _cmd_absorb(args, outdir):
+    if args.runs < 0 or args.runs == 1:
+        raise UsageError(f"--runs must be 0 or at least 2, got {args.runs} "
+                         "(the standard error needs two samples)")
     res = expected_absorption_steps(args.n, args.alpha)
     out = {"expectation": res.expectation, "n_step": res.n_step,
            "fundamental_expectation": res.fundamental_expectation}

@@ -32,7 +32,7 @@ class TargetTrajectory:
 
     Attributes
     ----------
-    position, velocity, acceleration : callable
+    position, velocity : callable
         Maps from time to an ``(n, m)`` array.  ``velocity`` must be the
         time derivative of ``position``; this is spot-checked by finite
         differences before a simulation runs.
@@ -40,53 +40,13 @@ class TargetTrajectory:
 
     position: Callable[[float], np.ndarray]
     velocity: Callable[[float], np.ndarray]
-    acceleration: Callable[[float], np.ndarray]
 
 
 def static_formation(points) -> TargetTrajectory:
-    """Constant target positions with zero velocity and acceleration."""
+    """Constant target positions with zero velocity."""
     pts = np.array(points, dtype=float)
     zero = np.zeros_like(pts)
-    return TargetTrajectory(position=lambda t: pts,
-                            velocity=lambda t: zero,
-                            acceleration=lambda t: zero)
-
-
-def circular_orbit(center, radius: float, omega: float,
-                   n: int) -> TargetTrajectory:
-    """Agents rotating uniformly on a circle, analytic derivatives.
-
-    Agent ``k`` starts at angle ``2 pi k / n``.
-
-    Parameters
-    ----------
-    center : array_like
-        Circle center, length-m.
-    radius : float
-        Circle radius.
-    omega : float
-        Angular velocity.
-    n : int
-        Agent count.
-    """
-    ctr = np.asarray(center, dtype=float)
-    if ctr.shape != (2,):
-        raise ValueError("circular orbits are planar; center must be 2-d")
-    ph = 2.0 * math.pi * np.arange(n) / n
-
-    def pos(t: float) -> np.ndarray:
-        a = omega * t + ph
-        return ctr + radius * np.column_stack([np.cos(a), np.sin(a)])
-
-    def vel(t: float) -> np.ndarray:
-        a = omega * t + ph
-        return radius * omega * np.column_stack([-np.sin(a), np.cos(a)])
-
-    def acc(t: float) -> np.ndarray:
-        a = omega * t + ph
-        return -radius * omega ** 2 * np.column_stack([np.cos(a), np.sin(a)])
-
-    return TargetTrajectory(position=pos, velocity=vel, acceleration=acc)
+    return TargetTrajectory(position=lambda t: pts, velocity=lambda t: zero)
 
 
 @dataclass(frozen=True)
@@ -104,12 +64,6 @@ class GammaBound:
     ----------
     bound : float
         Max over valid indices; damping must exceed this.
-    nu : numpy.ndarray
-        Shifted spectrum.
-    radicands : numpy.ndarray
-        Radicand per index, NaN where ``nu`` is real.
-    valid : numpy.ndarray
-        Boolean mask of indices entering the max.
     excluded_real : tuple of int
         Indices dropped because ``Im(nu) = 0``.
     excluded_nonpositive : tuple of int
@@ -117,14 +71,8 @@ class GammaBound:
     """
 
     bound: float
-    nu: np.ndarray
-    radicands: np.ndarray
-    valid: np.ndarray
     excluded_real: tuple
     excluded_nonpositive: tuple
-
-    def __float__(self) -> float:
-        return self.bound
 
 
 def gamma_lower_bound(lalpha, beta: float) -> GammaBound:
@@ -164,8 +112,7 @@ def gamma_lower_bound(lalpha, beta: float) -> GammaBound:
     if not valid.any():
         raise ValueError("damping bound undefined: every index excluded")
     bound = float(np.sqrt(2.0 / radicands[valid]).max())
-    return GammaBound(bound=bound, nu=nu, radicands=radicands, valid=valid,
-                      excluded_real=excluded_real,
+    return GammaBound(bound=bound, excluded_real=excluded_real,
                       excluded_nonpositive=excluded_nonpos)
 
 

@@ -29,44 +29,6 @@ from .matfun import (
 JACKSON_CONSTANT = 1.0 + np.pi ** 2 / 2.0
 
 
-@dataclass(frozen=True)
-class HoelderModulus:
-    """Modulus of continuity ``w(x) = x**alpha`` of ``x -> x**alpha``.
-
-    Parameters
-    ----------
-    alpha : float
-        Hoelder exponent in (0, 1].
-    """
-
-    alpha: float
-
-    def __call__(self, x):
-        return np.power(x, self.alpha)
-
-
-@dataclass(frozen=True)
-class ExpFractionalModulus:
-    """Modulus of continuity ``w(x) = 1 - exp(-t * x**alpha)``.
-
-    This is the modulus of ``x -> exp(-t * x**alpha)`` on the positive
-    half-line, used for heat-kernel style decay bounds.
-
-    Parameters
-    ----------
-    t : float
-        Nonnegative time.
-    alpha : float
-        Hoelder exponent in (0, 1].
-    """
-
-    t: float
-    alpha: float
-
-    def __call__(self, x):
-        return -np.expm1(-self.t * np.power(x, self.alpha))
-
-
 def graph_distances(g: Graph) -> np.ndarray:
     """All-pairs hop distances in a graph, ignoring edge weights.
 
@@ -241,7 +203,7 @@ def verify_decay_bounds(L, alpha: float, *, lalpha=None, mode: str = "power",
         F = fractional_power_symmetric(A, alpha, data=data) \
             if lalpha is None else lalpha
         observed = np.abs(as_matrix(F))
-        bounds = JACKSON_CONSTANT * HoelderModulus(alpha)(arg)
+        bounds = JACKSON_CONSTANT * np.power(arg, alpha)
         t_used = None
     elif mode == "exponential":
         if t is None or t <= 0:
@@ -249,8 +211,9 @@ def verify_decay_bounds(L, alpha: float, *, lalpha=None, mode: str = "power",
         t_used = float(t)
         E = exp_fractional_symmetric(A, alpha, t_used, data=data)
         observed = np.abs(E.matrix)
-        bounds = JACKSON_CONSTANT * ExpFractionalModulus(t_used, alpha)(arg)
-        secondary = JACKSON_CONSTANT * t_used * HoelderModulus(alpha)(arg)
+        hoelder = np.power(arg, alpha)
+        bounds = JACKSON_CONSTANT * -np.expm1(-t_used * hoelder)
+        secondary = JACKSON_CONSTANT * t_used * hoelder
     else:
         raise ValueError(f"unknown mode {mode!r}")
     bounds = np.where(mask, bounds, np.inf)
@@ -460,14 +423,11 @@ class DistanceProfile:
         Largest entry magnitude per class.
     slope : float
         Fitted slope of ``log(max entry)`` against ``log(d - 1)``.
-    intercept : float
-        Fitted intercept.
     """
 
     distances: np.ndarray
     max_entries: np.ndarray
     slope: float
-    intercept: float
 
 
 def distance_decay_slope(values, distances) -> DistanceProfile:
@@ -510,6 +470,5 @@ def distance_decay_slope(values, distances) -> DistanceProfile:
     ds = ds.astype(float)
     if ds.shape[0] < 3:
         raise NumericalError("need at least 3 distance classes for a fit")
-    slope, intercept = np.polyfit(np.log(ds - 1.0), np.log(peaks), 1)
-    return DistanceProfile(distances=ds, max_entries=peaks,
-                           slope=float(slope), intercept=float(intercept))
+    slope, _ = np.polyfit(np.log(ds - 1.0), np.log(peaks), 1)
+    return DistanceProfile(distances=ds, max_entries=peaks, slope=float(slope))

@@ -25,7 +25,6 @@ __all__ = [
     "DenseOperator",
     "LaplacianKind",
     "load_edge_list",
-    "degree_vectors",
     "build_laplacian",
     "pattern_distances",
 ]
@@ -65,10 +64,6 @@ class Graph:
                     raise GraphFormatError(
                         f"undirected graph needs symmetric arcs; ({u}, {v}) unmatched"
                     )
-
-    @property
-    def arc_count(self) -> int:
-        return len(self.edges)
 
     @cached_property
     def weight_matrix(self) -> np.ndarray:
@@ -250,20 +245,6 @@ def load_edge_list(path, *, one_based=False, force_undirected=False):
         (index[u], index[v], w) for (u, v), (w, _) in sorted(arcs.items())
     )
     return Graph(n=len(labels), directed=True, edges=edges)
-
-
-def degree_vectors(g: Graph):
-    """Return ``(d, d_in, d_out)`` weighted degree vectors.
-
-    For undirected graphs the three coincide.  For digraphs ``d`` is the
-    symmetrized total d_in + d_out; directed constructions use the split
-    vectors only.
-    """
-    W = g.weight_matrix
-    d_out = W.sum(axis=1)
-    d_in = W.sum(axis=0)
-    d = d_out if not g.directed else d_in + d_out
-    return d, d_in, d_out
 
 
 def _fix_dangling_rows(W: np.ndarray) -> np.ndarray:

@@ -63,16 +63,11 @@ def _check_alpha(alpha: float) -> float:
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Eigendecomposition (symmetric) or complex Schur form (general).
-
-    ``basis`` columns are orthonormal; ``triangular`` is the Schur factor
-    on the general path and None on the symmetric one.
-    """
+    """Eigendecomposition of a symmetric matrix: ascending ``eigenvalues``
+    and the orthonormal eigenvector columns of ``basis``."""
 
     eigenvalues: np.ndarray
     basis: np.ndarray
-    triangular: np.ndarray | None
-    symmetric: bool
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -99,38 +94,39 @@ class SeriesApproximation(DenseOperator):
     """
 
     remainder: float
-    terms: int
 
 
 @dataclass(frozen=True)
 class MMatrixReport:
     is_sign_pattern: bool
     max_positive_offdiag: float
-    min_diag: float
     spectrum_ok: bool
-    max_abs_row_sum: float
     min_real_eigenvalue: float
+
+
+def _is_symmetric(A: np.ndarray) -> bool:
+    """``|A - A^T| <= 1e-12 * max(1, max|A|)`` entrywise."""
+    scale = max(1.0, float(np.abs(A).max()))
+    return float(np.abs(A - A.T).max()) <= 1e-12 * scale
 
 
 def symmetric_spectral_data(L) -> SpectralData:
     """Eigendecomposition of a symmetric matrix (checked to 1e-12)."""
     A = as_matrix(L)
-    scale = max(1.0, float(np.abs(A).max()))
-    if float(np.abs(A - A.T).max()) > 1e-12 * scale:
+    if not _is_symmetric(A):
         raise ValueError("matrix is not symmetric within 1e-12")
     w, U = np.linalg.eigh((A + A.T) / 2.0)
     ortho = float(np.abs(U.T @ U - np.eye(A.shape[0])).max())
     if ortho > 1e-10:
         raise NumericalError(f"eigenvector orthonormality residue {ortho:.3e}")
-    return SpectralData(eigenvalues=w, basis=U, triangular=None, symmetric=True)
+    return SpectralData(eigenvalues=w, basis=U)
 
 
-def schur_spectral_data(M) -> SpectralData:
-    """Complex Schur form of a real square matrix."""
+def schur_spectral_data(M) -> tuple[np.ndarray, np.ndarray]:
+    """Complex Schur form ``(T, Q)`` of a real square matrix: ``T`` upper
+    triangular, ``Q`` unitary, ``M = Q T Q^H``."""
     A = as_matrix(M)
-    T, Q = scipy.linalg.schur(A.astype(complex), output="complex")
-    return SpectralData(eigenvalues=np.diag(T).copy(), basis=Q,
-                        triangular=T, symmetric=False)
+    return scipy.linalg.schur(A.astype(complex), output="complex")
 
 
 def _clamped_powers(w, alpha):
@@ -147,6 +143,18 @@ def _clamped_powers(w, alpha):
     return powers, np.flatnonzero(zero)
 
 
+def _symmetric_function(L, alpha, data, f):
+    """``U diag(f(w**alpha)) U^T``, symmetrized, from ``data`` or else
+    from `symmetric_spectral_data`; also the eigenvalues ``w`` and the
+    indices that `_clamped_powers` mapped to 0."""
+    if data is None:
+        data = symmetric_spectral_data(L)
+    w, U = data.eigenvalues, data.basis
+    powers, zero_idx = _clamped_powers(w, alpha)
+    F = (U * f(powers)) @ U.T
+    return (F + F.T) / 2.0, w, zero_idx
+
+
 def fractional_power_symmetric(L, alpha, *, data: SpectralData | None = None
                                ) -> FractionalPowerResult:
     """L^alpha of a symmetric positive semidefinite matrix.
@@ -157,14 +165,7 @@ def fractional_power_symmetric(L, alpha, *, data: SpectralData | None = None
     factorization across alpha values.
     """
     alpha = _check_alpha(alpha)
-    if data is None:
-        data = symmetric_spectral_data(L)
-    elif not data.symmetric:
-        raise ValueError("spectral data is not from the symmetric path")
-    w, U = data.eigenvalues, data.basis
-    powers, zero_idx = _clamped_powers(w, alpha)
-    F = (U * powers) @ U.T
-    F = (F + F.T) / 2.0
+    F, w, zero_idx = _symmetric_function(L, alpha, data, lambda p: p)
     return FractionalPowerResult(matrix=F, alpha=alpha,
                                  zero_cluster=tuple(int(i) for i in zero_idx),
                                  method="symmetric-eig", eigenvalues=w.copy())
@@ -177,12 +178,7 @@ def exp_fractional_symmetric(L, alpha, t, *, data: SpectralData | None = None
     t = float(t)
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if data is None:
-        data = symmetric_spectral_data(L)
-    w, U = data.eigenvalues, data.basis
-    powers, _ = _clamped_powers(w, alpha)
-    F = (U * np.exp(-t * powers)) @ U.T
-    F = (F + F.T) / 2.0
+    F, _, _ = _symmetric_function(L, alpha, data, lambda p: np.exp(-t * p))
     return DenseOperator(F)
 
 
@@ -221,8 +217,8 @@ def fractional_power_general(M, alpha) -> FractionalPowerResult:
     alpha = _check_alpha(alpha)
     A = as_matrix(M)
     n = A.shape[0]
-    data = schur_spectral_data(A)
-    lam = np.diag(data.triangular)
+    T, Q = schur_spectral_data(A)
+    lam = np.diag(T)
 
     rho = float(np.abs(lam).max(initial=0.0))
     ztol = n * _EPS * rho
@@ -236,7 +232,6 @@ def fractional_power_general(M, alpha) -> FractionalPowerResult:
             f"(real-part floor {floor:.3e})"
         )
 
-    T, Q = data.triangular, data.basis
     k = int(zero_mask.sum())
     F = np.zeros_like(T)
     if k < n:
@@ -287,8 +282,7 @@ def fractional_power(L, alpha) -> FractionalPowerResult:
     engine that ran.
     """
     A = as_matrix(L)
-    scale = max(1.0, float(np.abs(A).max()))
-    if float(np.abs(A - A.T).max()) <= 1e-12 * scale:
+    if _is_symmetric(A):
         return fractional_power_symmetric(A, alpha)
     return fractional_power_general(A, alpha)
 
@@ -330,7 +324,7 @@ def fractional_power_series(L, alpha, terms: int) -> SeriesApproximation:
     rho = float(np.diag(A).max(initial=0.0))
     if rho == 0.0:
         return SeriesApproximation(matrix=np.zeros_like(A), alpha=alpha,
-                                   remainder=0.0, terms=terms)
+                                   remainder=0.0)
 
     Bs = np.eye(n) - A / rho          # B / rho, row-stochastic and nonnegative
     S = np.eye(n)
@@ -344,7 +338,7 @@ def fractional_power_series(L, alpha, terms: int) -> SeriesApproximation:
         partial += coeff
     remainder = float(rho ** alpha * abs(partial))
     return SeriesApproximation(matrix=rho ** alpha * S, alpha=alpha,
-                               remainder=remainder, terms=terms)
+                               remainder=remainder)
 
 
 def matrix_exponential(M, times, v) -> np.ndarray:
@@ -392,8 +386,6 @@ def verify_m_matrix(M) -> MMatrixReport:
     return MMatrixReport(
         is_sign_pattern=bool(sign_ok),
         max_positive_offdiag=max_off,
-        min_diag=min_diag,
         spectrum_ok=bool(min_re >= -tol),
-        max_abs_row_sum=max_row,
         min_real_eigenvalue=min_re,
     )

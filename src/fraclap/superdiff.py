@@ -304,33 +304,23 @@ class WindowStats:
     ----------
     mass : float
         Sum of ``u(t)_k`` over ``|k| <= kmax``.
-    msd : float
-        Truncated second moment, sum of ``k**2 u(t)_k`` over the window.
     min_entry : float
         Smallest entry in the window (roundoff should keep it above
         -1e-10).
-    kmax : int
-        Window half-width.
-    grid : int
-        FFT grid size used, the next power of two at or above
-        ``max(8 * kmax, 4096)``; aliasing folds tails of order
-        ``grid - kmax`` back into the window.
     """
 
     mass: float
-    msd: float
     min_entry: float
-    kmax: int
-    grid: int
 
 
 def lattice_window_stats(alpha: float, orientation: str, t: float,
                          kmax: int) -> WindowStats:
-    """Mass, truncated second moment and minimum of ``u(t)_k``, |k| <= kmax.
+    """Mass and minimum of ``u(t)_k`` over ``|k| <= kmax``.
 
     Computed through one FFT of the sampled symbol, which equals the
-    solution on a cycle of length ``grid`` (see `WindowStats`); entries
-    are exact up to the cyclic fold-in of the far tails.
+    solution on a cycle of length ``max(8 * kmax, 4096)`` rounded up to
+    a power of two; entries are exact up to the cyclic fold-in of the
+    far tails.
 
     Parameters
     ----------
@@ -356,9 +346,7 @@ def lattice_window_stats(alpha: float, orientation: str, t: float,
         raise NumericalError(f"imaginary residue {worst_imag:.3e} in FFT")
     ks = np.arange(-kmax, kmax + 1)
     vals = coeff.real[np.mod(ks, n)]
-    return WindowStats(mass=float(vals.sum()),
-                       msd=float((ks.astype(float) ** 2 * vals).sum()),
-                       min_entry=float(vals.min()), kmax=int(kmax), grid=n)
+    return WindowStats(mass=float(vals.sum()), min_entry=float(vals.min()))
 
 
 @dataclass(frozen=True)
@@ -457,31 +445,16 @@ class StableLimitReport:
         Lattice exponent.
     orientation : str
         Chain orientation.
-    t_values : numpy.ndarray
-        Increasing times.
     errors : numpy.ndarray
         Sup over the grid of |rescaled solution - limit density| per time.
-    xi : numpy.ndarray
-        Comparison grid.
-    target : numpy.ndarray
-        Limit density on the grid.
-    rescaled : tuple of numpy.ndarray
-        Rescaled solution per time.
     strictly_decreasing : bool
         Whether the whole error sequence decreases strictly.
-    tail_decreasing : bool
-        Whether the last three errors decrease strictly.
     """
 
     alpha: float
     orientation: str
-    t_values: np.ndarray
     errors: np.ndarray
-    xi: np.ndarray
-    target: np.ndarray
-    rescaled: tuple
     strictly_decreasing: bool
-    tail_decreasing: bool
 
 
 def stable_limit_params(alpha: float, orientation: str) -> StableParams:
@@ -541,20 +514,14 @@ def verify_stable_limit(alpha: float, orientation: str, t_values,
     scale_exp = 1.0 / (2.0 * alpha) if orientation == "undirected" \
         else 1.0 / alpha
     solution = LatticeSolution(alpha, orientation)
-    rescaled = []
     errors = np.empty(ts.shape[0])
     for i, t in enumerate(ts):
         st = t ** scale_exp
         r = st * np.atleast_1d(solution(t, st * xi))
-        rescaled.append(r)
         errors[i] = float(np.abs(r - target).max())
-    diffs = np.diff(errors)
-    tail = diffs[-2:] if diffs.size >= 2 else diffs
     return StableLimitReport(
-        alpha=float(alpha), orientation=orientation, t_values=ts,
-        errors=errors, xi=xi, target=target, rescaled=tuple(rescaled),
-        strictly_decreasing=bool(np.all(diffs < 0)),
-        tail_decreasing=bool(np.all(tail < 0)))
+        alpha=float(alpha), orientation=orientation, errors=errors,
+        strictly_decreasing=bool(np.all(np.diff(errors) < 0)))
 
 
 def fwhm(evaluator, bracket, *, samples: int = 129,

@@ -62,7 +62,6 @@ class TrajectoryResult:
 
     times: np.ndarray
     states: np.ndarray
-    kind: str
     conservation_drift: float | None = None
 
 
@@ -79,7 +78,6 @@ class ReturnProbabilityCurve:
     values: np.ndarray
     spectral_gap: float
     zero_multiplicity: int
-    eigenvalues: np.ndarray
 
 
 def transition_kernel(lalpha: DenseOperator) -> TransitionKernel:
@@ -178,8 +176,7 @@ def simulate_discrete(kernel: TransitionKernel, start: int, steps: int,
         u = rng.random()
         node = min(int(np.searchsorted(cum[node], u, side="right")), kernel.n - 1)
         states[k] = node
-    return TrajectoryResult(times=np.arange(steps + 1), states=states,
-                            kind="node-sequence")
+    return TrajectoryResult(times=np.arange(steps + 1), states=states)
 
 
 def absorption_time_samples(kernel: TransitionKernel, start: int, runs: int,
@@ -248,8 +245,7 @@ def evolve_continuous(kernel: TransitionKernel, u0, times) -> TrajectoryResult:
     drift = float(np.abs(1.0 - out.sum(axis=1)).max())
     if drift > 1e-8:
         raise NumericalError(f"conservation drift {drift:.3e} above 1e-8")
-    return TrajectoryResult(times=times, states=out, kind="probability",
-                            conservation_drift=drift)
+    return TrajectoryResult(times=times, states=out, conservation_drift=drift)
 
 
 def path_fractional_entries(n: int, alpha: float) -> DenseOperator:
@@ -367,5 +363,4 @@ def return_probability(lbar, times) -> ReturnProbabilityCurve:
             raise NumericalError(f"return probability not real at t={t}: {z!r}")
         vals[k] = z.real
     return ReturnProbabilityCurve(times=times, values=vals, spectral_gap=gap,
-                                  zero_multiplicity=zero_mult,
-                                  eigenvalues=lam)
+                                  zero_multiplicity=zero_mult)

@@ -138,6 +138,15 @@ def test_absorb_monte_carlo_csv(tmp_path):
     assert abs(row["mc_mean"] - row["expectation"]) < 4 * row["mc_stderr"]
 
 
+@pytest.mark.parametrize("runs", ["-5", "1"])
+def test_absorb_runs_below_two_exit_one(tmp_path, capsys, runs):
+    # one sample has no standard error: NaN would reach absorb.json
+    assert run(["absorb", "--n", "20", "--alpha", "0.5", "--runs", runs,
+                "--format", "json"], tmp_path) == 1
+    assert "--runs must be 0 or at least 2" in capsys.readouterr().err
+    assert not (tmp_path / "absorb.json").exists()
+
+
 def test_decay_reports_distances_as_integers(und, tmp_path):
     assert run(["decay", "--input", str(und), "--alpha", "0.5",
                 "--mode", "power"], tmp_path) == 0

@@ -5,8 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from fraclap.consensus import (ConsensusConfig, GammaBound, TargetTrajectory,
-                               circle_relocation_config, circular_orbit,
-                               consensus_error_curve, gamma_lower_bound,
+                               circle_relocation_config, consensus_error_curve, gamma_lower_bound,
                                simulate_consensus, static_formation)
 from fraclap.errors import NumericalError
 from fraclap.generators import cycle_graph, random_connected_graph
@@ -42,7 +41,6 @@ def test_gamma_bound_frozen_oracles():
     for alpha, want in BOUND_ORACLE.items():
         got = gamma_lower_bound(cycle_lalpha(alpha), 0.5)
         assert abs(got.bound - want) < 1e-8
-        assert float(got) == got.bound
 
 
 def test_gamma_bound_alpha_one_analytic():
@@ -58,8 +56,6 @@ def test_gamma_bound_excludes_real_spectrum():
     # zero eigenvalue gives a purely real nu = -beta, always excluded
     rep = gamma_lower_bound(cycle_lalpha(0.5), 0.5)
     assert len(rep.excluded_real) >= 1
-    assert rep.valid.sum() + len(rep.excluded_real) \
-        + len(rep.excluded_nonpositive) == 120
 
 
 def test_gamma_bound_undefined_for_symmetric_coupling():
@@ -120,9 +116,10 @@ def test_simulation_matches_matrix_exponential():
     assert abs(states[-1].error - want) < 1e-9
 
 
-def per_step_rk4(cfg):
-    """Classical RK4 on (x, v), one step at a time, with the target
-    evaluated at every stage; the reference for the step-matrix run."""
+def per_step_rk4(cfg, acceleration=None):
+    """Classical RK4 on (x, v), one step at a time, with the target and
+    its ``acceleration`` (zero if None) evaluated at every stage; the
+    reference for the step-matrix run."""
     n = cfg.graph.n
     K = cfg.beta * np.eye(n) + cfg.coupling
     tgt, gamma = cfg.target, cfg.damping
@@ -130,8 +127,9 @@ def per_step_rk4(cfg):
     dt = cfg.horizon / nsteps
 
     def accel(t, x, v):
-        return tgt.acceleration(t) + K @ ((tgt.position(t) - x)
-                                          + gamma * (tgt.velocity(t) - v))
+        feed = 0.0 if acceleration is None else acceleration(t)
+        return feed + K @ ((tgt.position(t) - x)
+                           + gamma * (tgt.velocity(t) - v))
 
     x, v = cfg.x0.copy(), cfg.v0.copy()
     times, positions = [0.0], [x]
@@ -167,17 +165,28 @@ def test_step_matrix_matches_per_step_rk4():
     assert [s.time for s in states] == times
     assert max_rel_gap(states, positions) <= 1e-12
 
-    # moving target: the per-step loop also carries RK4's truncation error
-    # on the target's own motion, which the deviation form does not incur
-    n = 30
-    orbit = circular_orbit((1.0, -1.0), 2.0, 0.8, n)
+    # moving target: agents orbiting (1, -1) at radius 2 and angular
+    # speed 0.8; the per-step loop also carries RK4's truncation error on
+    # the target's own motion, which the deviation form does not incur
+    n, center, radius, omega = 30, np.array([1.0, -1.0]), 2.0, 0.8
     angles = 2.0 * np.pi * np.arange(n) / n
-    ring = np.column_stack([np.cos(angles), np.sin(angles)])
+
+    def circle(t):
+        a = omega * t + angles
+        return np.column_stack([np.cos(a), np.sin(a)])
+
+    def tangent(t):
+        a = omega * t + angles
+        return np.column_stack([-np.sin(a), np.cos(a)])
+
+    orbit = TargetTrajectory(position=lambda t: center + radius * circle(t),
+                             velocity=lambda t: radius * omega * tangent(t))
     cfg = ConsensusConfig(
         graph=cycle_graph(n, directed=True), alpha=0.5, beta=0.5,
-        target=orbit, x0=ring, v0=np.zeros((n, 2)), horizon=5.0, step=1e-3,
-        output_stride=10)
-    times, positions = per_step_rk4(cfg)
+        target=orbit, x0=circle(0.0), v0=np.zeros((n, 2)), horizon=5.0,
+        step=1e-3, output_stride=10)
+    times, positions = per_step_rk4(
+        cfg, acceleration=lambda t: -radius * omega ** 2 * circle(t))
     states = simulate_consensus(cfg)
     assert [s.time for s in states] == times
     assert max_rel_gap(states, positions) <= 1e-9
@@ -266,9 +275,7 @@ def test_error_curve_layout():
 def test_inconsistent_target_rejected():
     n = 8
     pos = lambda t: np.tile([np.sin(t), 0.0], (n, 1))
-    bad = TargetTrajectory(position=pos,
-                           velocity=lambda t: np.zeros((n, 2)),
-                           acceleration=lambda t: np.zeros((n, 2)))
+    bad = TargetTrajectory(position=pos, velocity=lambda t: np.zeros((n, 2)))
     cfg = ConsensusConfig(graph=cycle_graph(n, directed=True), alpha=0.5,
                           beta=0.5, target=bad, x0=pos(0.0),
                           v0=np.zeros((n, 2)), horizon=1.0, gamma=2.0)
@@ -294,18 +301,6 @@ def test_instability_guard_checks_the_final_output():
 def test_bad_output_stride_rejected(stride):
     with pytest.raises(ValueError):
         circle_relocation_config(n=8, output_stride=stride)
-
-
-def test_circular_orbit_derivatives_consistent():
-    orb = circular_orbit((1.0, -2.0), 3.0, 0.7, 10)
-    h = 1e-6
-    for t in (0.0, 0.4, 1.3):
-        num_v = (orb.position(t + h) - orb.position(t - h)) / (2 * h)
-        num_a = (orb.velocity(t + h) - orb.velocity(t - h)) / (2 * h)
-        assert np.abs(num_v - orb.velocity(t)).max() < 1e-7
-        assert np.abs(num_a - orb.acceleration(t)).max() < 1e-7
-    r = np.linalg.norm(orb.position(0.0) - np.array([1.0, -2.0]), axis=1)
-    assert np.abs(r - 3.0).max() < 1e-12
 
 
 def test_smaller_alpha_settles_faster():

@@ -1,15 +1,11 @@
 import dataclasses
-import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 from fraclap import graphs
 from fraclap.consensus import gamma_lower_bound
-from fraclap.decay import (ExpFractionalModulus, HoelderModulus,
-                           distance_decay_slope, graph_distances,
+from fraclap.decay import (distance_decay_slope, graph_distances,
                            numerical_range_profile, pattern_distances,
                            verify_decay_bounds, verify_p_alpha_bound)
 from fraclap.generators import (cycle_graph, grid_graph,
@@ -23,30 +19,6 @@ from fraclap.walks import transition_kernel
 def three_node_digraph():
     return Graph(n=3, directed=True,
                  edges=((0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0), (2, 1, 1.0)))
-
-
-@settings(max_examples=50, deadline=None)
-@given(alpha=st.floats(0.01, 1.0),
-       x=st.floats(0.0, 100.0), y=st.floats(0.0, 100.0))
-def test_hoelder_modulus_properties(alpha, x, y):
-    w = HoelderModulus(alpha)
-    assert w(0.0) == 0.0
-    if x <= y:
-        assert w(x) <= w(y)
-    # an underflowing product makes w(x*y) = 0 while w(x)*w(y) > 0
-    assume(x == 0.0 or y == 0.0 or x * y >= sys.float_info.min)
-    assert abs(w(x) * w(y) - w(x * y)) <= 1e-9 * (1.0 + w(x * y))
-
-
-@settings(max_examples=50, deadline=None)
-@given(alpha=st.floats(0.01, 1.0), t=st.floats(0.0, 50.0),
-       x=st.floats(0.0, 50.0))
-def test_exp_modulus_properties(alpha, t, x):
-    w = ExpFractionalModulus(t, alpha)
-    assert w(0.0) == 0.0
-    assert 0.0 <= w(x) <= 1.0
-    assert w(x) <= t * x**alpha + 1e-12         # 1 - exp(-u) <= u
-    assert w(x) <= w(x + 1.0) + 1e-12
 
 
 def test_power_bounds_on_cycle():

@@ -9,8 +9,7 @@ from fraclap.generators import (cycle_graph, grid_graph, path_graph,
                                 random_connected_graph,
                                 random_geometric_graph)
 from fraclap.graphs import (Graph, LaplacianKind, build_laplacian,
-                            degree_vectors, load_edge_list,
-                            pattern_distances)
+                            load_edge_list, pattern_distances)
 
 
 def test_graph_rejects_self_loop():
@@ -32,7 +31,7 @@ def test_load_edge_list_roundtrip(tmp_path):
     p = tmp_path / "g.txt"
     p.write_text("# comment\n0 1\n1 2\n2 0\n")
     g = load_edge_list(p)
-    assert g.directed and g.n == 3 and g.arc_count == 3
+    assert g.directed and g.n == 3 and len(g.edges) == 3
 
 
 def test_load_edge_list_force_undirected(tmp_path):
@@ -83,19 +82,10 @@ def test_dangling_fixup_pagerank_rows():
     assert np.allclose(row, expect)
 
 
-def test_degree_vectors_directed():
-    g = Graph(n=3, directed=True,
-              edges=((0, 1, 2.0), (1, 2, 3.0), (2, 0, 4.0), (2, 1, 5.0)))
-    d, d_in, d_out = degree_vectors(g)
-    assert np.allclose(d_out, [2.0, 3.0, 9.0])
-    assert np.allclose(d_in, [4.0, 7.0, 3.0])
-    assert np.allclose(d, d_in + d_out)
-
-
 def test_grid_graph_shape():
     g = grid_graph(4, 5)
     assert g.n == 20
-    d, _, _ = degree_vectors(g)
+    d = g.weight_matrix.sum(axis=1)
     assert d.min() == 2 and d.max() == 4
 
 

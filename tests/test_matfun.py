@@ -224,6 +224,16 @@ def closed_class_count(L):
     return count - len(np.unique(comp[leaves.any(axis=1)]))
 
 
+def test_schur_spectral_data_factors_a_digraph():
+    L = random_digraph_laplacian(40, 11)
+    T, Q = matfun.schur_spectral_data(L)
+    n = L.shape[0]
+    assert not np.tril(T, -1).any()
+    assert np.abs(Q.conj().T @ Q - np.eye(n)).max() <= 1e-12
+    scale = max(1.0, np.linalg.norm(L, 2))
+    assert np.abs(Q @ T @ Q.conj().T - L).max() <= 1e-12 * scale
+
+
 def test_general_engine_zero_cluster_on_digraph():
     # dangling nodes and a closed two-node class give five zero eigenvalues
     L = random_digraph_laplacian(30, 2)
