@@ -31,7 +31,8 @@ from .generators import cycle_graph, path_graph
 from .graphs import LaplacianKind, build_laplacian, load_edge_list
 from .io import (sha256_file, write_json, write_matrix_csv, write_matrix_mm,
                  write_table_csv)
-from .matfun import fractional_power
+from .matfun import (fractional_power, fractional_power_symmetric,
+                     symmetric_spectral_data)
 # not called here: perfbench's wrapper-count test reads this attribute
 from .matfun import fractional_power_general  # noqa: F401
 from .superdiff import StableParams, stable_density, superdiffusion_exponent
@@ -169,12 +170,14 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _load_graph(args):
-    path = Path(args.input)
+def _load_graph(path, args, **options):
+    """The edge list at ``path``, read with ``options``; a missing file,
+    or more than `DENSE_LIMIT` nodes without ``--force-dense``, raises
+    :class:`UsageError`."""
+    path = Path(path)
     if not path.is_file():
         raise UsageError(f"input file not found: {path}")
-    g = load_edge_list(path, one_based=args.one_based,
-                       force_undirected=args.force_undirected)
+    g = load_edge_list(path, **options)
     if g.n > DENSE_LIMIT and not args.force_dense:
         raise UsageError(
             f"graph has {g.n} > {DENSE_LIMIT} nodes; pass --force-dense "
@@ -191,7 +194,8 @@ def _pick_kind(args, g) -> LaplacianKind:
 
 def _laplacian(args):
     """The input graph, its Laplacian kind and the Laplacian, built once."""
-    g = _load_graph(args)
+    g = _load_graph(args.input, args, one_based=args.one_based,
+                    force_undirected=args.force_undirected)
     kind = _pick_kind(args, g)
     return g, kind, build_laplacian(g, kind, dangling_fixup=args.dangling_fixup)
 
@@ -250,6 +254,14 @@ def _emit_table(base: Path, header, columns, fmt: str) -> Path:
 def _base(args, outdir: Path, default: str) -> Path:
     name = args.out if args.out else default
     return outdir / name
+
+
+def _summary(args, outdir: Path, summary: dict, path: Path) -> dict:
+    """Write ``summary`` to ``<command>_summary.json``, then return it
+    with the output file name added."""
+    write_json(outdir / f"{args.command}_summary.json", summary)
+    summary["output"] = path.name
+    return summary
 
 
 def _manifest(outdir: Path, sub: str, args, *, inputs=(), extra=None,
@@ -356,7 +368,11 @@ def _cmd_decay(args, outdir):
     _, _, L = _laplacian(args)
     sample = _parse_pairs(args.pairs)
     if args.mode == "kernel":
-        report = verify_p_alpha_bound(_kernel_of(args, L), L, sample=sample,
+        # one eigendecomposition serves the power and the check
+        data = symmetric_spectral_data(L)
+        kernel = transition_kernel(
+            fractional_power_symmetric(L, args.alpha, data=data))
+        report = verify_p_alpha_bound(kernel, L, data=data, sample=sample,
                                       seed=args.seed)
     else:
         if args.mode == "exponential" and args.t is None:
@@ -378,9 +394,7 @@ def _cmd_decay(args, outdir):
     if report.diagonal_ok is not None:
         summary["diagonal_ok"] = report.diagonal_ok
         summary["diagonal_margin"] = report.diagonal_margin
-    write_json(outdir / "decay_summary.json", summary)
-    summary["output"] = path.name
-    return summary
+    return _summary(args, outdir, summary, path)
 
 
 def _cmd_frange(args, outdir):
@@ -395,9 +409,7 @@ def _cmd_frange(args, outdir):
     summary = {"min_real": prof.min_real,
                "eigenvector_condition": prof.eigenvector_condition,
                "contains_negative_real": prof.min_real < 0.0}
-    write_json(outdir / "frange_summary.json", summary)
-    summary["output"] = path.name
-    return summary
+    return _summary(args, outdir, summary, path)
 
 
 def _cmd_returnprob(args, outdir):
@@ -412,9 +424,7 @@ def _cmd_returnprob(args, outdir):
     summary = {"spectral_gap": curve.spectral_gap,
                "zero_multiplicity": curve.zero_multiplicity,
                "diameter": int(finite.max()) if finite.size else 0}
-    write_json(outdir / "returnprob_summary.json", summary)
-    summary["output"] = path.name
-    return summary
+    return _summary(args, outdir, summary, path)
 
 
 def _cmd_superdiff(args, outdir):
@@ -431,9 +441,7 @@ def _cmd_superdiff(args, outdir):
     summary = {"alpha": fit.alpha, "orientation": fit.orientation,
                "exponent": fit.exponent, "expected": fit.expected,
                "r_squared": fit.r_squared}
-    write_json(outdir / "superdiff_summary.json", summary)
-    summary["output"] = path.name
-    return summary
+    return _summary(args, outdir, summary, path)
 
 
 def _cmd_stable(args, outdir):
@@ -457,14 +465,8 @@ def _consensus_graph(cfg, args):
     if g == "directed-cycle":
         n = int(cfg.get("vehicles", 120))
         return cycle_graph(n, directed=True), ()
-    path = Path(g)
-    if not path.is_file():
-        raise UsageError(f"graph file not found: {path}")
-    graph = load_edge_list(path, one_based=bool(cfg.get("one_based", False)))
-    if graph.n > DENSE_LIMIT and not args.force_dense:
-        raise UsageError(f"graph has {graph.n} > {DENSE_LIMIT} nodes; "
-                         "pass --force-dense")
-    return graph, (path,)
+    graph = _load_graph(g, args, one_based=bool(cfg.get("one_based", False)))
+    return graph, (Path(g),)
 
 
 def _cmd_consensus(args, outdir):

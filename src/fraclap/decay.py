@@ -109,33 +109,45 @@ class DecayReport:
     diagonal_margin: float | None = None
 
 
-def _pair_records(mask, observed, bounds, secondary, sample, seed):
-    idx = np.argwhere(mask)
-    if sample is not None and sample < idx.shape[0]:
-        rng = np.random.Generator(np.random.PCG64(seed))
-        keep = np.sort(rng.choice(idx.shape[0], size=int(sample),
-                                  replace=False))
-        idx = idx[keep]
-    rows, cols = idx[:, 0], idx[:, 1]
-    sec = None if secondary is None else secondary[rows, cols]
-    return (idx.astype(np.int64), observed[rows, cols], bounds[rows, cols],
-            sec)
+def _decay_setup(L, data):
+    """The matrix of ``L``, its eigendecomposition (``data`` when given),
+    its spectral radius, its hop distances and the mask of the pairs a
+    decay bound covers: finite distance ``d >= 2``."""
+    # a bare array gets a throwaway operator, so its distances are
+    # computed for this call only
+    op = L if isinstance(L, DenseOperator) else DenseOperator(L)
+    if data is None:
+        data = symmetric_spectral_data(op.matrix)
+    D = op.hop_distances
+    return (op.matrix, data, float(np.abs(data.eigenvalues).max()), D,
+            (D >= 2) & np.isfinite(D))
 
 
-def _summarize(mask, observed, bounds):
-    obs = observed[mask]
-    bnd = bounds[mask]
+def _decay_report(mode, alpha, rho, D, mask, observed, bounds, sample, seed,
+                  *, t=None, secondary=None, **diagonal) -> DecayReport:
+    """Summary over every masked pair, per-pair records for all of them or
+    a `seed`-ed subsample of `sample`, and the `DecayReport` of both."""
+    bounds = np.where(mask, bounds, np.inf)
+    obs, bnd = observed[mask], bounds[mask]
     with np.errstate(invalid="ignore"):
         ratio = obs / bnd
     ok = obs <= bnd
-    return int(mask.sum()), bool(ok.all()), int((~ok).sum()), \
-        float(ratio.max()) if obs.size else 0.0
-
-
-def _operator(L) -> DenseOperator:
-    # a bare array gets a throwaway operator, so its distances are
-    # computed for this call only
-    return L if isinstance(L, DenseOperator) else DenseOperator(L)
+    idx = np.argwhere(mask)
+    if sample is not None and sample < idx.shape[0]:
+        rng = np.random.Generator(np.random.PCG64(seed))
+        idx = idx[np.sort(rng.choice(idx.shape[0], size=int(sample),
+                                     replace=False))]
+    rows, cols = idx[:, 0], idx[:, 1]
+    obs_r, bnd_r = observed[rows, cols], bounds[rows, cols]
+    return DecayReport(
+        mode=mode, alpha=float(alpha), c=JACKSON_CONSTANT, rho=rho, t=t,
+        n_pairs=int(mask.sum()), all_satisfied=bool(ok.all()),
+        violations=int((~ok).sum()),
+        max_ratio=float(ratio.max()) if obs.size else 0.0,
+        pairs=idx.astype(np.int64), distances=D[rows, cols], observed=obs_r,
+        bounds=bnd_r, satisfied=obs_r <= bnd_r,
+        secondary_bounds=None if secondary is None else secondary[rows, cols],
+        **diagonal)
 
 
 def verify_decay_bounds(L, alpha: float, *, lalpha=None, mode: str = "power",
@@ -189,44 +201,26 @@ def verify_decay_bounds(L, alpha: float, *, lalpha=None, mode: str = "power",
         Non-square, non-finite or nonsymmetric input, bad mode, or
         missing ``t``.
     """
-    op = _operator(L)
-    A = op.matrix
-    if data is None:
-        data = symmetric_spectral_data(A)
-    rho = float(np.abs(data.eigenvalues).max())
-    D = op.hop_distances
-    mask = (D >= 2) & np.isfinite(D)
+    A, data, rho, D, mask = _decay_setup(L, data)
     # d >= 2 keeps the base argument rho/(2(d-1)) inside the spectrum window
     arg = np.where(mask, rho / (2.0 * np.where(mask, D - 1.0, 1.0)), 1.0)
-    secondary = None
     if mode == "power":
         F = fractional_power_symmetric(A, alpha, data=data) \
             if lalpha is None else lalpha
-        observed = np.abs(as_matrix(F))
-        bounds = JACKSON_CONSTANT * np.power(arg, alpha)
-        t_used = None
-    elif mode == "exponential":
-        if t is None or t <= 0:
-            raise ValueError("exponential mode requires t > 0")
-        t_used = float(t)
-        E = exp_fractional_symmetric(A, alpha, t_used, data=data)
-        observed = np.abs(E.matrix)
-        hoelder = np.power(arg, alpha)
-        bounds = JACKSON_CONSTANT * -np.expm1(-t_used * hoelder)
-        secondary = JACKSON_CONSTANT * t_used * hoelder
-    else:
+        return _decay_report(mode, alpha, rho, D, mask, np.abs(as_matrix(F)),
+                             JACKSON_CONSTANT * np.power(arg, alpha),
+                             sample, seed)
+    if mode != "exponential":
         raise ValueError(f"unknown mode {mode!r}")
-    bounds = np.where(mask, bounds, np.inf)
-    n_pairs, all_ok, violations, max_ratio = _summarize(mask, observed,
-                                                        bounds)
-    pairs, obs_r, bnd_r, sec_r = _pair_records(mask, observed, bounds,
-                                               secondary, sample, seed)
-    return DecayReport(
-        mode=mode, alpha=float(alpha), c=JACKSON_CONSTANT, rho=rho,
-        t=t_used, n_pairs=n_pairs, all_satisfied=all_ok,
-        violations=violations, max_ratio=max_ratio, pairs=pairs,
-        distances=D[pairs[:, 0], pairs[:, 1]], observed=obs_r,
-        bounds=bnd_r, satisfied=obs_r <= bnd_r, secondary_bounds=sec_r)
+    if t is None or t <= 0:
+        raise ValueError("exponential mode requires t > 0")
+    t = float(t)
+    E = exp_fractional_symmetric(A, alpha, t, data=data)
+    hoelder = np.power(arg, alpha)
+    return _decay_report(mode, alpha, rho, D, mask, np.abs(E.matrix),
+                         JACKSON_CONSTANT * -np.expm1(-t * hoelder),
+                         sample, seed, t=t,
+                         secondary=JACKSON_CONSTANT * t * hoelder)
 
 
 def verify_p_alpha_bound(kernel, L, *, data: SpectralData | None = None,
@@ -262,34 +256,17 @@ def verify_p_alpha_bound(kernel, L, *, data: SpectralData | None = None,
     -------
     DecayReport
     """
-    op = _operator(L)
-    A = op.matrix
+    A, _, rho, D, mask = _decay_setup(L, data)
     alpha = kernel.alpha
-    if data is None:
-        data = symmetric_spectral_data(A)
-    rho = float(np.abs(data.eigenvalues).max())
-    D = op.hop_distances
-    mask = (D >= 2) & np.isfinite(D)
     diag = np.diag(A).astype(float)
-    observed = np.abs(kernel.P)
-    safe_gap = np.where(mask, D - 1.0, 1.0)
     with np.errstate(divide="ignore"):
         bounds = (JACKSON_CONSTANT * rho / (2.0 ** alpha * diag[:, None])
-                  * np.power(safe_gap, -alpha))
-    bounds = np.where(mask, bounds, np.inf)
-    floor = rho ** (alpha - 1.0) * diag
-    margin = float((kernel.d_alpha - floor).min())
-    n_pairs, all_ok, violations, max_ratio = _summarize(mask, observed,
-                                                        bounds)
-    pairs, obs_r, bnd_r, _ = _pair_records(mask, observed, bounds, None,
-                                           sample, seed)
-    return DecayReport(
-        mode="kernel", alpha=float(alpha), c=JACKSON_CONSTANT, rho=rho,
-        t=None, n_pairs=n_pairs, all_satisfied=all_ok,
-        violations=violations, max_ratio=max_ratio, pairs=pairs,
-        distances=D[pairs[:, 0], pairs[:, 1]], observed=obs_r,
-        bounds=bnd_r, satisfied=obs_r <= bnd_r,
-        diagonal_ok=bool(margin >= -1e-10), diagonal_margin=margin)
+                  * np.power(np.where(mask, D - 1.0, 1.0), -alpha))
+    margin = float((kernel.d_alpha - rho ** (alpha - 1.0) * diag).min())
+    return _decay_report("kernel", alpha, rho, D, mask, np.abs(kernel.P),
+                         bounds, sample, seed,
+                         diagonal_ok=bool(margin >= -1e-10),
+                         diagonal_margin=margin)
 
 
 @dataclass(frozen=True)

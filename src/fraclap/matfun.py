@@ -42,9 +42,6 @@ __all__ = [
     "binomial_coefficients",
 ]
 
-_EPS = np.finfo(float).eps
-
-
 def _check_times(times: np.ndarray) -> None:
     """Raise ``ValueError`` naming the first non-finite or negative time."""
     bad = times[~np.isfinite(times)]
@@ -129,8 +126,15 @@ def schur_spectral_data(M) -> tuple[np.ndarray, np.ndarray]:
     return scipy.linalg.schur(A.astype(complex), output="complex")
 
 
+def _zero_tolerance(lam) -> float:
+    """``n * eps * rho`` for the ``n`` eigenvalues ``lam`` with largest
+    magnitude ``rho``: those within it of 0 count as the zero cluster."""
+    return lam.shape[0] * np.finfo(float).eps \
+        * float(np.abs(lam).max(initial=0.0))
+
+
 def _clamped_powers(w, alpha):
-    ztol = w.shape[0] * _EPS * float(np.abs(w).max(initial=0.0))
+    ztol = _zero_tolerance(w)
     floor = -10.0 * ztol
     if np.any(w < floor):
         bad = float(w.min())
@@ -220,8 +224,7 @@ def fractional_power_general(M, alpha) -> FractionalPowerResult:
     T, Q = schur_spectral_data(A)
     lam = np.diag(T)
 
-    rho = float(np.abs(lam).max(initial=0.0))
-    ztol = n * _EPS * rho
+    ztol = _zero_tolerance(lam)
     zero_mask = np.abs(lam) <= ztol
     floor = -10.0 * ztol
     bad = (~zero_mask) & (lam.real < floor)

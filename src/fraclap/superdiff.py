@@ -190,20 +190,24 @@ def _nested_trapezoid(grid: _NestedGrid, z: np.ndarray, n: int):
         total = total + _phase_sum(*grid.odd(n), z)
 
 
-def _fourier_inversion(grid: _NestedGrid, z: np.ndarray, *, n0: int,
+def _fourier_inversion(grid: _NestedGrid, z: np.ndarray, *,
                        tol: float) -> np.ndarray:
     """(1/2pi) * integral over [-cut, cut] of exp(-izx) * grid.weight(x).
 
     The weight must satisfy ``w(-x) = conj(w(x))``, so the integral is
     ``(1/pi) Re`` of the one over [0, cut], computed by the tanh-sinh rule
-    of `_NestedGrid`.  The interval count doubles from the power of two
-    at or above ``n0`` until two successive passes agree within ``tol``
-    for every requested ``z``, or ``NODE_CAP`` is reached.  The passes
-    are nested: each doubling evaluates the phase sum only at the new odd
+    of `_NestedGrid`.  The first pass has 16 intervals per oscillation
+    of ``exp(-izx)`` over [0, cut] at the largest ``|z|``, plus 16 (at
+    least 64, at most ``NODE_CAP // 2``), up to a power of two.  The
+    interval count doubles until two successive passes agree within
+    ``tol`` for every requested ``z``, or ``NODE_CAP`` is reached.  The
+    passes are nested: each doubling evaluates the phase sum only at the new odd
     nodes, and reads its weights from ``grid``, which evaluates the
     weight function only at nodes that it has not stored yet.
     """
-    levels = _nested_trapezoid(grid, z, min(_next_pow2(n0), NODE_CAP))
+    cycles = float(np.abs(z).max(initial=0.0)) * grid.cut / (2.0 * math.pi)
+    n0 = min(int(max(64, 16.0 * (1.0 + cycles))), NODE_CAP // 2)
+    levels = _nested_trapezoid(grid, z, _next_pow2(n0))
     n, vals = next(levels)
     residual = math.inf
     while n < NODE_CAP:
@@ -214,11 +218,6 @@ def _fourier_inversion(grid: _NestedGrid, z: np.ndarray, *, n0: int,
             return vals
     raise ConvergenceError(
         f"quadrature stuck at residual {residual:.3e} with {n} intervals")
-
-
-def _start_nodes(zmax: float, cut: float) -> int:
-    cycles = zmax * cut / (2.0 * math.pi)
-    return int(max(64, 16.0 * (1.0 + cycles)))
 
 
 @dataclass(frozen=True)
@@ -277,11 +276,9 @@ class LatticeSolution:
         t = float(t)
         if t <= 0.0:
             raise ValueError("t must be positive")
-        zarr = np.atleast_1d(np.asarray(z, dtype=float))
-        grid = self._grid(t)
-        n0 = min(_start_nodes(float(np.abs(zarr).max(initial=0.0)), grid.cut),
-                 NODE_CAP // 2)
-        vals = _fourier_inversion(grid, zarr, n0=n0, tol=self.tol)
+        vals = _fourier_inversion(self._grid(t),
+                                  np.atleast_1d(np.asarray(z, dtype=float)),
+                                  tol=self.tol)
         return vals if np.ndim(z) else float(vals[0])
 
 
@@ -421,12 +418,10 @@ def stable_density(params: StableParams, xi):
     ... < 1e-9
     True
     """
-    xiarr = np.atleast_1d(np.asarray(xi, dtype=float))
     zmax = _ENVELOPE_LOG ** (1.0 / params.alpha) / params.gamma
-    n0 = min(_start_nodes(float(np.abs(xiarr).max(initial=0.0)), zmax),
-             NODE_CAP // 2)
     vals = _fourier_inversion(_NestedGrid(params.characteristic, zmax),
-                              xiarr, n0=n0, tol=1e-10)
+                              np.atleast_1d(np.asarray(xi, dtype=float)),
+                              tol=1e-10)
     negative = vals < 0.0
     if np.any(vals < -1e-9):
         raise NumericalError(
@@ -455,6 +450,12 @@ class StableLimitReport:
     orientation: str
     errors: np.ndarray
     strictly_decreasing: bool
+
+
+def _spreading_scale(alpha: float, orientation: str) -> float:
+    """Exponent ``s`` of the width ``t**s`` of ``u(t)`` on the chain."""
+    return 1.0 / (2.0 * alpha) if orientation == "undirected" \
+        else 1.0 / alpha
 
 
 def stable_limit_params(alpha: float, orientation: str) -> StableParams:
@@ -511,8 +512,7 @@ def verify_stable_limit(alpha: float, orientation: str, t_values,
             else np.linspace(-2.0, 10.0, 41)
     xi = np.asarray(xi, dtype=float)
     target = np.atleast_1d(stable_density(params, xi))
-    scale_exp = 1.0 / (2.0 * alpha) if orientation == "undirected" \
-        else 1.0 / alpha
+    scale_exp = _spreading_scale(alpha, orientation)
     solution = LatticeSolution(alpha, orientation)
     errors = np.empty(ts.shape[0])
     for i, t in enumerate(ts):
@@ -698,7 +698,7 @@ def superdiffusion_exponent(alpha: float, orientation: str, t_values, *,
     t_values : array_like
         Geometric grid, at least 5 points, largest at least 1e3.
     samples : int, optional
-        Coarse FWHM sample count.
+        Coarse FWHM sample count (at least 5).
     tol : float, optional
         Quadrature and crossing tolerance.
 
@@ -709,14 +709,14 @@ def superdiffusion_exponent(alpha: float, orientation: str, t_values, *,
     Raises
     ------
     ValueError
-        Bad grid.
+        Bad alpha, orientation, grid or sample count.
     NumericalError
         No FWHM at some time (naming it), or fit quality below
         r^2 = 0.99.
     """
-    _check_orientation(orientation)
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
+    solution = LatticeSolution(alpha, orientation, tol=tol)
+    if samples < 5:
+        raise ValueError("need at least 5 FWHM samples")
     ts = np.asarray(t_values, dtype=float)
     if ts.ndim != 1 or ts.size < 5:
         raise ValueError("need a geometric grid with at least 5 points")
@@ -727,9 +727,7 @@ def superdiffusion_exponent(alpha: float, orientation: str, t_values, *,
     ratios = ts[1:] / ts[:-1]
     if ratios.max() / ratios.min() > 1.02:
         raise ValueError("grid must be geometric (constant ratio within 2%)")
-    scale_exp = 1.0 / (2.0 * alpha) if orientation == "undirected" \
-        else 1.0 / alpha
-    solution = LatticeSolution(alpha, orientation, tol=tol)
+    scale_exp = _spreading_scale(alpha, orientation)
     widths = np.empty(ts.shape[0])
     for i, t in enumerate(ts):
         st = t ** scale_exp
@@ -753,7 +751,6 @@ def superdiffusion_exponent(alpha: float, orientation: str, t_values, *,
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
     if r2 < 0.99:
         raise NumericalError(f"exponent fit r^2 = {r2:.4f} below 0.99")
-    expected = 1.0 / alpha if orientation == "undirected" else 2.0 / alpha
     return ExponentFit(alpha=float(alpha), orientation=orientation, times=ts,
                        widths=widths, exponent=float(slope),
-                       r_squared=float(r2), expected=float(expected))
+                       r_squared=float(r2), expected=float(2.0 * scale_exp))

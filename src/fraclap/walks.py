@@ -16,8 +16,8 @@ from scipy.special import gammaln, gammasgn
 
 from .errors import ConvergenceError, NumericalError
 from .graphs import DenseOperator, as_matrix
-from .matfun import (_check_alpha, _check_times, binomial_coefficients,
-                     matrix_exponential)
+from .matfun import (_check_alpha, _check_times, _zero_tolerance,
+                     binomial_coefficients, matrix_exponential)
 
 __all__ = [
     "TransitionKernel",
@@ -349,9 +349,7 @@ def return_probability(lbar, times) -> ReturnProbabilityCurve:
     times = np.atleast_1d(np.asarray(times, dtype=float))
     _check_times(times)
     lam = np.linalg.eigvals(A)
-    n = A.shape[0]
-    rho = float(np.abs(lam).max(initial=0.0))
-    ztol = n * np.finfo(float).eps * rho
+    ztol = _zero_tolerance(lam)
     zero_mult = int(np.sum(np.abs(lam) <= ztol))
     nonzero = lam[np.abs(lam) > ztol]
     gap = float(np.abs(nonzero).max() / np.abs(nonzero).min()) if nonzero.size else float("nan")

@@ -181,6 +181,26 @@ def test_decay_kernel_mode_builds_the_laplacian_once(und, tmp_path,
     assert summary["mode"] == "kernel" and summary["all_satisfied"]
 
 
+def test_decay_kernel_mode_factors_the_laplacian_once(und, tmp_path,
+                                                     monkeypatch):
+    import fraclap.cli
+    import fraclap.decay
+    import fraclap.matfun
+    calls = []
+    factor = fraclap.matfun.symmetric_spectral_data
+
+    def counted(L):
+        calls.append(L)
+        return factor(L)
+
+    for module in (fraclap.cli, fraclap.decay, fraclap.matfun):
+        monkeypatch.setattr(module, "symmetric_spectral_data", counted,
+                            raising=False)
+    assert run(["decay", "--input", str(und), "--alpha", "0.5",
+                "--mode", "kernel"], tmp_path) == 0
+    assert len(calls) == 1
+
+
 def test_frange_three_node_eigendarkness(tmp_path):
     tri = tmp_path / "tri.txt"
     tri.write_text("0 1\n1 2\n2 0\n2 1\n")
@@ -338,6 +358,9 @@ def test_dense_guard_requires_opt_in(tmp_path):
     assert run(["laplacian", "--input", str(big)], tmp_path) == 1
     assert run(["laplacian", "--input", str(big), "--force-dense"],
                tmp_path) == 0
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps({"graph": str(big)}))
+    assert run(["consensus", "--config", str(cfg)], tmp_path) == 1
 
 
 def test_console_entry_point(ring, tmp_path):
@@ -363,6 +386,19 @@ def test_superdiff_unresolved_peak_exits_two(tmp_path, capsys):
                tmp_path) == 2
     err = capsys.readouterr().err
     assert "FWHM" in err and "t = 500, alpha = 0.95" in err
+
+
+def test_superdiff_too_few_samples_exits_one_before_quadrature(
+        tmp_path, monkeypatch):
+    import fraclap.superdiff
+
+    def no_quadrature(*args):
+        raise AssertionError("quadrature ran")
+
+    monkeypatch.setattr(fraclap.superdiff, "_nested_trapezoid", no_quadrature)
+    assert run(["superdiff", "--orientation", "undirected", "--alpha", "0.7",
+                "--tmin", "100", "--tmax", "1e3", "--samples", "3"],
+               tmp_path) == 1
 
 
 def test_stable_subcommand(tmp_path):

@@ -54,13 +54,37 @@ def test_nonsymmetric_input_rejected():
         verify_decay_bounds(L.matrix, 0.5)
 
 
-def test_sampling_keeps_summary_exact():
+PER_PAIR = ("pairs", "distances", "observed", "bounds", "satisfied",
+            "secondary_bounds")
+
+
+@pytest.mark.parametrize("mode", ["power", "exponential", "kernel"])
+def test_sampling_keeps_summary_exact(mode):
     L = build_laplacian(cycle_graph(64), LaplacianKind.COMBINATORIAL)
-    full = verify_decay_bounds(L.matrix, 0.5)
-    sub = verify_decay_bounds(L.matrix, 0.5, sample=40, seed=1)
-    assert sub.n_pairs == full.n_pairs
-    assert sub.max_ratio == full.max_ratio
+    if mode == "kernel":
+        kernel = transition_kernel(fractional_power_symmetric(L, 0.5))
+        full = verify_p_alpha_bound(kernel, L.matrix)
+        sub = verify_p_alpha_bound(kernel, L.matrix, sample=40, seed=1)
+    else:
+        t = 1.0 if mode == "exponential" else None
+        full = verify_decay_bounds(L.matrix, 0.5, mode=mode, t=t)
+        sub = verify_decay_bounds(L.matrix, 0.5, mode=mode, t=t, sample=40,
+                                  seed=1)
     assert len(sub.pairs) == 40 and len(full.pairs) == full.n_pairs
+    assert (full.secondary_bounds is None) == (mode != "exponential")
+    row = {tuple(p): k for k, p in enumerate(full.pairs)}
+    at = [row[tuple(p)] for p in sub.pairs]
+    for name in PER_PAIR:
+        want = getattr(full, name)
+        if want is None:
+            assert getattr(sub, name) is None
+        else:
+            np.testing.assert_array_equal(getattr(sub, name), want[at])
+    for field in dataclasses.fields(full):
+        if field.name not in PER_PAIR:
+            assert getattr(sub, field.name) == getattr(full, field.name), \
+                field.name
+    assert (full.diagonal_ok is None) == (mode != "kernel")
 
 
 def test_kernel_bounds_on_cycle():
