@@ -126,13 +126,17 @@ def _decay_setup(L, data):
 def _decay_report(mode, alpha, rho, D, mask, observed, bounds, sample, seed,
                   *, t=None, secondary=None, **diagonal) -> DecayReport:
     """Summary over every masked pair, per-pair records for all of them or
-    a `seed`-ed subsample of `sample`, and the `DecayReport` of both."""
-    bounds = np.where(mask, bounds, np.inf)
+    a `seed`-ed subsample of `sample`, and the `DecayReport` of both.
+    ``bounds`` is overwritten with ``inf`` outside ``mask``."""
+    bounds[~mask] = np.inf
     obs, bnd = observed[mask], bounds[mask]
     with np.errstate(invalid="ignore"):
-        ratio = obs / bnd
-    ok = obs <= bnd
-    idx = np.argwhere(mask)
+        max_ratio = float((obs / bnd).max()) if obs.size else 0.0
+    violations = int((~(obs <= bnd)).sum())
+    # freed before the records are cut: holding both would add two
+    # arrays of n_pairs floats to the peak
+    del obs, bnd
+    idx = np.argwhere(mask).astype(np.int64)
     if sample is not None and sample < idx.shape[0]:
         rng = np.random.Generator(np.random.PCG64(seed))
         idx = idx[np.sort(rng.choice(idx.shape[0], size=int(sample),
@@ -141,10 +145,9 @@ def _decay_report(mode, alpha, rho, D, mask, observed, bounds, sample, seed,
     obs_r, bnd_r = observed[rows, cols], bounds[rows, cols]
     return DecayReport(
         mode=mode, alpha=float(alpha), c=JACKSON_CONSTANT, rho=rho, t=t,
-        n_pairs=int(mask.sum()), all_satisfied=bool(ok.all()),
-        violations=int((~ok).sum()),
-        max_ratio=float(ratio.max()) if obs.size else 0.0,
-        pairs=idx.astype(np.int64), distances=D[rows, cols], observed=obs_r,
+        n_pairs=int(mask.sum()), all_satisfied=violations == 0,
+        violations=violations, max_ratio=max_ratio,
+        pairs=idx, distances=D[rows, cols], observed=obs_r,
         bounds=bnd_r, satisfied=obs_r <= bnd_r,
         secondary_bounds=None if secondary is None else secondary[rows, cols],
         **diagonal)
