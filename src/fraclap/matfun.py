@@ -42,6 +42,7 @@ __all__ = [
     "binomial_coefficients",
 ]
 
+
 def _check_times(times: np.ndarray) -> None:
     """Raise ``ValueError`` naming the first non-finite or negative time."""
     bad = times[~np.isfinite(times)]
