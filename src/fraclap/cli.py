@@ -3,10 +3,9 @@
 Every subcommand reads file-based inputs, writes its outputs plus a JSON
 run manifest (resolved parameters, input digests, seed, version, wall
 time) into ``--out-dir``, and is reproducible: identical argv, inputs
-and seed give byte-identical CSV output, except that values built on the
-fractional power of a nonsymmetric Laplacian may differ between runs in
-the last few bits (relative 1e-14), because
-``scipy.linalg.fractional_matrix_power`` does not repeat bit for bit.
+and seed give byte-identical CSV output at a fixed BLAS thread count.
+Between thread counts, values built on a matrix factorization may differ
+in the last few bits.
 Exit codes: 0 success, 1 usage or input error, 2 numerical failure.
 """
 
@@ -52,6 +51,16 @@ class _Parser(argparse.ArgumentParser):
     # exit code 1 for bad flags instead of argparse's default 2
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
+
+
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def _add_common(p):
@@ -141,8 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orientation", choices=("undirected", "directed"),
                    required=True)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--tmax", type=float, required=True)
-    p.add_argument("--tmin", type=float, default=1e3)
+    p.add_argument("--tmax", type=_finite, required=True)
+    p.add_argument("--tmin", type=_finite, default=1e3)
     p.add_argument("--tcount", type=int, default=5)
     p.add_argument("--samples", type=int, default=129)
     _add_common(p)
@@ -151,8 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True, choices=(0.0, 1.0))
     p.add_argument("--scale", type=float, default=1.0, help="scale parameter")
-    p.add_argument("--xi-min", type=float, default=-10.0)
-    p.add_argument("--xi-max", type=float, default=10.0)
+    p.add_argument("--xi-min", type=_finite, default=-10.0)
+    p.add_argument("--xi-max", type=_finite, default=10.0)
     p.add_argument("--xi-count", type=int, default=201)
     _add_common(p)
 

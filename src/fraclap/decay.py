@@ -202,7 +202,7 @@ def verify_decay_bounds(L, alpha: float, *, lalpha=None, mode: str = "power",
     ------
     ValueError
         Non-square, non-finite or nonsymmetric input, bad mode, or
-        missing ``t``.
+        missing or non-finite ``t``.
     """
     A, data, rho, D, mask = _decay_setup(L, data)
     # d >= 2 keeps the base argument rho/(2(d-1)) inside the spectrum window
@@ -215,8 +215,8 @@ def verify_decay_bounds(L, alpha: float, *, lalpha=None, mode: str = "power",
                              sample, seed)
     if mode != "exponential":
         raise ValueError(f"unknown mode {mode!r}")
-    if t is None or t <= 0:
-        raise ValueError("exponential mode requires t > 0")
+    if t is None or not 0 < t < np.inf:
+        raise ValueError(f"exponential mode requires finite t > 0, got t={t}")
     t = float(t)
     E = exp_fractional_symmetric(A, alpha, t, data=data)
     hoelder = np.power(arg, alpha)

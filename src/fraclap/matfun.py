@@ -149,15 +149,17 @@ def _clamped_powers(w, alpha):
 
 
 def _symmetric_function(L, alpha, data, f):
-    """``U diag(f(w**alpha)) U^T``, symmetrized, from ``data`` or else
-    from `symmetric_spectral_data`; also the eigenvalues ``w`` and the
-    indices that `_clamped_powers` mapped to 0."""
+    """``U diag(f(w**alpha)) U^T`` from ``data`` or else from
+    `symmetric_spectral_data`; also the eigenvalues ``w`` and the indices
+    that `_clamped_powers` mapped to 0.  ``f`` must be nonnegative: the
+    result is the Gram product ``B B^T`` with ``B = U sqrt(f)``, which
+    numpy forms by one symmetric rank-k update, exactly symmetric."""
     if data is None:
         data = symmetric_spectral_data(L)
     w, U = data.eigenvalues, data.basis
     powers, zero_idx = _clamped_powers(w, alpha)
-    F = (U * f(powers)) @ U.T
-    return (F + F.T) / 2.0, w, zero_idx
+    B = U * np.sqrt(f(powers))
+    return B @ B.T, w, zero_idx
 
 
 def fractional_power_symmetric(L, alpha, *, data: SpectralData | None = None
@@ -192,8 +194,6 @@ def _atomic_power(Tb, alpha):
     m = Tb.shape[0]
     if m == 1:
         return np.array([[Tb[0, 0] ** alpha]], dtype=complex)
-    if alpha == 1.0:
-        return Tb.copy()
     F = scipy.linalg.fractional_matrix_power(Tb, alpha)
     if not np.all(np.isfinite(F)):
         raise NumericalError("atomic block power produced non-finite entries")

@@ -7,9 +7,9 @@ chain and ``h(x) = (1 - exp(ix))**alpha`` for the one-sided (directed)
 chain.  Every integrand ``w`` here (both lattice weights and the stable
 characteristic functions) satisfies ``w(-x) = conj(w(x))``, so each
 inversion is ``(1/pi) Re int_0^cut e^{-izx} w(x) dx``, computed by a
-tanh-sinh (double-exponential) rule on the half line (Takahasi & Mori,
-Publ. RIMS 9, 1974).  This module evaluates those integrals for real
-``z``, inverts stable characteristic functions, compares rescaled
+tanh-sinh (double-exponential) rule on the half line, `_HalfLineRule`
+(Takahasi & Mori, Publ. RIMS 9, 1974).  This module evaluates those
+integrals for real ``z``, inverts stable characteristic functions, compares rescaled
 lattice solutions against their stable limit densities, and fits the
 growth exponent of the squared full width at half maximum.
 """
@@ -106,18 +106,16 @@ def _support_cut(alpha: float, orientation: str, t: float) -> float:
     return hi
 
 
-class _NestedGrid:
-    """Tanh-sinh nodes and weights on [0, cut] for power-of-two interval
-    counts: the trapezoid rule in ``u`` on [-U, U] under the map
-    ``x = cut * expit(pi sinh u)``.
+class _HalfLineRule:
+    """Tanh-sinh rule for ``(1/pi) Re int_0^cut e^{-izx} weight(x) dx``:
+    the trapezoid rule in ``u`` on [-U, U] under ``x = cut * expit(pi
+    sinh u)``, whose double-exponential clustering at both ends absorbs
+    the non-smooth behaviour of fractional symbols at ``x = 0``.
 
-    The map clusters nodes double-exponentially at both ends, which
-    absorbs the non-smooth endpoint behaviour of fractional symbols at
-    ``x = 0``.  Stored weights include the Jacobian.  These grids nest:
-    the ``n``-interval grid is every other node of the ``2n``-interval
-    one.  Only the finest grid reached so far is stored; each coarser one
-    is a stride of it, and ``weight`` is evaluated only at nodes that no
-    earlier request reached.  The nodes are the map applied to
+    The ``n``-interval node set is every other node of the ``2n`` one.
+    The rule stores the finest set it has reached (weights include the
+    Jacobian), reads coarser ones by stride, and evaluates ``weight``
+    only at new nodes.  Stored nodes are the map of
     ``np.linspace(-U, U, n + 1)``, bit for bit.
     """
 
@@ -135,8 +133,9 @@ class _NestedGrid:
         jac = (self.cut * math.pi) * np.cosh(u) * e / (1.0 + e) ** 2
         return x, np.asarray(self.weight(x), dtype=complex) * jac
 
-    def _refine(self, n: int) -> int:
-        # stride of the n-interval grid within the stored one
+    def _stride(self, n: int) -> int:
+        # refine the stored node set to at least n intervals; return the
+        # stride of the n-interval set within it
         if self.n == 0:
             self.x, self.w = self._nodes(np.linspace(-_U, _U, n + 1))
             self.n = n
@@ -148,16 +147,34 @@ class _NestedGrid:
             self.x, self.w, self.n = x, w, m
         return self.n // n
 
-    def level(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes and weights of the ``n``-interval grid."""
-        s = self._refine(n)
-        return self.x[::s], self.w[::s]
-
-    def odd(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes and weights of the ``n``-interval grid missing from the
-        ``n/2``-interval one."""
-        s = self._refine(n)
-        return self.x[s::2 * s], self.w[s::2 * s]
+    def __call__(self, z: np.ndarray, tol: float) -> np.ndarray:
+        """The integral at every ``z``.  The first pass has 16 intervals
+        per oscillation of ``exp(-izx)`` at the largest ``|z|``, plus 16
+        (at least 64, at most ``NODE_CAP // 2``), up to a power of two.
+        The count doubles, each pass adding only the new odd nodes'
+        phase sum, until two passes agree within ``tol`` at every ``z``;
+        at ``NODE_CAP`` intervals `ConvergenceError` is raised.
+        """
+        cycles = float(np.abs(z).max(initial=0.0)) * self.cut / (2 * math.pi)
+        n = _next_pow2(min(int(max(64, 16.0 * (1.0 + cycles))), NODE_CAP // 2))
+        s = self._stride(n)
+        w = self.w[::s].copy()
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        total = _phase_sum(self.x[::s], w, z)
+        vals = total.real * ((2.0 * _U / n) / math.pi)
+        residual = math.inf
+        while n < NODE_CAP:
+            n *= 2
+            s = self._stride(n)
+            total = total + _phase_sum(self.x[s::2 * s], self.w[s::2 * s], z)
+            nxt = total.real * ((2.0 * _U / n) / math.pi)
+            residual = float(np.abs(nxt - vals).max(initial=0.0))
+            vals = nxt
+            if residual < tol:
+                return vals
+        raise ConvergenceError(
+            f"quadrature stuck at residual {residual:.3e} with {n} intervals")
 
 
 def _phase_sum(x: np.ndarray, w: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -172,66 +189,17 @@ def _phase_sum(x: np.ndarray, w: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _nested_trapezoid(grid: _NestedGrid, z: np.ndarray, n: int):
-    """Yield ``(n, T_n)`` for ``n, 2n, 4n, ...``, the trapezoid values of
-    (1/pi) * Re integral over [0, cut] of exp(-izx) * weight(x) on ``grid``.
-
-    Each doubling adds only the ``n`` new odd nodes to the running sum,
-    ``T_2n = T_n / 2 + h_2n * (sum over odd nodes) / pi``.
-    """
-    x, w = grid.level(n)
-    w = w.copy()
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    total = _phase_sum(x, w, z)
-    while True:
-        yield n, total.real * ((2.0 * _U / n) / math.pi)
-        n *= 2
-        total = total + _phase_sum(*grid.odd(n), z)
-
-
-def _fourier_inversion(grid: _NestedGrid, z: np.ndarray, *,
-                       tol: float) -> np.ndarray:
-    """(1/2pi) * integral over [-cut, cut] of exp(-izx) * grid.weight(x).
-
-    The weight must satisfy ``w(-x) = conj(w(x))``, so the integral is
-    ``(1/pi) Re`` of the one over [0, cut], computed by the tanh-sinh rule
-    of `_NestedGrid`.  The first pass has 16 intervals per oscillation
-    of ``exp(-izx)`` over [0, cut] at the largest ``|z|``, plus 16 (at
-    least 64, at most ``NODE_CAP // 2``), up to a power of two.  The
-    interval count doubles until two successive passes agree within
-    ``tol`` for every requested ``z``, or ``NODE_CAP`` is reached.  The
-    passes are nested: each doubling evaluates the phase sum only at the new odd
-    nodes, and reads its weights from ``grid``, which evaluates the
-    weight function only at nodes that it has not stored yet.
-    """
-    cycles = float(np.abs(z).max(initial=0.0)) * grid.cut / (2.0 * math.pi)
-    n0 = min(int(max(64, 16.0 * (1.0 + cycles))), NODE_CAP // 2)
-    levels = _nested_trapezoid(grid, z, _next_pow2(n0))
-    n, vals = next(levels)
-    residual = math.inf
-    while n < NODE_CAP:
-        n, nxt = next(levels)
-        residual = float(np.abs(nxt - vals).max())
-        vals = nxt
-        if residual < tol:
-            return vals
-    raise ConvergenceError(
-        f"quadrature stuck at residual {residual:.3e} with {n} intervals")
-
-
 @dataclass(frozen=True)
 class LatticeSolution:
     """Evaluator for the lattice solution ``u(t)_z`` at real indices.
 
     Each call inverts the Fourier form by the half-line tanh-sinh rule
-    of `_fourier_inversion` on [0, cut], where ``cut`` is the support cut
-    beyond which the weight falls below 1e-20.  The instance caches, for
-    the time of its latest call only, the finest quadrature grid reached
-    so far (`_NestedGrid`).  A later call at the same ``t``
-    reads its coarser grids by stride and evaluates `lattice_symbol` only
-    at grid levels not reached before; a call at a new ``t`` drops the
-    old grid, so the cache never holds more than one node set of at most
+    `_HalfLineRule` on [0, cut], where ``cut`` is the support cut beyond
+    which the weight falls below 1e-20.  The instance caches the rule of
+    its latest call's time only.  A later call at the same ``t`` reads
+    the rule's coarser node sets by stride and evaluates `lattice_symbol`
+    only at nodes not reached before; a call at a new ``t`` drops the old
+    rule, so the cache never holds more than one node set of at most
     ``NODE_CAP + 1`` points.  The cache takes no part in equality or
     hashing.
 
@@ -256,10 +224,10 @@ class LatticeSolution:
             raise ValueError("alpha must lie in (0, 1]")
         _check_orientation(self.orientation)
 
-    def _grid(self, t: float) -> _NestedGrid:
-        cached_t, grid = self._cache
+    def _rule(self, t: float) -> _HalfLineRule:
+        cached_t, rule = self._cache
         if cached_t == t:
-            return grid
+            return rule
         alpha, orientation = self.alpha, self.orientation
 
         def weight(x):
@@ -267,18 +235,17 @@ class LatticeSolution:
             # dropped instance's node set alive until the cyclic collector ran
             return np.exp(-t * lattice_symbol(alpha, orientation, x))
 
-        grid = _NestedGrid(weight, _support_cut(alpha, orientation, t))
-        object.__setattr__(self, "_cache", (t, grid))
-        return grid
+        rule = _HalfLineRule(weight, _support_cut(alpha, orientation, t))
+        object.__setattr__(self, "_cache", (t, rule))
+        return rule
 
     def __call__(self, t: float, z):
         """Evaluate ``u(t)_z`` for scalar or array ``z``."""
         t = float(t)
-        if t <= 0.0:
-            raise ValueError("t must be positive")
-        vals = _fourier_inversion(self._grid(t),
-                                  np.atleast_1d(np.asarray(z, dtype=float)),
-                                  tol=self.tol)
+        if not 0.0 < t < math.inf:
+            raise ValueError(f"t must be positive and finite, got {t}")
+        vals = self._rule(t)(np.atleast_1d(np.asarray(z, dtype=float)),
+                             self.tol)
         return vals if np.ndim(z) else float(vals[0])
 
 
@@ -363,7 +330,7 @@ class StableParams:
     beta : float
         Skewness, 0 or 1.
     gamma : float
-        Positive scale.
+        Positive, finite scale.
     """
 
     alpha: float
@@ -377,8 +344,9 @@ class StableParams:
             raise ValueError("only beta in {0, 1} is supported")
         if self.alpha == 1.0 and self.beta != 0.0:
             raise ValueError("alpha = 1 requires beta = 0")
-        if self.gamma <= 0.0:
-            raise ValueError("gamma must be positive")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError(
+                f"gamma must be positive and finite, got {self.gamma}")
 
     @property
     def omega(self) -> float:
@@ -419,9 +387,8 @@ def stable_density(params: StableParams, xi):
     True
     """
     zmax = _ENVELOPE_LOG ** (1.0 / params.alpha) / params.gamma
-    vals = _fourier_inversion(_NestedGrid(params.characteristic, zmax),
-                              np.atleast_1d(np.asarray(xi, dtype=float)),
-                              tol=1e-10)
+    vals = _HalfLineRule(params.characteristic, zmax)(
+        np.atleast_1d(np.asarray(xi, dtype=float)), 1e-10)
     negative = vals < 0.0
     if np.any(vals < -1e-9):
         raise NumericalError(
@@ -492,7 +459,7 @@ def verify_stable_limit(alpha: float, orientation: str, t_values,
     orientation : {'undirected', 'directed'}
         Chain orientation.
     t_values : array_like
-        Strictly increasing positive times.
+        Strictly increasing, positive, finite times.
     xi : array_like, optional
         Comparison grid; defaults to 41 points on [-8, 8] (undirected)
         or [-2, 10] (directed, whose limit is supported on the right
@@ -504,9 +471,10 @@ def verify_stable_limit(alpha: float, orientation: str, t_values,
     """
     params = stable_limit_params(alpha, orientation)
     ts = np.asarray(t_values, dtype=float)
-    if ts.ndim != 1 or ts.size < 2 or np.any(np.diff(ts) <= 0) \
-            or ts[0] <= 0:
-        raise ValueError("t_values must be increasing positive times")
+    if ts.ndim != 1 or ts.size < 2 or not np.all(np.diff(ts) > 0) \
+            or not 0 < ts[0] <= ts[-1] < math.inf:
+        raise ValueError(
+            f"t_values must be increasing, positive and finite, got {ts}")
     if xi is None:
         xi = np.linspace(-8.0, 8.0, 41) if orientation == "undirected" \
             else np.linspace(-2.0, 10.0, 41)
@@ -696,7 +664,8 @@ def superdiffusion_exponent(alpha: float, orientation: str, t_values, *,
     orientation : {'undirected', 'directed'}
         Chain orientation.
     t_values : array_like
-        Geometric grid, at least 5 points, largest at least 1e3.
+        Geometric grid of finite times, at least 5 points, largest at
+        least 1e3.
     samples : int, optional
         Coarse FWHM sample count (at least 5).
     tol : float, optional
@@ -720,8 +689,9 @@ def superdiffusion_exponent(alpha: float, orientation: str, t_values, *,
     ts = np.asarray(t_values, dtype=float)
     if ts.ndim != 1 or ts.size < 5:
         raise ValueError("need a geometric grid with at least 5 points")
-    if np.any(np.diff(ts) <= 0) or ts[0] <= 0:
-        raise ValueError("times must be strictly increasing and positive")
+    if not np.all(np.diff(ts) > 0) or not 0 < ts[0] <= ts[-1] < math.inf:
+        raise ValueError("times must be strictly increasing, positive and "
+                         f"finite, got {ts}")
     if ts[-1] < 1e3:
         raise ValueError("largest time must be at least 1e3")
     ratios = ts[1:] / ts[:-1]

@@ -7,6 +7,7 @@ imported without writing bytecode next to it.
 
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -35,3 +36,21 @@ def test_cli_keeps_the_general_power_attribute():
     # perfbench's wrapper-count test reads it on the cli module
     from fraclap import cli, matfun
     assert cli.fractional_power_general is matfun.fractional_power_general
+
+
+def test_lattice_call_keeps_the_traced_signature(monkeypatch):
+    # the tracer also replaces LatticeSolution.__call__ with a
+    # wrapper(solution, t, z), which WRAPPED does not name
+    from fraclap.superdiff import LatticeSolution
+    params = inspect.signature(LatticeSolution.__call__).parameters.values()
+    assert [(p.name, p.kind, p.default) for p in params] == [
+        (name, inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty)
+        for name in ("self", "t", "z")]
+    tracing = _tracing(monkeypatch)
+    tracer = tracing.Tracer().install()
+    try:
+        LatticeSolution(0.5, "undirected")(10.0, [0.0, 1.0, 2.0])
+    finally:
+        tracer.uninstall()
+    [span] = tracer.take()
+    assert span.name == tracing.LATTICE_SPAN and span.points == 3

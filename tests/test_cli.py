@@ -371,6 +371,14 @@ def test_console_entry_point(ring, tmp_path):
     assert proc.returncode == 0
 
 
+@pytest.mark.parametrize("t", ["nan", "inf"])
+def test_decay_non_finite_time_exits_one_naming_t(und, tmp_path, capsys, t):
+    assert run(["decay", "--input", str(und), "--alpha", "0.5",
+                "--mode", "exponential", "--t", t], tmp_path) == 1
+    err = capsys.readouterr().err
+    assert f"got t={t}" in err and "entries must be finite" not in err
+
+
 def test_superdiff_subcommand(tmp_path):
     assert run(["superdiff", "--orientation", "undirected", "--alpha", "1.0",
                 "--tmin", "10", "--tmax", "1e3"], tmp_path) == 0
@@ -395,10 +403,36 @@ def test_superdiff_too_few_samples_exits_one_before_quadrature(
     def no_quadrature(*args):
         raise AssertionError("quadrature ran")
 
-    monkeypatch.setattr(fraclap.superdiff, "_nested_trapezoid", no_quadrature)
+    monkeypatch.setattr(fraclap.superdiff._HalfLineRule, "__call__",
+                        no_quadrature)
     assert run(["superdiff", "--orientation", "undirected", "--alpha", "0.7",
                 "--tmin", "100", "--tmax", "1e3", "--samples", "3"],
                tmp_path) == 1
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["stable", "--alpha", "1.5", "--beta", "0", "--scale", "nan"], "nan"),
+    (["stable", "--alpha", "1.5", "--beta", "0", "--scale", "inf"], "inf"),
+    (["stable", "--alpha", "1.5", "--beta", "0", "--xi-min", "nan"],
+     "--xi-min"),
+    (["stable", "--alpha", "1.5", "--beta", "0", "--xi-max", "inf"],
+     "--xi-max"),
+    (["superdiff", "--orientation", "undirected", "--alpha", "0.5",
+      "--tmin", "nan", "--tmax", "1e4"], "--tmin"),
+    (["superdiff", "--orientation", "undirected", "--alpha", "0.5",
+      "--tmin", "10", "--tmax", "inf"], "--tmax"),
+])
+def test_non_finite_flags_exit_one_before_quadrature(
+        tmp_path, monkeypatch, capsys, argv, named):
+    import fraclap.superdiff
+
+    def no_quadrature(*args):
+        raise AssertionError("quadrature ran")
+
+    monkeypatch.setattr(fraclap.superdiff._HalfLineRule, "__call__",
+                        no_quadrature)
+    assert run(argv, tmp_path) == 1
+    assert named in capsys.readouterr().err
 
 
 def test_stable_subcommand(tmp_path):

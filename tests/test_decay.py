@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +47,15 @@ def test_exponential_mode_requires_t():
     L = build_laplacian(cycle_graph(8), LaplacianKind.COMBINATORIAL)
     with pytest.raises(ValueError):
         verify_decay_bounds(L.matrix, 0.5, mode="exponential")
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf])
+def test_exponential_mode_rejects_non_finite_t(t):
+    L = build_laplacian(cycle_graph(8), LaplacianKind.COMBINATORIAL)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"finite t > 0, got t={t}"):
+            verify_decay_bounds(L.matrix, 0.5, mode="exponential", t=t)
 
 
 def test_nonsymmetric_input_rejected():

@@ -173,19 +173,36 @@ def scratch_tanh_sinh(weight, cut, z, n):
         * (2.0 * superdiff._U / n) / np.pi
 
 
+def nested_passes_match_scratch_passes(make_rule):
+    # at each tolerance a fresh rule returns the scratch pass at the finest
+    # interval count it reached, and stores exactly that pass's nodes
+    z = np.array([0.0, 3.5, -7.0, 20.0])
+    reached = []
+    for tol in (1e-3, 1e-4, 1e-5, 1e-6):
+        rule = make_rule()
+        vals = rule(z, tol)
+        ref = scratch_tanh_sinh(rule.weight, rule.cut, z, rule.n)
+        assert np.abs(vals - ref).max() < 1e-14, rule.n
+        u = np.linspace(-superdiff._U, superdiff._U, rule.n + 1)
+        assert np.array_equal(rule.x, rule._nodes(u)[0])
+        reached.append(rule.n)
+    return reached
+
+
 @pytest.mark.parametrize("alpha, orientation", [
     (0.5, "undirected"), (0.75, "undirected"), (0.9, "directed")])
 def test_nested_passes_match_scratch_passes(alpha, orientation):
-    grid = LatticeSolution(alpha, orientation)._grid(20.0)
-    z = np.array([0.0, 3.5, -7.0, 20.0])
-    levels = superdiff._nested_trapezoid(grid, z, 256)
-    for _ in range(6):
-        n, vals = next(levels)
-        ref = scratch_tanh_sinh(grid.weight, grid.cut, z, n)
-        assert np.abs(vals - ref).max() < 1e-14, n
-        u = np.linspace(-superdiff._U, superdiff._U, n + 1)
-        assert np.array_equal(grid.level(n)[0], grid._nodes(u)[0])
-    assert n == 256 * 32
+    nested_passes_match_scratch_passes(
+        lambda: LatticeSolution(alpha, orientation)._rule(20.0))
+
+
+def test_nested_passes_match_scratch_passes_after_many_doublings():
+    # an interior kink slows the rule to algebraic convergence, so the
+    # tolerances above need several doublings each, up to 65536 intervals
+    reached = nested_passes_match_scratch_passes(
+        lambda: superdiff._HalfLineRule(lambda x: np.sqrt(np.abs(x - 1.0)),
+                                        2.0))
+    assert reached == sorted(set(reached)) and reached[-1] >= 256 * 32
 
 
 @pytest.mark.parametrize("orientation", ["undirected", "directed"])
@@ -197,7 +214,7 @@ def test_lattice_weights_are_conjugate_symmetric(orientation):
         h = lattice_symbol(alpha, orientation, x)
         assert np.array_equal(lattice_symbol(alpha, orientation, -x),
                               np.conj(h))
-        weight = LatticeSolution(alpha, orientation)._grid(50.0).weight
+        weight = LatticeSolution(alpha, orientation)._rule(50.0).weight
         assert np.array_equal(weight(-x), np.conj(weight(x)))
 
 
@@ -354,8 +371,8 @@ def test_new_time_drops_the_old_grid(monkeypatch):
     sol(50.0, 3.0)
     fresh = LatticeSolution(0.9, "directed")
     fresh(50.0, 3.0)
-    (t, grid), (_, ref) = sol._cache, fresh._cache
-    assert t == 50.0 and grid.n == ref.n
+    (t, rule), (_, ref) = sol._cache, fresh._cache
+    assert t == 50.0 and rule.n == ref.n
     calls.clear()
     sol(200.0, 12.25)
     assert calls
@@ -364,10 +381,41 @@ def test_new_time_drops_the_old_grid(monkeypatch):
 def test_dropped_solution_frees_its_grid_without_the_collector():
     sol = LatticeSolution(0.9, "directed")
     sol(50.0, 3.0)
-    grid = weakref.ref(sol._cache[1])
+    rule = weakref.ref(sol._cache[1])
     gc.disable()
     try:
         del sol
-        assert grid() is None
+        assert rule() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_inputs_are_rejected_before_quadrature(monkeypatch, bad):
+    def no_quadrature(*args):
+        raise AssertionError("quadrature ran")
+
+    monkeypatch.setattr(superdiff._HalfLineRule, "__call__", no_quadrature)
+    with pytest.raises(ValueError, match="gamma must be positive and finite"):
+        StableParams(alpha=1.5, beta=0.0, gamma=bad)
+    with pytest.raises(ValueError, match=f"t must be .* finite, got {bad}"):
+        lattice_solution(0.5, "undirected", bad, 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        LatticeSolution(0.9, "directed")(bad, np.array([1.0, 2.0]))
+    ts = np.geomspace(10.0, 1e4, 5)
+    ts[2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        superdiffusion_exponent(0.5, "undirected", ts)
+    with pytest.raises(ValueError, match="finite"):
+        superdiffusion_exponent(0.5, "undirected",
+                                np.geomspace(10.0, 1e4, 5) * [1, 1, 1, 1, bad])
+    with pytest.raises(ValueError, match="finite"):
+        verify_stable_limit(0.5, "directed", [10.0, 100.0, bad])
+
+
+def test_empty_evaluation_points_give_empty_arrays():
+    out = lattice_solution(0.5, "undirected", 10.0, np.array([]))
+    assert isinstance(out, np.ndarray) and out.shape == (0,)
+    gauss = StableParams(alpha=2.0, beta=0.0, gamma=1.0)
+    out = stable_density(gauss, np.array([]))
+    assert isinstance(out, np.ndarray) and out.shape == (0,)
