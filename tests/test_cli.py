@@ -396,15 +396,18 @@ def test_superdiff_unresolved_peak_exits_two(tmp_path, capsys):
     assert "FWHM" in err and "t = 500, alpha = 0.95" in err
 
 
-def test_superdiff_too_few_samples_exits_one_before_quadrature(
-        tmp_path, monkeypatch):
+@pytest.fixture
+def no_quadrature(monkeypatch):
     import fraclap.superdiff
 
-    def no_quadrature(*args):
+    def fail(*args):
         raise AssertionError("quadrature ran")
 
-    monkeypatch.setattr(fraclap.superdiff._HalfLineRule, "__call__",
-                        no_quadrature)
+    monkeypatch.setattr(fraclap.superdiff._HalfLineRule, "__call__", fail)
+
+
+def test_superdiff_too_few_samples_exits_one_before_quadrature(
+        tmp_path, no_quadrature):
     assert run(["superdiff", "--orientation", "undirected", "--alpha", "0.7",
                 "--tmin", "100", "--tmax", "1e3", "--samples", "3"],
                tmp_path) == 1
@@ -423,14 +426,7 @@ def test_superdiff_too_few_samples_exits_one_before_quadrature(
       "--tmin", "10", "--tmax", "inf"], "--tmax"),
 ])
 def test_non_finite_flags_exit_one_before_quadrature(
-        tmp_path, monkeypatch, capsys, argv, named):
-    import fraclap.superdiff
-
-    def no_quadrature(*args):
-        raise AssertionError("quadrature ran")
-
-    monkeypatch.setattr(fraclap.superdiff._HalfLineRule, "__call__",
-                        no_quadrature)
+        tmp_path, no_quadrature, capsys, argv, named):
     assert run(argv, tmp_path) == 1
     assert named in capsys.readouterr().err
 
