@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .consensus import (ConsensusConfig, consensus_error_curve,
-                        simulate_consensus, static_formation)
+from .consensus import (ConsensusConfig, _relocation_geometry,
+                        consensus_error_curve, simulate_consensus)
 from .decay import (graph_distances, numerical_range_profile,
                     verify_decay_bounds, verify_p_alpha_bound)
 from .errors import GraphFormatError, NumericalError
@@ -63,129 +63,132 @@ def _finite(text: str) -> float:
     return value
 
 
-def _add_common(p):
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-dir", default=None,
-                   help="output directory (default $FRACLAP_OUT_DIR or .)")
-    p.add_argument("--format", choices=("csv", "json", "mm"), default="csv")
-    p.add_argument("--force-dense", action="store_true",
-                   help=f"allow graphs larger than {DENSE_LIMIT} nodes")
-    p.add_argument("--out", default=None, help="primary output file name")
-
-
-def _graph_args(p, *, required=True):
-    p.add_argument("--input", required=required, help="edge-list file")
-    p.add_argument("--kind", choices=_KINDS, default=None,
-                   help="Laplacian kind (default by graph orientation)")
-    p.add_argument("--one-based", action="store_true")
-    p.add_argument("--force-undirected", action="store_true")
-    p.add_argument("--dangling-fixup", action="store_true")
-
-
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="fraclap",
                   description="fractional graph Laplacian toolkit")
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", metavar="subcommand")
 
-    p = sub.add_parser("laplacian", parents=[], help="build a graph Laplacian")
-    _graph_args(p)
-    _add_common(p)
+    def command(name, handler, help, *flags, graph=True, alpha="required"):
+        # the subcommand that handler runs: the edge-list flags if graph,
+        # --alpha ("required", "optional" or None), its own flags as
+        # (name, keywords) pairs, then the common flags
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        if graph:
+            p.add_argument("--input", required=True, help="edge-list file")
+            p.add_argument("--kind", choices=_KINDS, default=None,
+                           help="Laplacian kind (default by graph orientation)")
+            p.add_argument("--one-based", action="store_true")
+            p.add_argument("--force-undirected", action="store_true")
+            p.add_argument("--dangling-fixup", action="store_true")
+        if alpha:
+            p.add_argument("--alpha", type=float, required=alpha == "required")
+        for flag, keywords in flags:
+            p.add_argument(flag, **keywords)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out-dir", default=None,
+                       help="output directory (default $FRACLAP_OUT_DIR or .)")
+        p.add_argument("--format", choices=("csv", "json", "mm"),
+                       default="csv")
+        p.add_argument("--force-dense", action="store_true",
+                       help=f"allow graphs larger than {DENSE_LIMIT} nodes")
+        p.add_argument("--out", default=None, help="primary output file name")
 
-    p = sub.add_parser("power", help="fractional Laplacian power")
-    _graph_args(p)
-    p.add_argument("--alpha", type=float, required=True)
-    _add_common(p)
-
-    p = sub.add_parser("kernel", help="fractional jump kernel")
-    _graph_args(p)
-    p.add_argument("--alpha", type=float, required=True)
-    _add_common(p)
-
-    p = sub.add_parser("walk", help="sample one discrete fractional walk")
-    _graph_args(p)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--start", type=int, default=0)
-    p.add_argument("--steps", type=int, required=True)
-    _add_common(p)
-
-    p = sub.add_parser("evolve", help="continuous-time distribution evolution")
-    _graph_args(p)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--start", type=int, default=0)
-    p.add_argument("--times", required=True, help="comma-separated times")
-    _add_common(p)
-
-    p = sub.add_parser("absorb", help="absorption steps on the directed path")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--runs", type=int, default=0,
-                   help="Monte Carlo sample count: 0 (none) or at least 2")
-    _add_common(p)
-
-    p = sub.add_parser("decay", help="verify entry decay bounds")
-    _graph_args(p)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--mode", choices=("power", "exponential", "kernel"),
-                   default="power")
-    p.add_argument("--t", type=float, default=None,
-                   help="time (exponential mode)")
-    p.add_argument("--pairs", default="all",
-                   help='"all" or "sampled:<k>"')
-    _add_common(p)
-
-    p = sub.add_parser("frange", help="numerical range profile")
-    _graph_args(p)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--angles", type=int, default=360)
-    _add_common(p)
-
-    p = sub.add_parser("returnprob", help="average return probability curve")
-    _graph_args(p)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--times", required=True, help="comma-separated times")
-    _add_common(p)
-
-    p = sub.add_parser("superdiff", help="lattice spreading exponent fit")
-    p.add_argument("--orientation", choices=("undirected", "directed"),
-                   required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--tmax", type=_finite, required=True)
-    p.add_argument("--tmin", type=_finite, default=1e3)
-    p.add_argument("--tcount", type=int, default=5)
-    p.add_argument("--samples", type=int, default=129)
-    _add_common(p)
-
-    p = sub.add_parser("stable", help="stable density evaluation")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True, choices=(0.0, 1.0))
-    p.add_argument("--scale", type=float, default=1.0, help="scale parameter")
-    p.add_argument("--xi-min", type=_finite, default=-10.0)
-    p.add_argument("--xi-max", type=_finite, default=10.0)
-    p.add_argument("--xi-count", type=int, default=201)
-    _add_common(p)
-
-    p = sub.add_parser("consensus", help="fractional consensus simulation")
-    p.add_argument("--config", required=True, help="JSON configuration")
-    _add_common(p)
-
+    times = ("--times", dict(required=True, help="comma-separated times"))
+    command("laplacian", _cmd_laplacian, "build a graph Laplacian", alpha=None)
+    command("power", _cmd_power, "fractional Laplacian power")
+    command("kernel", _cmd_kernel, "fractional jump kernel")
+    command("walk", _cmd_walk, "sample one discrete fractional walk",
+            ("--start", dict(type=int, default=0)),
+            ("--steps", dict(type=int, required=True)))
+    command("evolve", _cmd_evolve, "continuous-time distribution evolution",
+            ("--start", dict(type=int, default=0)), times)
+    command("absorb", _cmd_absorb, "absorption steps on the directed path",
+            ("--n", dict(type=int, required=True)),
+            ("--runs", dict(
+                type=int, default=0,
+                help="Monte Carlo sample count: 0 (none) or at least 2")),
+            graph=False)
+    command("decay", _cmd_decay, "verify entry decay bounds",
+            ("--mode", dict(choices=("power", "exponential", "kernel"),
+                            default="power")),
+            ("--t", dict(type=float, default=None,
+                         help="time (exponential mode)")),
+            ("--pairs", dict(default="all", help='"all" or "sampled:<k>"')))
+    command("frange", _cmd_frange, "numerical range profile",
+            ("--angles", dict(type=int, default=360)), alpha="optional")
+    command("returnprob", _cmd_returnprob, "average return probability curve",
+            times)
+    command("superdiff", _cmd_superdiff, "lattice spreading exponent fit",
+            ("--orientation", dict(choices=("undirected", "directed"),
+                                   required=True)),
+            ("--tmax", dict(type=_finite, required=True)),
+            ("--tmin", dict(type=_finite, default=1e3)),
+            ("--tcount", dict(type=int, default=5)),
+            ("--samples", dict(type=int, default=129)), graph=False)
+    command("stable", _cmd_stable, "stable density evaluation",
+            ("--beta", dict(type=float, required=True, choices=(0.0, 1.0))),
+            ("--scale", dict(type=float, default=1.0, help="scale parameter")),
+            ("--xi-min", dict(type=_finite, default=-10.0)),
+            ("--xi-max", dict(type=_finite, default=10.0)),
+            ("--xi-count", dict(type=int, default=201)), graph=False)
+    command("consensus", _cmd_consensus, "fractional consensus simulation",
+            ("--config", dict(required=True, help="JSON configuration")),
+            graph=False, alpha=None)
     return top
 
 
-def _out_dir(args) -> Path:
-    d = args.out_dir or os.environ.get("FRACLAP_OUT_DIR") or "."
-    path = Path(d)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+class _Run:
+    """Where one run writes, and the files it reads.
+
+    Outputs go to ``--out-dir`` (default ``$FRACLAP_OUT_DIR``, else
+    ``.``); the primary one is ``base``, named by ``--out`` or else by
+    the subcommand.  `read` records each input file's SHA-256 for the
+    manifest.
+    """
+
+    def __init__(self, args):
+        self.command = args.command
+        self.outdir = Path(args.out_dir or os.environ.get("FRACLAP_OUT_DIR")
+                           or ".")
+        self.outdir.mkdir(parents=True, exist_ok=True)
+        self.base = self.outdir / (args.out or args.command)
+        self.inputs = {}
+        self.started = time.monotonic()
+
+    def read(self, path) -> Path:
+        """``path``, digested; a missing file raises `UsageError`."""
+        path = Path(path)
+        if not path.is_file():
+            raise UsageError(f"input file not found: {path}")
+        self.inputs[str(path)] = sha256_file(path)
+        return path
+
+    def summary(self, summary: dict, path: Path) -> dict:
+        """Write ``summary`` to ``<command>_summary.json``, then return it
+        with the output file name added."""
+        write_json(self.outdir / f"{self.command}_summary.json", summary)
+        summary["output"] = path.name
+        return summary
+
+    def manifest(self, args, results: dict) -> None:
+        params = {k: v for k, v in sorted(vars(args).items())
+                  if k not in ("command", "handler") and v is not None}
+        write_json(self.outdir / f"{self.command}_manifest.json", {
+            "subcommand": self.command,
+            "parameters": params,
+            "inputs": self.inputs,
+            "seed": args.seed,
+            "version": __version__,
+            "duration_s": time.monotonic() - self.started,
+            "results": results,
+        })
 
 
-def _load_graph(path, args, **options):
-    """The edge list at ``path``, read with ``options``; a missing file,
-    or more than `DENSE_LIMIT` nodes without ``--force-dense``, raises
-    :class:`UsageError`."""
-    path = Path(path)
-    if not path.is_file():
-        raise UsageError(f"input file not found: {path}")
+def _load_graph(path: Path, args, **options):
+    """The edge list at ``path``, read with ``options``; more than
+    `DENSE_LIMIT` nodes without ``--force-dense`` raises `UsageError`."""
     g = load_edge_list(path, **options)
     if g.n > DENSE_LIMIT and not args.force_dense:
         raise UsageError(
@@ -201,9 +204,9 @@ def _pick_kind(args, g) -> LaplacianKind:
             else LaplacianKind.COMBINATORIAL)
 
 
-def _laplacian(args):
+def _laplacian(args, run):
     """The input graph, its Laplacian kind and the Laplacian, built once."""
-    g = _load_graph(args.input, args, one_based=args.one_based,
+    g = _load_graph(run.read(args.input), args, one_based=args.one_based,
                     force_undirected=args.force_undirected)
     kind = _pick_kind(args, g)
     return g, kind, build_laplacian(g, kind, dangling_fixup=args.dangling_fixup)
@@ -260,81 +263,51 @@ def _emit_table(base: Path, header, columns, fmt: str) -> Path:
     return path
 
 
-def _base(args, outdir: Path, default: str) -> Path:
-    name = args.out if args.out else default
-    return outdir / name
-
-
-def _summary(args, outdir: Path, summary: dict, path: Path) -> dict:
-    """Write ``summary`` to ``<command>_summary.json``, then return it
-    with the output file name added."""
-    write_json(outdir / f"{args.command}_summary.json", summary)
-    summary["output"] = path.name
-    return summary
-
-
-def _manifest(outdir: Path, sub: str, args, *, inputs=(), extra=None,
-              started=0.0) -> None:
-    params = {k: v for k, v in sorted(vars(args).items())
-              if k not in ("command",) and v is not None}
-    payload = {
-        "subcommand": sub,
-        "parameters": params,
-        "inputs": {str(p): sha256_file(p) for p in inputs},
-        "seed": getattr(args, "seed", None),
-        "version": __version__,
-        "duration_s": time.monotonic() - started,
-    }
-    if extra:
-        payload["results"] = extra
-    write_json(outdir / f"{sub}_manifest.json", payload)
-
-
-def _cmd_laplacian(args, outdir):
-    g, kind, L = _laplacian(args)
-    path = _emit_matrix(_base(args, outdir, "laplacian"), L.matrix, args.format)
+def _cmd_laplacian(args, run):
+    g, kind, L = _laplacian(args, run)
+    path = _emit_matrix(run.base, L.matrix, args.format)
     return {"n": g.n, "kind": kind.value, "output": path.name}
 
 
-def _cmd_power(args, outdir):
-    g, kind, L = _laplacian(args)
+def _cmd_power(args, run):
+    g, kind, L = _laplacian(args, run)
     res = fractional_power(L, args.alpha)
-    path = _emit_matrix(_base(args, outdir, "power"), res.matrix, args.format)
+    path = _emit_matrix(run.base, res.matrix, args.format)
     return {"n": g.n, "kind": kind.value, "alpha": args.alpha,
             "method": res.method, "zero_cluster_size": len(res.zero_cluster),
             "output": path.name}
 
 
-def _cmd_kernel(args, outdir):
-    g, kind, L = _laplacian(args)
+def _cmd_kernel(args, run):
+    g, kind, L = _laplacian(args, run)
     ker = _kernel_of(args, L)
-    path = _emit_matrix(_base(args, outdir, "kernel"), ker.P, args.format)
+    path = _emit_matrix(run.base, ker.P, args.format)
     return {"n": g.n, "kind": kind.value, "alpha": args.alpha,
             "absorbing": list(ker.absorbing), "output": path.name}
 
 
-def _cmd_walk(args, outdir):
-    _, _, L = _laplacian(args)
+def _cmd_walk(args, run):
+    _, _, L = _laplacian(args, run)
     ker = _kernel_of(args, L)
     traj = simulate_discrete(ker, args.start, args.steps, args.seed)
-    path = _emit_table(_base(args, outdir, "walk"), ["step", "node"],
+    path = _emit_table(run.base, ["step", "node"],
                        [traj.times.astype(int), traj.states], args.format)
     return {"start": args.start, "steps": args.steps, "output": path.name}
 
 
-def _cmd_evolve(args, outdir):
-    g, _, L = _laplacian(args)
+def _cmd_evolve(args, run):
+    g, _, L = _laplacian(args, run)
     ker = _kernel_of(args, L)
     times = _parse_times(args.times)
     traj = evolve_continuous(ker, args.start, times)
     header = ["t"] + [f"u{i}" for i in range(g.n)]
     cols = [traj.times] + [traj.states[:, i] for i in range(g.n)]
-    path = _emit_table(_base(args, outdir, "evolve"), header, cols, args.format)
+    path = _emit_table(run.base, header, cols, args.format)
     return {"conservation_drift": traj.conservation_drift,
             "output": path.name}
 
 
-def _cmd_absorb(args, outdir):
+def _cmd_absorb(args, run):
     if args.runs < 0 or args.runs == 1:
         raise UsageError(f"--runs must be 0 or at least 2, got {args.runs} "
                          "(the standard error needs two samples)")
@@ -348,13 +321,13 @@ def _cmd_absorb(args, outdir):
                                           args.runs, args.seed)
         out["mc_mean"] = float(samples.mean())
         out["mc_stderr"] = float(samples.std(ddof=1) / np.sqrt(args.runs))
-    base = _base(args, outdir, "absorb")
     if args.format == "json":
-        path = base.with_suffix(".json")
+        path = run.base.with_suffix(".json")
         write_json(path, out)
     else:
         keys = sorted(out)
-        path = _emit_table(base, keys, [[out[k]] for k in keys], args.format)
+        path = _emit_table(run.base, keys, [[out[k]] for k in keys],
+                           args.format)
     out["output"] = path.name
     return out
 
@@ -373,8 +346,8 @@ def _parse_pairs(text: str):
     raise UsageError(f'--pairs expects "all" or "sampled:<k>", got {text!r}')
 
 
-def _cmd_decay(args, outdir):
-    _, _, L = _laplacian(args)
+def _cmd_decay(args, run):
+    _, _, L = _laplacian(args, run)
     sample = _parse_pairs(args.pairs)
     if args.mode == "kernel":
         # one eigendecomposition serves the power and the check
@@ -384,12 +357,10 @@ def _cmd_decay(args, outdir):
         report = verify_p_alpha_bound(kernel, L, data=data, sample=sample,
                                       seed=args.seed)
     else:
-        if args.mode == "exponential" and args.t is None:
-            raise UsageError("exponential mode needs --t")
         report = verify_decay_bounds(L, args.alpha, mode=args.mode, t=args.t,
                                      sample=sample, seed=args.seed)
     path = _emit_table(
-        _base(args, outdir, "decay"),
+        run.base,
         ["i", "j", "d", "observed", "bound", "ok"],
         [report.pairs[:, 0], report.pairs[:, 1],
          report.distances.astype(int), report.observed, report.bounds,
@@ -403,63 +374,63 @@ def _cmd_decay(args, outdir):
     if report.diagonal_ok is not None:
         summary["diagonal_ok"] = report.diagonal_ok
         summary["diagonal_margin"] = report.diagonal_margin
-    return _summary(args, outdir, summary, path)
+    return run.summary(summary, path)
 
 
-def _cmd_frange(args, outdir):
-    _, _, L = _laplacian(args)
+def _cmd_frange(args, run):
+    _, _, L = _laplacian(args, run)
     M = L if args.alpha is None else fractional_power(L, args.alpha)
     prof = numerical_range_profile(M, angles=args.angles)
     path = _emit_table(
-        _base(args, outdir, "frange"),
+        run.base,
         ["angle", "boundary_re", "boundary_im", "support"],
         [prof.angles, prof.boundary.real, prof.boundary.imag, prof.support],
         args.format)
     summary = {"min_real": prof.min_real,
                "eigenvector_condition": prof.eigenvector_condition,
                "contains_negative_real": prof.min_real < 0.0}
-    return _summary(args, outdir, summary, path)
+    return run.summary(summary, path)
 
 
-def _cmd_returnprob(args, outdir):
-    g, _, L = _laplacian(args)
+def _cmd_returnprob(args, run):
+    g, _, L = _laplacian(args, run)
     ker = _kernel_of(args, L)
     times = _parse_times(args.times)
     curve = return_probability(np.eye(ker.n) - ker.P, times)
-    path = _emit_table(_base(args, outdir, "returnprob"), ["t", "value"],
+    path = _emit_table(run.base, ["t", "value"],
                        [curve.times, curve.values], args.format)
     D = graph_distances(g)
     finite = D[np.isfinite(D)]
     summary = {"spectral_gap": curve.spectral_gap,
                "zero_multiplicity": curve.zero_multiplicity,
                "diameter": int(finite.max()) if finite.size else 0}
-    return _summary(args, outdir, summary, path)
+    return run.summary(summary, path)
 
 
-def _cmd_superdiff(args, outdir):
+def _cmd_superdiff(args, run):
     if args.tmin <= 0 or args.tmax <= args.tmin:
         raise UsageError("need 0 < tmin < tmax")
     times = np.geomspace(args.tmin, args.tmax, args.tcount)
     fit = superdiffusion_exponent(args.alpha, args.orientation, times,
                                   samples=args.samples)
     path = _emit_table(
-        _base(args, outdir, "superdiff"),
+        run.base,
         ["t", "fwhm_sq", "exponent"],
         [fit.times, fit.widths ** 2, np.full(fit.times.shape, fit.exponent)],
         args.format)
     summary = {"alpha": fit.alpha, "orientation": fit.orientation,
                "exponent": fit.exponent, "expected": fit.expected,
                "r_squared": fit.r_squared}
-    return _summary(args, outdir, summary, path)
+    return run.summary(summary, path)
 
 
-def _cmd_stable(args, outdir):
+def _cmd_stable(args, run):
     if args.xi_count < 2 or args.xi_max <= args.xi_min:
         raise UsageError("need xi_min < xi_max and at least 2 points")
     params = StableParams(alpha=args.alpha, beta=args.beta, gamma=args.scale)
     xi = np.linspace(args.xi_min, args.xi_max, args.xi_count)
     dens = stable_density(params, xi)
-    path = _emit_table(_base(args, outdir, "stable"), ["xi", "density"],
+    path = _emit_table(run.base, ["xi", "density"],
                        [xi, dens], args.format)
     return {"alpha": args.alpha, "beta": args.beta, "scale": args.scale,
             "output": path.name}
@@ -469,25 +440,21 @@ def _alpha_tag(alpha: float) -> str:
     return ("%g" % alpha).replace(".", "p").replace("-", "m")
 
 
-def _consensus_graph(cfg, args):
+def _consensus_graph(cfg, args, run):
     g = cfg.get("graph", "directed-cycle")
     if g == "directed-cycle":
-        n = int(cfg.get("vehicles", 120))
-        return cycle_graph(n, directed=True), ()
-    graph = _load_graph(g, args, one_based=bool(cfg.get("one_based", False)))
-    return graph, (Path(g),)
+        return cycle_graph(int(cfg.get("vehicles", 120)), directed=True)
+    return _load_graph(run.read(g), args,
+                       one_based=bool(cfg.get("one_based", False)))
 
 
-def _cmd_consensus(args, outdir):
-    cfg_path = Path(args.config)
-    if not cfg_path.is_file():
-        raise UsageError(f"config file not found: {cfg_path}")
+def _cmd_consensus(args, run):
     try:
-        cfg = json.loads(cfg_path.read_text())
+        cfg = json.loads(run.read(args.config).read_text())
     except json.JSONDecodeError as exc:
         raise UsageError(f"bad JSON config: {exc}") from None
 
-    graph, extra_inputs = _consensus_graph(cfg, args)
+    graph = _consensus_graph(cfg, args, run)
     alphas = cfg.get("alpha", [0.5])
     if np.isscalar(alphas):
         alphas = [alphas]
@@ -498,63 +465,42 @@ def _cmd_consensus(args, outdir):
     center = np.asarray(cfg.get("center", (3.0, 3.0)), dtype=float)
     gamma_cfg = cfg.get("gamma", "bound+margin")
     margin = float(cfg.get("gamma_margin", 1.0))
-
-    n = graph.n
-    angles = 2.0 * np.pi * np.arange(n) / n
-    ring = np.column_stack([np.cos(angles), np.sin(angles)])
-    v0 = np.column_stack([-np.sin(angles), np.cos(angles)])
-    target = static_formation(center + ring)
+    ring, v0, target = _relocation_geometry(graph.n, center)
 
     results = {}
     for alpha in alphas:
         alpha = float(alpha)
         gamma = None if gamma_cfg == "bound+margin" else float(gamma_cfg)
-        run = ConsensusConfig(graph=graph, alpha=alpha, beta=beta,
+        sim = ConsensusConfig(graph=graph, alpha=alpha, beta=beta,
                               target=target, x0=ring, v0=v0, horizon=horizon,
                               gamma=gamma, gamma_margin=margin,
                               step=None if step is None else float(step),
                               output_stride=stride)
-        states = simulate_consensus(run)
+        states = simulate_consensus(sim)
         tag = _alpha_tag(alpha)
 
         pos = np.stack([s.positions for s in states])
         traj_header = ["t"]
         traj_cols = [np.array([s.time for s in states])]
-        for i in range(n):
+        for i in range(graph.n):
             traj_header += [f"x{i}", f"y{i}"]
             traj_cols += [pos[:, i, 0], pos[:, i, 1]]
-        traj_path = _emit_table(outdir / f"consensus_traj_alpha{tag}",
+        traj_path = _emit_table(run.outdir / f"consensus_traj_alpha{tag}",
                                 traj_header, traj_cols, args.format)
 
         curve = consensus_error_curve(states)
-        err_path = _emit_table(outdir / f"consensus_error_alpha{tag}",
+        err_path = _emit_table(run.outdir / f"consensus_error_alpha{tag}",
                                ["t", "error", "position_error"],
                                [curve[:, 0], curve[:, 1], curve[:, 2]],
                                args.format)
         results[f"alpha={alpha:g}"] = {
-            "gamma": run.damping,
+            "gamma": sim.damping,
             "initial_position_error": states[0].position_error,
             "final_position_error": states[-1].position_error,
             "trajectory": traj_path.name,
             "errors": err_path.name,
         }
-    return {"runs": results, "inputs": [str(p) for p in extra_inputs]}
-
-
-_COMMANDS = {
-    "laplacian": (_cmd_laplacian, lambda a: [a.input]),
-    "power": (_cmd_power, lambda a: [a.input]),
-    "kernel": (_cmd_kernel, lambda a: [a.input]),
-    "walk": (_cmd_walk, lambda a: [a.input]),
-    "evolve": (_cmd_evolve, lambda a: [a.input]),
-    "absorb": (_cmd_absorb, lambda a: []),
-    "decay": (_cmd_decay, lambda a: [a.input]),
-    "frange": (_cmd_frange, lambda a: [a.input]),
-    "returnprob": (_cmd_returnprob, lambda a: [a.input]),
-    "superdiff": (_cmd_superdiff, lambda a: []),
-    "stable": (_cmd_stable, lambda a: []),
-    "consensus": (_cmd_consensus, lambda a: [a.config]),
-}
+    return {"runs": results}
 
 
 def cli_dispatch(argv) -> int:
@@ -563,13 +509,8 @@ def cli_dispatch(argv) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError(parser.format_usage())
-        handler, input_paths = _COMMANDS[args.command]
-        outdir = _out_dir(args)
-        started = time.monotonic()
-        extra = handler(args, outdir)
-        inputs = [p for p in input_paths(args) if p and Path(p).is_file()]
-        _manifest(outdir, args.command, args, inputs=inputs, extra=extra,
-                  started=started)
+        run = _Run(args)
+        run.manifest(args, args.handler(args, run))
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1

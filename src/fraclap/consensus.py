@@ -351,6 +351,15 @@ def consensus_error_curve(states) -> np.ndarray:
     return np.array([[s.time, s.error, s.position_error] for s in states])
 
 
+def _relocation_geometry(n: int, center: np.ndarray):
+    """Start on the unit circle, unit tangential velocities, and the
+    static target: the same circle moved to ``center``."""
+    angles = 2.0 * math.pi * np.arange(n) / n
+    ring = np.column_stack([np.cos(angles), np.sin(angles)])
+    v0 = np.column_stack([-np.sin(angles), np.cos(angles)])
+    return ring, v0, static_formation(center + ring)
+
+
 def circle_relocation_config(n: int = 120, alpha: float = 0.5,
                              beta: float = 0.5, horizon: float = 5.0, *,
                              gamma: float | None = None,
@@ -365,11 +374,7 @@ def circle_relocation_config(n: int = 120, alpha: float = 0.5,
     cycle, and without an explicit `gamma` the damping is the spectral
     threshold plus 1.  The initial position error is ``sqrt(18 n)``.
     """
-    angles = 2.0 * math.pi * np.arange(n) / n
-    ring = np.column_stack([np.cos(angles), np.sin(angles)])
-    x0 = ring.copy()
-    v0 = np.column_stack([-np.sin(angles), np.cos(angles)])
-    target = static_formation(np.array([3.0, 3.0]) + ring)
+    x0, v0, target = _relocation_geometry(n, np.array([3.0, 3.0]))
     return ConsensusConfig(graph=cycle_graph(n, directed=True), alpha=alpha,
                            beta=beta, target=target, x0=x0, v0=v0,
                            horizon=horizon, gamma=gamma, step=step,

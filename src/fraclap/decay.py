@@ -204,6 +204,10 @@ def verify_decay_bounds(L, alpha: float, *, lalpha=None, mode: str = "power",
         Non-square, non-finite or nonsymmetric input, bad mode, or
         missing or non-finite ``t``.
     """
+    if mode not in ("power", "exponential"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "exponential" and (t is None or not 0 < t < np.inf):
+        raise ValueError(f"exponential mode requires finite t > 0, got t={t}")
     A, data, rho, D, mask = _decay_setup(L, data)
     # d >= 2 keeps the base argument rho/(2(d-1)) inside the spectrum window
     arg = np.where(mask, rho / (2.0 * np.where(mask, D - 1.0, 1.0)), 1.0)
@@ -213,10 +217,6 @@ def verify_decay_bounds(L, alpha: float, *, lalpha=None, mode: str = "power",
         return _decay_report(mode, alpha, rho, D, mask, np.abs(as_matrix(F)),
                              JACKSON_CONSTANT * np.power(arg, alpha),
                              sample, seed)
-    if mode != "exponential":
-        raise ValueError(f"unknown mode {mode!r}")
-    if t is None or not 0 < t < np.inf:
-        raise ValueError(f"exponential mode requires finite t > 0, got t={t}")
     t = float(t)
     E = exp_fractional_symmetric(A, alpha, t, data=data)
     hoelder = np.power(arg, alpha)

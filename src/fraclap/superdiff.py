@@ -46,6 +46,13 @@ def _check_orientation(orientation: str) -> str:
     return orientation
 
 
+def _check_time(t) -> float:
+    t = float(t)
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
+    return t
+
+
 def _next_pow2(n: int) -> int:
     return 1 << max(0, int(math.ceil(math.log2(max(1, n)))))
 
@@ -153,8 +160,13 @@ class _HalfLineRule:
         (at least 64, at most ``NODE_CAP // 2``), up to a power of two.
         The count doubles, each pass adding only the new odd nodes'
         phase sum, until two passes agree within ``tol`` at every ``z``;
-        at ``NODE_CAP`` intervals `ConvergenceError` is raised.
+        at ``NODE_CAP`` intervals `ConvergenceError` is raised.  A
+        non-finite ``z`` raises `ValueError` before the first pass.
         """
+        bad = np.flatnonzero(~np.isfinite(z))
+        if bad.size:
+            raise ValueError(f"evaluation point {z[bad[0]]} at index "
+                             f"{bad[0]} is not finite")
         cycles = float(np.abs(z).max(initial=0.0)) * self.cut / (2 * math.pi)
         n = _next_pow2(min(int(max(64, 16.0 * (1.0 + cycles))), NODE_CAP // 2))
         s = self._stride(n)
@@ -241,9 +253,7 @@ class LatticeSolution:
 
     def __call__(self, t: float, z):
         """Evaluate ``u(t)_z`` for scalar or array ``z``."""
-        t = float(t)
-        if not 0.0 < t < math.inf:
-            raise ValueError(f"t must be positive and finite, got {t}")
+        t = _check_time(t)
         vals = self._rule(t)(np.atleast_1d(np.asarray(z, dtype=float)),
                              self.tol)
         return vals if np.ndim(z) else float(vals[0])
@@ -299,10 +309,11 @@ def lattice_window_stats(alpha: float, orientation: str, t: float,
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
+    t = _check_time(t)
     n = _next_pow2(max(8 * kmax, 4096))
     x = 2.0 * math.pi * np.arange(n) / n
     # conjugate symbol so coeff[k] pairs with index +k on directed chains
-    coeff = np.fft.ifft(np.exp(-float(t)
+    coeff = np.fft.ifft(np.exp(-t
                                * np.conj(lattice_symbol(alpha, orientation,
                                                         x))))
     worst_imag = float(np.abs(coeff.imag).max())

@@ -204,7 +204,8 @@ def absorption_time_samples(kernel: TransitionKernel, start: int, runs: int,
                                    "after 1000000 steps")
         u = rng.random(int(alive.sum()))
         rows = cum[state[alive]]
-        nxt = np.minimum((rows < u[:, None]).sum(axis=1), kernel.n - 1)
+        # counts cum <= u: simulate_discrete's searchsorted(side="right")
+        nxt = np.minimum((rows <= u[:, None]).sum(axis=1), kernel.n - 1)
         state[alive] = nxt
         steps[alive] = t
         alive[alive] = ~is_abs[nxt]

@@ -9,6 +9,7 @@ from scipy.linalg import expm
 from fraclap.cli import cli_dispatch
 from fraclap.consensus import gamma_lower_bound
 from fraclap.graphs import LaplacianKind, build_laplacian, load_edge_list
+from fraclap.io import sha256_file
 from fraclap.matfun import fractional_power
 from fraclap.walks import transition_kernel
 
@@ -285,7 +286,8 @@ def test_consensus_on_an_edge_list_graph(tmp_path):
                       delimiter=",", skiprows=1)
     assert traj.shape == (101, 1 + 2 * 9) and traj[-1, 0] == 1.0
     man = json.loads((tmp_path / "consensus_manifest.json").read_text())
-    assert man["results"]["inputs"] == [str(net)]
+    assert man["inputs"][str(net)] == sha256_file(net)
+    assert man["inputs"][str(cfg)] == sha256_file(cfg)
     g = load_edge_list(net, one_based=True)
     L = build_laplacian(g, LaplacianKind.DIRECTED_OUT)
     want = gamma_lower_bound(fractional_power(L, 0.5).matrix, 0.5).bound
@@ -377,6 +379,13 @@ def test_decay_non_finite_time_exits_one_naming_t(und, tmp_path, capsys, t):
                 "--mode", "exponential", "--t", t], tmp_path) == 1
     err = capsys.readouterr().err
     assert f"got t={t}" in err and "entries must be finite" not in err
+
+
+def test_decay_exponential_without_t_exits_one_with_the_library_message(
+        und, tmp_path, capsys):
+    assert run(["decay", "--input", str(und), "--alpha", "0.5",
+                "--mode", "exponential"], tmp_path) == 1
+    assert "requires finite t > 0, got t=None" in capsys.readouterr().err
 
 
 def test_superdiff_subcommand(tmp_path):

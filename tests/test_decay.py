@@ -58,6 +58,26 @@ def test_exponential_mode_rejects_non_finite_t(t):
             verify_decay_bounds(L.matrix, 0.5, mode="exponential", t=t)
 
 
+@pytest.mark.parametrize("mode, t", [("bogus", 1.0), ("exponential", None),
+                                     ("exponential", np.nan)])
+def test_bad_mode_or_time_is_rejected_before_factoring(monkeypatch, mode, t):
+    import fraclap.decay
+    calls = []
+    factor = fraclap.decay.symmetric_spectral_data
+
+    def counted(L):
+        calls.append(L)
+        return factor(L)
+
+    monkeypatch.setattr(fraclap.decay, "symmetric_spectral_data", counted)
+    monkeypatch.setattr(graphs.DenseOperator, "hop_distances", property(
+        lambda op: pytest.fail("hop distances computed")))
+    L = build_laplacian(cycle_graph(8), LaplacianKind.COMBINATORIAL)
+    with pytest.raises(ValueError, match="unknown mode|finite t > 0"):
+        verify_decay_bounds(L, 0.5, mode=mode, t=t)
+    assert calls == []
+
+
 def test_nonsymmetric_input_rejected():
     L = build_laplacian(three_node_digraph(), LaplacianKind.DIRECTED_OUT)
     with pytest.raises(ValueError):

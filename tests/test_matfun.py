@@ -106,6 +106,17 @@ def test_series_remainder_shrinks_with_terms():
     assert r2.remainder < r1.remainder
 
 
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10**6), alpha=st.floats(0.05, 0.95),
+       terms=st.integers(1, 500))
+def test_series_error_within_reported_remainder_on_random_graphs(
+        seed, alpha, terms):
+    L = combinatorial(12, seed)
+    exact = fractional_power_symmetric(L, alpha).matrix
+    approx = fractional_power_series(L, alpha, terms)
+    assert np.abs(approx.matrix - exact).max() <= approx.remainder
+
+
 def test_series_rejects_non_laplacian():
     M = np.array([[1.0, 0.5], [0.5, 1.0]])
     with pytest.raises(ValueError):

@@ -390,12 +390,18 @@ def test_dropped_solution_frees_its_grid_without_the_collector():
         gc.enable()
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_non_finite_inputs_are_rejected_before_quadrature(monkeypatch, bad):
-    def no_quadrature(*args):
+@pytest.fixture
+def no_quadrature(monkeypatch):
+    # every pass starts by refining the rule's nodes; the rule's own
+    # point check runs before that
+    def fail(*args):
         raise AssertionError("quadrature ran")
 
-    monkeypatch.setattr(superdiff._HalfLineRule, "__call__", no_quadrature)
+    monkeypatch.setattr(superdiff._HalfLineRule, "_stride", fail)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_inputs_are_rejected_before_quadrature(no_quadrature, bad):
     with pytest.raises(ValueError, match="gamma must be positive and finite"):
         StableParams(alpha=1.5, beta=0.0, gamma=bad)
     with pytest.raises(ValueError, match=f"t must be .* finite, got {bad}"):
@@ -411,6 +417,14 @@ def test_non_finite_inputs_are_rejected_before_quadrature(monkeypatch, bad):
                                 np.geomspace(10.0, 1e4, 5) * [1, 1, 1, 1, bad])
     with pytest.raises(ValueError, match="finite"):
         verify_stable_limit(0.5, "directed", [10.0, 100.0, bad])
+    with pytest.raises(ValueError, match=f"point {bad} at index 1 is not"):
+        lattice_solution(0.5, "undirected", 10.0, np.array([0.0, bad]))
+    with pytest.raises(ValueError, match=f"point {bad} at index 1 is not"):
+        stable_density(StableParams(1.5, 0.0, 1.0), [0.0, bad, 1.0])
+    for t in (bad, 0.0, -1.0):
+        with pytest.raises(ValueError,
+                           match=f"t must be positive and finite, got {t}"):
+            lattice_window_stats(0.5, "undirected", t, 10)
 
 
 def test_empty_evaluation_points_give_empty_arrays():

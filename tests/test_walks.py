@@ -17,7 +17,7 @@ from fraclap.walks import (absorption_time_samples, cycle_entry_limit,
                            evolve_continuous, path_fractional_entries,
                            path_transition_asymptotic, return_probability,
                            simulate_discrete, stationary_distribution,
-                           transition_kernel)
+                           TransitionKernel, transition_kernel)
 
 
 def kernel_for(n, seed, alpha):
@@ -72,6 +72,38 @@ def test_stationary_uniform_on_cycle():
     k = transition_kernel(fractional_power_symmetric(L, 0.5))
     pi, _ = stationary_distribution(k)
     assert np.abs(pi - 1.0 / 12).max() < 1e-12
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10**6), n=st.integers(2, 40),
+       alpha=st.floats(0.0, 1.0, exclude_min=True))
+def test_stationary_law_is_proportional_to_fractional_degrees(seed, n, alpha):
+    k = kernel_for(n, seed, alpha)
+    pi = k.d_alpha / k.d_alpha.sum()
+    assert np.abs(pi @ k.P - pi).max() <= 1e-12
+    got, residual = stationary_distribution(k)
+    assert np.array_equal(got, pi) and residual <= 1e-12
+
+
+class _ZeroDraws:
+    # stands in for numpy's Generator: every uniform draw is exactly 0.0
+    def __init__(self, bit_generator):
+        pass
+
+    def random(self, size=None):
+        return 0.0 if size is None else np.zeros(size)
+
+
+def test_a_zero_draw_never_lands_on_a_zero_probability_node(monkeypatch):
+    # from node 1 the walk must go 1 -> 2 -> 3; column 0 has probability 0
+    # there, so a draw of 0.0 must not land on the absorbing node 0
+    P = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+                  [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0]])
+    k = TransitionKernel(P=P, d_alpha=np.array([0.0, 1.0, 1.0, 0.0]),
+                         alpha=0.5, absorbing=(0, 3))
+    monkeypatch.setattr(np.random, "Generator", _ZeroDraws)
+    assert simulate_discrete(k, 1, 3, seed=0).states.tolist() == [1, 2, 3, 3]
+    assert absorption_time_samples(k, 1, 4, seed=0).tolist() == [2, 2, 2, 2]
 
 
 def test_simulate_discrete_reproducible():
