@@ -4,6 +4,7 @@ Every subcommand reads file-based inputs, writes its outputs plus a JSON
 run manifest (resolved parameters, input digests, seed, version, wall
 time) into ``--out-dir``, and is reproducible: identical argv, inputs
 and seed give byte-identical CSV output at a fixed BLAS thread count.
+The directed power is included: fraclap fixes scipy's random draw.
 Between thread counts, values built on a matrix factorization may differ
 in the last few bits.
 Exit codes: 0 success, 1 usage or input error, 2 numerical failure.
@@ -199,7 +200,7 @@ def _load_graph(path: Path, args, **options):
 
 def _pick_kind(args, g) -> LaplacianKind:
     if args.kind is not None:
-        return LaplacianKind.from_name(args.kind)
+        return LaplacianKind(args.kind)
     return (LaplacianKind.DIRECTED_OUT if g.directed
             else LaplacianKind.COMBINATORIAL)
 
@@ -297,8 +298,8 @@ def _cmd_walk(args, run):
 
 def _cmd_evolve(args, run):
     g, _, L = _laplacian(args, run)
-    ker = _kernel_of(args, L)
     times = _parse_times(args.times)
+    ker = _kernel_of(args, L)
     traj = evolve_continuous(ker, args.start, times)
     header = ["t"] + [f"u{i}" for i in range(g.n)]
     cols = [traj.times] + [traj.states[:, i] for i in range(g.n)]
@@ -394,8 +395,8 @@ def _cmd_frange(args, run):
 
 def _cmd_returnprob(args, run):
     g, _, L = _laplacian(args, run)
-    ker = _kernel_of(args, L)
     times = _parse_times(args.times)
+    ker = _kernel_of(args, L)
     curve = return_probability(np.eye(ker.n) - ker.P, times)
     path = _emit_table(run.base, ["t", "value"],
                        [curve.times, curve.values], args.format)

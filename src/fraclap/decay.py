@@ -111,8 +111,8 @@ class DecayReport:
 
 def _decay_setup(L, data):
     """The matrix of ``L``, its eigendecomposition (``data`` when given),
-    its spectral radius, its hop distances and the mask of the pairs a
-    decay bound covers: finite distance ``d >= 2``."""
+    its spectral radius, its hop distances, and ``d - 1`` for each distance
+    class ``d >= 2`` up to the largest finite hop count."""
     # a bare array gets a throwaway operator, so its distances are
     # computed for this call only
     op = L if isinstance(L, DenseOperator) else DenseOperator(L)
@@ -120,40 +120,42 @@ def _decay_setup(L, data):
         data = symmetric_spectral_data(op.matrix)
     D = op.hop_distances
     return (op.matrix, data, float(np.abs(data.eigenvalues).max()), D,
-            (D >= 2) & np.isfinite(D))
+            np.arange(1.0, D.max(initial=1.0, where=np.isfinite(D))))
 
 
-def _decay_report(mode, alpha, rho, D, mask, observed, bounds, sample, seed,
-                  *, t=None, secondary=None, **diagonal) -> DecayReport:
-    """Summary over every masked pair, per-pair records for all of them or
-    a `seed`-ed subsample of `sample`, and the `DecayReport` of both.
-    ``bounds`` is overwritten with ``inf`` outside ``mask``."""
-    bounds[~mask] = np.inf
-    obs, bnd = observed[mask], bounds[mask]
+def _decay_report(mode, alpha, rho, D, observed, per_hop, sample, seed, *,
+                  row=None, t=None, secondary=None, **diagonal) -> DecayReport:
+    """Summary over every pair at finite hop distance ``d >= 2``, per-pair
+    records for all of them or a `seed`-ed subsample of `sample`, and the
+    `DecayReport` of both.  The bound of a pair at distance ``d`` in row
+    ``i`` is ``per_hop[d - 2]``, times ``row[i]`` when ``row`` is given;
+    ``secondary`` is indexed like ``per_hop``."""
+    mask = (D >= 2) & np.isfinite(D)
+    idx = np.argwhere(mask).astype(np.int64)
+    dist = D[mask]
+    hop = dist.astype(np.intp) - 2
+    obs = observed[mask]
+    bnd = per_hop[hop] if row is None else row[idx[:, 0]] * per_hop[hop]
     with np.errstate(invalid="ignore"):
         max_ratio = float((obs / bnd).max()) if obs.size else 0.0
     violations = int((~(obs <= bnd)).sum())
-    # freed before the records are cut: holding both would add two
-    # arrays of n_pairs floats to the peak
-    del obs, bnd
-    idx = np.argwhere(mask).astype(np.int64)
+    keep = slice(None)
     if sample is not None and sample < idx.shape[0]:
         rng = np.random.Generator(np.random.PCG64(seed))
-        idx = idx[np.sort(rng.choice(idx.shape[0], size=int(sample),
-                                     replace=False))]
-    rows, cols = idx[:, 0], idx[:, 1]
-    obs_r, bnd_r = observed[rows, cols], bounds[rows, cols]
+        keep = np.sort(rng.choice(idx.shape[0], size=int(sample),
+                                  replace=False))
+    obs, bnd = obs[keep], bnd[keep]
     return DecayReport(
         mode=mode, alpha=float(alpha), c=JACKSON_CONSTANT, rho=rho, t=t,
-        n_pairs=int(mask.sum()), all_satisfied=violations == 0,
+        n_pairs=idx.shape[0], all_satisfied=violations == 0,
         violations=violations, max_ratio=max_ratio,
-        pairs=idx, distances=D[rows, cols], observed=obs_r,
-        bounds=bnd_r, satisfied=obs_r <= bnd_r,
-        secondary_bounds=None if secondary is None else secondary[rows, cols],
+        pairs=idx[keep], distances=dist[keep], observed=obs, bounds=bnd,
+        satisfied=obs <= bnd,
+        secondary_bounds=None if secondary is None else secondary[hop[keep]],
         **diagonal)
 
 
-def verify_decay_bounds(L, alpha: float, *, lalpha=None, mode: str = "power",
+def verify_decay_bounds(L, alpha: float, *, mode: str = "power",
                         t: float | None = None,
                         data: SpectralData | None = None,
                         sample: int | None = None,
@@ -167,7 +169,9 @@ def verify_decay_bounds(L, alpha: float, *, lalpha=None, mode: str = "power",
     of the applied function: ``w(x) = x**alpha`` for ``L**alpha``
     (power mode) and ``w(x) = 1 - exp(-t * x**alpha)`` for
     ``exp(-t * L**alpha)`` (exponential mode).  Pairs at distance 0, 1
-    or infinity carry no information and are excluded.
+    or infinity carry no information and are excluded.  The bound
+    depends on a pair only through ``d``, so it is evaluated once per
+    distance class.
 
     Hop distances come from ``L.hop_distances``, which the operator
     computes once and keeps; pass the same :class:`DenseOperator` to
@@ -180,8 +184,6 @@ def verify_decay_bounds(L, alpha: float, *, lalpha=None, mode: str = "power",
         Symmetric (within 1e-12) positive semidefinite matrix.
     alpha : float
         Exponent in (0, 1].
-    lalpha : DenseOperator or array_like, optional
-        Precomputed ``L**alpha`` (power mode); recomputed if omitted.
     mode : {'power', 'exponential'}
         Which matrix function to check.
     t : float, optional
@@ -208,19 +210,16 @@ def verify_decay_bounds(L, alpha: float, *, lalpha=None, mode: str = "power",
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "exponential" and (t is None or not 0 < t < np.inf):
         raise ValueError(f"exponential mode requires finite t > 0, got t={t}")
-    A, data, rho, D, mask = _decay_setup(L, data)
+    A, data, rho, D, dm1 = _decay_setup(L, data)
     # d >= 2 keeps the base argument rho/(2(d-1)) inside the spectrum window
-    arg = np.where(mask, rho / (2.0 * np.where(mask, D - 1.0, 1.0)), 1.0)
+    hoelder = np.power(rho / (2.0 * dm1), alpha)
     if mode == "power":
-        F = fractional_power_symmetric(A, alpha, data=data) \
-            if lalpha is None else lalpha
-        return _decay_report(mode, alpha, rho, D, mask, np.abs(as_matrix(F)),
-                             JACKSON_CONSTANT * np.power(arg, alpha),
-                             sample, seed)
+        F = fractional_power_symmetric(A, alpha, data=data)
+        return _decay_report(mode, alpha, rho, D, np.abs(F.matrix),
+                             JACKSON_CONSTANT * hoelder, sample, seed)
     t = float(t)
     E = exp_fractional_symmetric(A, alpha, t, data=data)
-    hoelder = np.power(arg, alpha)
-    return _decay_report(mode, alpha, rho, D, mask, np.abs(E.matrix),
+    return _decay_report(mode, alpha, rho, D, np.abs(E.matrix),
                          JACKSON_CONSTANT * -np.expm1(-t * hoelder),
                          sample, seed, t=t,
                          secondary=JACKSON_CONSTANT * t * hoelder)
@@ -259,15 +258,14 @@ def verify_p_alpha_bound(kernel, L, *, data: SpectralData | None = None,
     -------
     DecayReport
     """
-    A, _, rho, D, mask = _decay_setup(L, data)
+    A, _, rho, D, dm1 = _decay_setup(L, data)
     alpha = kernel.alpha
     diag = np.diag(A).astype(float)
     with np.errstate(divide="ignore"):
-        bounds = (JACKSON_CONSTANT * rho / (2.0 ** alpha * diag[:, None])
-                  * np.power(np.where(mask, D - 1.0, 1.0), -alpha))
+        row = JACKSON_CONSTANT * rho / (2.0 ** alpha * diag)
     margin = float((kernel.d_alpha - rho ** (alpha - 1.0) * diag).min())
-    return _decay_report("kernel", alpha, rho, D, mask, np.abs(kernel.P),
-                         bounds, sample, seed,
+    return _decay_report("kernel", alpha, rho, D, np.abs(kernel.P),
+                         np.power(dm1, -alpha), sample, seed, row=row,
                          diagonal_ok=bool(margin >= -1e-10),
                          diagonal_margin=margin)
 

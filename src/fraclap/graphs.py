@@ -81,14 +81,6 @@ class LaplacianKind(enum.Enum):
     DIRECTED_IN = "directed-in"
     DIRECTED_OUT_NORMALIZED = "directed-out-normalized"
 
-    @classmethod
-    def from_name(cls, name: str) -> "LaplacianKind":
-        for kind in cls:
-            if kind.value == name:
-                return kind
-        names = ", ".join(k.value for k in cls)
-        raise ValueError(f"unknown Laplacian kind {name!r}; choose one of: {names}")
-
 
 _UNDIRECTED_KINDS = (
     LaplacianKind.COMBINATORIAL,

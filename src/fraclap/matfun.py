@@ -22,7 +22,7 @@ import scipy.linalg
 from scipy.linalg import lapack
 from scipy.sparse.linalg import expm_multiply
 
-from .errors import ConvergenceError, NumericalError
+from .errors import NumericalError
 from .graphs import DenseOperator, as_matrix
 
 __all__ = [
@@ -183,8 +183,8 @@ def exp_fractional_symmetric(L, alpha, t, *, data: SpectralData | None = None
     """exp(-t L^alpha) through the same symmetric eigendecomposition."""
     alpha = _check_alpha(alpha)
     t = float(t)
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not 0 <= t < np.inf:
+        raise ValueError(f"t must be finite and nonnegative, got t={t}")
     F, _, _ = _symmetric_function(L, alpha, data, lambda p: np.exp(-t * p))
     return DenseOperator(F)
 
@@ -194,7 +194,14 @@ def _atomic_power(Tb, alpha):
     m = Tb.shape[0]
     if m == 1:
         return np.array([[Tb[0, 0] ** alpha]], dtype=complex)
-    F = scipy.linalg.fractional_matrix_power(Tb, alpha)
+    # scipy's norm estimates draw from numpy's global stream: a fixed
+    # seed makes the power repeat, and the caller's stream is restored
+    state = np.random.get_state()
+    np.random.seed(0)
+    try:
+        F = scipy.linalg.fractional_matrix_power(Tb, alpha)
+    finally:
+        np.random.set_state(state)
     if not np.all(np.isfinite(F)):
         raise NumericalError("atomic block power produced non-finite entries")
     # f(triangular) is triangular; roundoff below the diagonal is discarded

@@ -123,8 +123,7 @@ def test_criterion_04_decay_bounds():
     for L in cases:
         data = symmetric_spectral_data(L)
         for alpha in (0.25, 0.5, 0.75):
-            fa = fractional_power_symmetric(L, alpha, data=data)
-            rep = verify_decay_bounds(L, alpha, lalpha=fa,
+            rep = verify_decay_bounds(L, alpha,
                                       mode="power", data=data, sample=50)
             violations += rep.violations
             pairs += rep.n_pairs
@@ -135,6 +134,7 @@ def test_criterion_04_decay_bounds():
                 violations += rep.violations
                 pairs += rep.n_pairs
             if L is cases[-1]:
+                fa = fractional_power_symmetric(L, alpha, data=data)
                 prof = distance_decay_slope(np.abs(fa.matrix),
                                             L.hop_distances)
                 slopes.append((alpha, prof.slope))

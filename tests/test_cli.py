@@ -255,6 +255,19 @@ def test_returnprob_non_finite_time_exits_one(ring, tmp_path, capsys, bad):
     assert not (tmp_path / "returnprob.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["evolve", "returnprob"])
+def test_non_finite_time_exits_one_before_the_power(und, tmp_path,
+                                                    monkeypatch, command):
+    import fraclap.cli as cli
+
+    def fail(*args):
+        raise AssertionError("power computed")
+
+    monkeypatch.setattr(cli, "fractional_power", fail)
+    assert run([command, "--input", str(und), "--alpha", "0.5",
+                "--times", "0,nan"], tmp_path) == 1
+
+
 def test_consensus_multi_alpha_outputs(tmp_path):
     cfg = tmp_path / "cons.json"
     cfg.write_text(json.dumps({

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse.csgraph
@@ -138,6 +140,19 @@ def test_exp_fractional_matches_expm():
         assert np.abs(ours - ref).max() < 1e-12
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf])
+def test_exp_fractional_rejects_non_finite_t_before_factoring(monkeypatch,
+                                                              t):
+    L = combinatorial(10, 1)
+    calls = []
+    monkeypatch.setattr(matfun, "symmetric_spectral_data", calls.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"got t={t}"):
+            exp_fractional_symmetric(L, 0.5, t)
+    assert calls == []
+
+
 def test_matrix_exponential_general():
     g = cycle_graph(11, directed=True)
     L = build_laplacian(g, LaplacianKind.DIRECTED_OUT).matrix
@@ -272,6 +287,18 @@ def test_general_engine_keeps_zero_rows_and_columns_exact():
     assert not r.matrix[sinks].any()
     assert not fractional_power_general(L.T, alpha).matrix[:, sinks].any()
     assert transition_kernel(r).P[22, 22] == 1.0
+
+
+def test_general_engine_repeats_and_keeps_the_global_random_stream():
+    # scipy's triangular power estimates norms from random start vectors
+    g = random_connected_graph(30, directed=True, seed=1)
+    L = build_laplacian(g, LaplacianKind.DIRECTED_OUT)
+    before = np.random.get_state()
+    first = fractional_power_general(L, 0.5).matrix
+    after = np.random.get_state()
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
+    np.random.random(1000)
+    assert np.array_equal(fractional_power_general(L, 0.5).matrix, first)
 
 
 def test_general_engine_zero_matrix():
