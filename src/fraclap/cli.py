@@ -4,7 +4,7 @@ Every subcommand reads file-based inputs, writes its outputs plus a JSON
 run manifest (resolved parameters, input digests, seed, version, wall
 time) into ``--out-dir``, and is reproducible: identical argv, inputs
 and seed give byte-identical CSV output at a fixed BLAS thread count.
-The directed power is included: fraclap fixes scipy's random draw.
+The directed power is included: it draws no random numbers.
 Between thread counts, values built on a matrix factorization may differ
 in the last few bits.
 Exit codes: 0 success, 1 usage or input error, 2 numerical failure.
@@ -276,6 +276,7 @@ def _cmd_power(args, run):
     path = _emit_matrix(run.base, res.matrix, args.format)
     return {"n": g.n, "kind": kind.value, "alpha": args.alpha,
             "method": res.method, "zero_cluster_size": len(res.zero_cluster),
+            "square_roots": res.square_roots, "pade_degree": res.pade_degree,
             "output": path.name}
 
 

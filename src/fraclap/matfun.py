@@ -2,10 +2,11 @@
 
 Fractional powers L^alpha for alpha in (0, 1], entered through
 :func:`fractional_power`: a symmetric eigendecomposition or, for
-nonsymmetric input, one complex Schur form sorted to put the zero
-eigenvalue cluster first: the nonzero block gets its principal power and
-a single Sylvester solve couples the two.  The zero eigenvalue cluster
-of a singular Laplacian is mapped exactly to 0.  A truncated binomial
+nonsymmetric input, one real Schur form sorted to put the zero
+eigenvalue cluster first: the nonzero block gets its principal power by
+blocked real square roots and a Pade approximant, and a single Sylvester
+solve couples the two.  The zero eigenvalue cluster of a singular
+Laplacian is mapped exactly to 0.  A truncated binomial
 series provides an independent cross-check, and ``verify_m_matrix``
 reports the structural invariants the result must satisfy (nonpositive
 off-diagonal, zero row sums, spectrum in the closed right half-plane).
@@ -15,6 +16,8 @@ without forming the dense exponential.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,12 +77,17 @@ class FractionalPowerResult(DenseOperator):
 
     ``method`` names the engine (``"symmetric-eig"`` or
     ``"schur-parlett"``); ``zero_cluster`` indexes the entries of
-    ``eigenvalues`` that were mapped exactly to 0.
+    ``eigenvalues`` that were mapped exactly to 0.  ``square_roots`` and
+    ``pade_degree`` are the inverse scaling and squaring parameters of the
+    Schur-Parlett atomic block; both are 0 on the symmetric path and where
+    that block needed no approximation (order 1, or ``alpha = 1``).
     """
 
     zero_cluster: tuple[int, ...]
     method: str
     eigenvalues: np.ndarray
+    square_roots: int = 0
+    pade_degree: int = 0
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -121,10 +129,21 @@ def symmetric_spectral_data(L) -> SpectralData:
 
 
 def schur_spectral_data(M) -> tuple[np.ndarray, np.ndarray]:
-    """Complex Schur form ``(T, Q)`` of a real square matrix: ``T`` upper
-    triangular, ``Q`` unitary, ``M = Q T Q^H``."""
-    A = as_matrix(M)
-    return scipy.linalg.schur(A.astype(complex), output="complex")
+    """Real Schur form ``(T, Z)`` of a real square matrix: ``T`` quasi
+    upper triangular, each 2x2 diagonal block standardized (equal diagonal
+    entries, a nonreal eigenvalue pair), ``Z`` orthogonal, ``M = Z T Z^T``."""
+    return scipy.linalg.schur(as_matrix(M), output="real")
+
+
+def _schur_eigenvalues(T) -> np.ndarray:
+    """Eigenvalues of a standardized real Schur form, in Schur order: the
+    block ``[[a, b], [c, a]]`` holds ``a +- i sqrt(-bc)``."""
+    lam = np.diag(T).astype(complex)
+    i = np.flatnonzero(np.diag(T, -1))
+    mu = np.sqrt(-T[i, i + 1] * T[i + 1, i])
+    lam[i] += 1j * mu
+    lam[i + 1] -= 1j * mu
+    return lam
 
 
 def _zero_tolerance(lam) -> float:
@@ -189,53 +208,161 @@ def exp_fractional_symmetric(L, alpha, t, *, data: SpectralData | None = None
     return DenseOperator(F)
 
 
-def _atomic_power(Tb, alpha):
-    """Principal power of a nonsingular triangular diagonal block."""
-    m = Tb.shape[0]
-    if m == 1:
-        return np.array([[Tb[0, 0] ** alpha]], dtype=complex)
-    # scipy's norm estimates draw from numpy's global stream: a fixed
-    # seed makes the power repeat, and the caller's stream is restored
-    state = np.random.get_state()
-    np.random.seed(0)
-    try:
-        F = scipy.linalg.fractional_matrix_power(Tb, alpha)
-    finally:
-        np.random.set_state(state)
+# Higham & Lin (SIMAX 32(3), 2011, Table 2.1): the degree-m Pade
+# approximant of (1 - x)**alpha is accurate to unit roundoff for
+# ||X||_1 <= theta_m, m = 1..7
+_PADE_THETA = (1.51e-5, 2.24e-3, 1.88e-2, 6.04e-2, 0.124, 0.200, 0.279)
+# largest diagonal block that a leaf dtrsyl or LU solve takes whole
+_LEAF = 64
+
+
+def _split(sub) -> int:
+    """Row near the middle of a quasi triangular matrix of order
+    ``len(sub) + 1`` that starts a diagonal block; ``sub`` flags its
+    nonzero subdiagonal entries, and no two adjacent ones are set."""
+    h = (len(sub) + 1) // 2
+    return h + int(sub[h - 1])
+
+
+def _sylvester(A, B, C, sub_a, sub_b) -> np.ndarray:
+    """X with ``A X + X B = C`` for quasi upper triangular ``A`` and ``B``:
+    recursive and blocked (Jonsson & Kagstrom, ACM TOMS 28(4), 2002), the
+    larger dimension split until ``dtrsyl`` takes a leaf of at most
+    ``_LEAF`` rows and columns."""
+    m, n = C.shape
+    if max(m, n) <= _LEAF:
+        X, scale, info = lapack.dtrsyl(A, B, C)
+        if info != 0 or scale == 0.0:
+            raise NumericalError(f"Sylvester solve of a square root failed "
+                                 f"(info={info}, scale={scale})")
+        return X / scale
+    if m >= n:
+        h = _split(sub_a)
+        X2 = _sylvester(A[h:, h:], B, C[h:], sub_a[h:], sub_b)
+        X1 = _sylvester(A[:h, :h], B, C[:h] - A[:h, h:] @ X2,
+                        sub_a[:h - 1], sub_b)
+        return np.vstack((X1, X2))
+    h = _split(sub_b)
+    X1 = _sylvester(A, B[:h, :h], C[:, :h], sub_a, sub_b[:h - 1])
+    X2 = _sylvester(A, B[h:, h:], C[:, h:] - X1 @ B[:h, h:], sub_a,
+                    sub_b[h:])
+    return np.hstack((X1, X2))
+
+
+def _sqrt_quasi(T, sub) -> np.ndarray:
+    """Principal square root of a quasi upper triangular ``T``, recursive
+    and blocked (Deadman, Higham & Ralha, PARA 2012): the roots of the two
+    diagonal halves, coupled by ``R11 X + X R22 = T12``.  A standardized
+    block ``a I + N`` with eigenvalues ``a +- i mu`` has the root
+    ``r I + N / (2 r)``, ``r = Re sqrt(a + i mu)``."""
+    p = T.shape[0]
+    if p == 1:
+        return np.sqrt(T)
+    if p == 2 and sub[0]:
+        r = cmath.sqrt(complex(T[0, 0], math.sqrt(-T[0, 1] * T[1, 0]))).real
+        return np.array([[r, T[0, 1] / (2 * r)], [T[1, 0] / (2 * r), r]])
+    h = _split(sub)
+    R = np.zeros_like(T)
+    R[:h, :h] = _sqrt_quasi(T[:h, :h], sub[:h - 1])
+    R[h:, h:] = _sqrt_quasi(T[h:, h:], sub[h:])
+    R[:h, h:] = _sylvester(R[:h, :h], R[h:, h:], T[:h, h:], sub[:h - 1],
+                           sub[h:])
+    return R
+
+
+def _solve_quasi(A, B, cuts) -> np.ndarray:
+    """``A^{-1} B`` for quasi upper triangular ``A`` and ``B`` of the same
+    block pattern, by block back-substitution over the row blocks
+    ``cuts[i]:cuts[i+1]``, with an LU solve on each diagonal block.  The
+    result has that pattern too, so block row ``i`` starts at column
+    ``cuts[i]``."""
+    Y = np.zeros_like(B)
+    for lo, hi in zip(cuts[-2::-1], cuts[:0:-1]):
+        Y[lo:hi, lo:] = np.linalg.solve(
+            A[lo:hi, lo:hi], B[lo:hi, lo:] - A[lo:hi, hi:] @ Y[hi:, lo:])
+    return Y
+
+
+def _pade_coefficient(j, alpha) -> float:
+    """Coefficient ``c_j`` of the continued fraction for (1 - x)**alpha
+    (Higham & Lin 2011, eq. (4.1))."""
+    if j == 1:
+        return -alpha
+    i = j // 2
+    if j % 2 == 0:
+        return (alpha - i) / (2 * (2 * i - 1))
+    return (-alpha - i) / (2 * (2 * i + 1))
+
+
+def _atomic_power(T, alpha) -> tuple[np.ndarray, int, int]:
+    """Principal power of a nonsingular quasi upper triangular block, with
+    its square-root count ``s`` and Pade degree ``m``.
+
+    Inverse scaling and squaring (Higham & Lin, SIMAX 32(3), 2011): ``s``
+    blocked square roots bring ``X = I - T^(1/2^s)`` to
+    ``||X||_1 <= theta_7``; ``m`` is the smallest degree with
+    ``theta_m >= ||X||_1``; the degree-m Pade approximant of
+    ``(I - X)**alpha`` is evaluated bottom up as a continued fraction by
+    quasi triangular solves and squared ``s`` times.  ``alpha = 1`` returns
+    the block and a 1x1 block is ``t**alpha``, both with ``s = m = 0``.
+    """
+    p = T.shape[0]
+    if alpha == 1.0:
+        return T, 0, 0
+    if p == 1:
+        return T ** alpha, 0, 0
+    sub = np.diag(T, -1) != 0
+    cuts = [0]
+    while cuts[-1] < p:
+        end = min(cuts[-1] + _LEAF, p)
+        cuts.append(end - int(end < p and sub[end - 1]))
+    ident = np.eye(p)
+    R, X, s = T, ident - T, 0
+    while not (norm := float(np.abs(X).sum(axis=0).max())) <= _PADE_THETA[-1]:
+        if not np.isfinite(norm):
+            raise NumericalError("atomic block square root produced "
+                                 "non-finite entries")
+        R = _sqrt_quasi(R, sub)
+        X = ident - R
+        s += 1
+    m = next(m for m, theta in enumerate(_PADE_THETA, 1) if norm <= theta)
+    Y = _pade_coefficient(2 * m, alpha) * X
+    for j in range(2 * m - 1, 0, -1):
+        Y = _solve_quasi(ident + Y, _pade_coefficient(j, alpha) * X, cuts)
+    F = ident + Y
+    for _ in range(s):
+        F = F @ F
     if not np.all(np.isfinite(F)):
         raise NumericalError("atomic block power produced non-finite entries")
-    # f(triangular) is triangular; roundoff below the diagonal is discarded
-    low = np.abs(np.tril(F, -1)).max(initial=0.0)
-    if low > 1e-10 * max(1.0, np.abs(F).max()):
-        raise NumericalError(f"atomic block lost triangularity ({low:.3e})")
-    return np.triu(np.asarray(F, dtype=complex))
+    return F, s, m
 
 
 def fractional_power_general(M, alpha) -> FractionalPowerResult:
     """M^alpha for a real matrix with spectrum in the closed right
-    half-plane (singular M-matrices included).
+    half-plane (singular M-matrices included), in real arithmetic.
 
-    One complex Schur form T, reordered by ``ztrsen`` so that the k
+    One real Schur form T, reordered by ``dtrsen`` so that the k
     eigenvalues with |lambda| <= n * eps * rho(M) come first.  With
     T = [[T0, T01], [0, T1]], the result in Schur coordinates is
     F = [[0, X], [0, T1^alpha]]: the zero cluster maps exactly to 0, the
     nonsingular block T1 gets its principal power by inverse scaling and
-    squaring, and the coupling X solves the Sylvester equation
-    T0 X - X T1 = -T01 T1^alpha that FT = TF imposes (the two-block
-    Parlett step).  The result is realified; an imaginary residue above
-    1e-10 * max|result| raises :class:`NumericalError`.  Rows and
-    columns where ``M`` is zero are exactly zero in the result.
+    squaring (`_atomic_power`), and the coupling X solves the Sylvester
+    equation T0 X - X T1 = -T01 T1^alpha that FT = TF imposes (the
+    two-block Parlett step).  Rows and columns where ``M`` is zero are
+    exactly zero in the result.
     """
     alpha = _check_alpha(alpha)
     A = as_matrix(M)
     n = A.shape[0]
-    T, Q = schur_spectral_data(A)
-    lam = np.diag(T)
+    T, Z = schur_spectral_data(A)
+    lam = _schur_eigenvalues(T)
 
     ztol = _zero_tolerance(lam)
     zero_mask = np.abs(lam) <= ztol
     floor = -10.0 * ztol
-    bad = (~zero_mask) & (lam.real < floor)
+    # the principal branch excludes the closed negative real axis
+    bad = (~zero_mask) & ((lam.real < floor)
+                          | ((lam.real < 0) & (lam.imag == 0)))
     if np.any(bad):
         worst = lam[bad][np.argmin(lam[bad].real)]
         raise NumericalError(
@@ -245,34 +372,29 @@ def fractional_power_general(M, alpha) -> FractionalPowerResult:
 
     k = int(zero_mask.sum())
     F = np.zeros_like(T)
+    roots = degree = 0
     if k < n:
         if k:
-            T, Q, _, m, _, _, info = lapack.ztrsen(zero_mask.astype(np.int32),
-                                                   T, Q, job="N")
+            T, Z, _, _, m, _, _, info = lapack.dtrsen(
+                zero_mask.astype(np.int32), T, Z, job="N")
             if info != 0 or m != k:
                 raise NumericalError(
                     f"Schur reordering failed (info={info}, "
                     f"{m} of {k} zero eigenvalues moved)"
                 )
-        F[k:, k:] = _atomic_power(T[k:, k:], alpha)
+            lam = _schur_eigenvalues(T)
+        F[k:, k:], roots, degree = _atomic_power(T[k:, k:], alpha)
         if k:
-            X, scale, info = lapack.ztrsyl(T[:k, :k], T[k:, k:],
+            X, scale, info = lapack.dtrsyl(T[:k, :k], T[k:, k:],
                                            -T[:k, k:] @ F[k:, k:], isgn=-1)
             if info != 0 or scale == 0.0:
                 raise NumericalError(
                     "Parlett recurrence breakdown between the zero cluster "
-                    f"and the nonzero block (eigenvalue near {T[k, k]!r})"
+                    f"and the nonzero block (eigenvalue near {lam[k]!r})"
                 )
             F[:k, k:] = X / scale
 
-    R = Q @ F @ Q.conj().T
-    resid = float(np.abs(R.imag).max())
-    limit = 1e-10 * max(1.0, float(np.abs(R.real).max()))
-    if resid > limit:
-        raise NumericalError(
-            f"imaginary residue {resid:.3e} above realification tolerance"
-        )
-    R = R.real.copy()
+    R = Z @ F @ Z.T
     # a zero row (column) of M is a left (right) null vector, which the
     # power maps to 0 exactly; Schur roundoff there would make an
     # absorbing node look live
@@ -280,8 +402,8 @@ def fractional_power_general(M, alpha) -> FractionalPowerResult:
     R[:, ~A.any(axis=0)] = 0.0
     return FractionalPowerResult(matrix=R, alpha=alpha,
                                  zero_cluster=tuple(range(k)),
-                                 method="schur-parlett",
-                                 eigenvalues=np.diag(T).copy())
+                                 method="schur-parlett", eigenvalues=lam,
+                                 square_roots=roots, pade_degree=degree)
 
 
 def fractional_power(L, alpha) -> FractionalPowerResult:

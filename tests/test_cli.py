@@ -66,6 +66,22 @@ def test_power_row_sums_vanish(ring, tmp_path):
     assert off.max() <= 1e-12
 
 
+def test_power_manifest_names_the_algorithm_path(ring, und, tmp_path):
+    got = {}
+    for name, edges in (("directed", ring), ("symmetric", und)):
+        out = tmp_path / name
+        out.mkdir()
+        assert run(["power", "--input", str(edges), "--alpha", "0.5"],
+                   out) == 0
+        got[name] = json.loads((out / "power_manifest.json").read_text())[
+            "results"]
+    directed, symmetric = got["directed"], got["symmetric"]
+    assert directed["method"] == "schur-parlett"
+    assert directed["square_roots"] > 0 and directed["pade_degree"] > 0
+    assert symmetric["method"] == "symmetric-eig"
+    assert symmetric["square_roots"] == symmetric["pade_degree"] == 0
+
+
 def test_byte_identical_reruns(ring, tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"

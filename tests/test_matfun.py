@@ -252,12 +252,100 @@ def closed_class_count(L):
 
 def test_schur_spectral_data_factors_a_digraph():
     L = random_digraph_laplacian(40, 11)
-    T, Q = matfun.schur_spectral_data(L)
+    T, Z = matfun.schur_spectral_data(L)
     n = L.shape[0]
-    assert not np.tril(T, -1).any()
-    assert np.abs(Q.conj().T @ Q - np.eye(n)).max() <= 1e-12
+    assert not np.tril(T, -2).any()
+    sub = np.flatnonzero(np.diag(T, -1))
+    assert sub.size and not np.isin(sub + 1, sub).any()
+    for i in sub:
+        block = T[i:i + 2, i:i + 2]
+        assert block[0, 0] == block[1, 1]
+        assert np.abs(np.linalg.eigvals(block).imag).min() > 0
+    assert np.abs(Z.T @ Z - np.eye(n)).max() <= 1e-12
     scale = max(1.0, np.linalg.norm(L, 2))
-    assert np.abs(Q @ T @ Q.conj().T - L).max() <= 1e-12 * scale
+    assert np.abs(Z @ T @ Z.T - L).max() <= 1e-12 * scale
+
+
+def quasi_triangular(n, pairs, seed):
+    """Upper triangular with diagonal in [1, 2] and off-diagonal entries
+    of size 1/n, plus standardized 2x2 blocks ``[[a, b], [-c, a]]`` (b, c
+    > 0) starting at the rows ``pairs``."""
+    rng = np.random.default_rng(seed)
+    T = np.triu(rng.uniform(-1, 1, (n, n)), 1) / n
+    T[np.diag_indices(n)] = rng.uniform(1, 2, n)
+    for i in pairs:
+        T[i + 1, i + 1] = T[i, i]
+        T[i + 1, i] = -rng.uniform(0.5, 1.5)
+        T[i, i + 1] = rng.uniform(0.5, 1.5)
+    return T
+
+
+@pytest.mark.parametrize("n,pairs", [(151, (3, 74, 140)),
+                                     (142, range(0, 142, 2))],
+                         ids=["straddling-middle", "all-pairs"])
+def test_blocked_real_square_root(n, pairs):
+    T = quasi_triangular(n, pairs, seed=n)
+    sub = np.diag(T, -1) != 0
+    assert sub[n // 2 - 1]          # a 2x2 block straddles row n // 2
+    R = matfun._sqrt_quasi(T, sub)
+    assert R.dtype == np.float64
+    assert np.abs(R @ R - T).max() <= 1e-13 * np.abs(T).max()
+
+
+def test_general_engine_powers_compose_on_digraphs():
+    for seed in (2, 3, 7):
+        L = random_digraph_laplacian(60, seed)
+        lam = np.linalg.eigvals(L)
+        assert (np.abs(lam.imag) > 1e-8).any() and closed_class_count(L)
+        half = fractional_power_general(L, 0.5).matrix
+        assert np.abs(half @ half - L).max() <= 1e-10 * np.abs(L).max()
+        a, b, c = (fractional_power_general(L, x).matrix
+                   for x in (0.3, 0.4, 0.7))
+        assert np.abs(a @ b - c).max() <= 1e-10 * np.abs(c).max()
+
+
+def test_general_engine_within_series_remainder_on_digraphs():
+    sinks = build_laplacian(random_connected_graph(25, directed=True,
+                                                   seed=67),
+                            LaplacianKind.DIRECTED_OUT).matrix
+    for L in (random_digraph_laplacian(30, 2), sinks):
+        for alpha in (0.3, 0.7):
+            exact = fractional_power_general(L, alpha).matrix
+            approx = fractional_power_series(L, alpha, terms=2000)
+            # a sink's row attains the remainder, so roundoff sits on top
+            err = np.abs(approx.matrix - exact).max()
+            assert err <= approx.remainder + 1e-13
+
+
+def test_general_engine_stays_real(monkeypatch):
+    import scipy.linalg
+    schur = scipy.linalg.schur
+    outputs = []
+
+    def spy_schur(*args, **kwargs):
+        outputs.append(kwargs.get("output", "real"))
+        return schur(*args, **kwargs)
+
+    def no_scipy_power(*args, **kwargs):
+        raise AssertionError("scipy's fractional_matrix_power was called")
+    monkeypatch.setattr(scipy.linalg, "schur", spy_schur)
+    monkeypatch.setattr(scipy.linalg, "fractional_matrix_power",
+                        no_scipy_power)
+    for alpha in (0.5, 1.0):
+        r = fractional_power_general(random_digraph_laplacian(40, 11), alpha)
+        assert r.matrix.dtype == np.float64
+    assert outputs == ["real", "real"]
+
+
+def test_power_reports_its_algorithm_path():
+    directed = fractional_power(random_digraph_laplacian(40, 11), 0.5)
+    assert directed.method == "schur-parlett"
+    assert directed.square_roots > 0 and 1 <= directed.pade_degree <= 7
+    one = fractional_power_general(random_digraph_laplacian(40, 11), 1.0)
+    assert (one.square_roots, one.pade_degree) == (0, 0)
+    symmetric = fractional_power(combinatorial(12, 3), 0.5)
+    assert symmetric.method == "symmetric-eig"
+    assert (symmetric.square_roots, symmetric.pade_degree) == (0, 0)
 
 
 def test_general_engine_zero_cluster_on_digraph():
@@ -290,7 +378,8 @@ def test_general_engine_keeps_zero_rows_and_columns_exact():
 
 
 def test_general_engine_repeats_and_keeps_the_global_random_stream():
-    # scipy's triangular power estimates norms from random start vectors
+    # the square-root count and Pade degree come from exact norms, with no
+    # random start vectors
     g = random_connected_graph(30, directed=True, seed=1)
     L = build_laplacian(g, LaplacianKind.DIRECTED_OUT)
     before = np.random.get_state()
