@@ -270,14 +270,19 @@ def _sqrt_quasi(T, sub) -> np.ndarray:
     return R
 
 
-def _solve_quasi(A, B, cuts) -> np.ndarray:
+def _solve_quasi(A, B, sub) -> np.ndarray:
     """``A^{-1} B`` for quasi upper triangular ``A`` and ``B`` of the same
-    block pattern, by block back-substitution over the row blocks
-    ``cuts[i]:cuts[i+1]``, with an LU solve on each diagonal block.  The
-    result has that pattern too, so block row ``i`` starts at column
-    ``cuts[i]``."""
+    block pattern, by block back-substitution over row blocks of at most
+    ``_LEAF`` rows that do not cut a 2x2 block, with an LU solve on each
+    diagonal block.  The result has that pattern too, so block row
+    ``lo:hi`` starts at column ``lo``."""
+    p = A.shape[0]
+    cuts = [0]
+    while cuts[-1] < p:
+        end = min(cuts[-1] + _LEAF, p)
+        cuts.append(end - int(end < p and sub[end - 1]))
     Y = np.zeros_like(B)
-    for lo, hi in zip(cuts[-2::-1], cuts[:0:-1]):
+    for lo, hi in reversed(list(zip(cuts, cuts[1:]))):
         Y[lo:hi, lo:] = np.linalg.solve(
             A[lo:hi, lo:hi], B[lo:hi, lo:] - A[lo:hi, hi:] @ Y[hi:, lo:])
     return Y
@@ -312,10 +317,6 @@ def _atomic_power(T, alpha) -> tuple[np.ndarray, int, int]:
     if p == 1:
         return T ** alpha, 0, 0
     sub = np.diag(T, -1) != 0
-    cuts = [0]
-    while cuts[-1] < p:
-        end = min(cuts[-1] + _LEAF, p)
-        cuts.append(end - int(end < p and sub[end - 1]))
     ident = np.eye(p)
     R, X, s = T, ident - T, 0
     while not (norm := float(np.abs(X).sum(axis=0).max())) <= _PADE_THETA[-1]:
@@ -328,7 +329,7 @@ def _atomic_power(T, alpha) -> tuple[np.ndarray, int, int]:
     m = next(m for m, theta in enumerate(_PADE_THETA, 1) if norm <= theta)
     Y = _pade_coefficient(2 * m, alpha) * X
     for j in range(2 * m - 1, 0, -1):
-        Y = _solve_quasi(ident + Y, _pade_coefficient(j, alpha) * X, cuts)
+        Y = _solve_quasi(ident + Y, _pade_coefficient(j, alpha) * X, sub)
     F = ident + Y
     for _ in range(s):
         F = F @ F
