@@ -187,14 +187,20 @@ class _Run:
         })
 
 
-def _load_graph(path: Path, args, **options):
-    """The edge list at ``path``, read with ``options``; more than
-    `DENSE_LIMIT` nodes without ``--force-dense`` raises `UsageError`."""
-    g = load_edge_list(path, **options)
-    if g.n > DENSE_LIMIT and not args.force_dense:
+def _check_dense(n: int, args) -> None:
+    """More than `DENSE_LIMIT` nodes without ``--force-dense`` raises
+    `UsageError`."""
+    if n > DENSE_LIMIT and not args.force_dense:
         raise UsageError(
-            f"graph has {g.n} > {DENSE_LIMIT} nodes; pass --force-dense "
+            f"graph has {n} > {DENSE_LIMIT} nodes; pass --force-dense "
             "to run the dense eigensolve anyway")
+
+
+def _load_graph(path: Path, args, **options):
+    """The edge list at ``path``, read with ``options``, size-checked by
+    `_check_dense`."""
+    g = load_edge_list(path, **options)
+    _check_dense(g.n, args)
     return g
 
 
@@ -313,6 +319,7 @@ def _cmd_absorb(args, run):
     if args.runs < 0 or args.runs == 1:
         raise UsageError(f"--runs must be 0 or at least 2, got {args.runs} "
                          "(the standard error needs two samples)")
+    _check_dense(args.n, args)
     res = expected_absorption_steps(args.n, args.alpha)
     out = {"expectation": res.expectation, "n_step": res.n_step,
            "fundamental_expectation": res.fundamental_expectation}
@@ -445,7 +452,9 @@ def _alpha_tag(alpha: float) -> str:
 def _consensus_graph(cfg, args, run):
     g = cfg.get("graph", "directed-cycle")
     if g == "directed-cycle":
-        return cycle_graph(int(cfg.get("vehicles", 120)), directed=True)
+        n = int(cfg.get("vehicles", 120))
+        _check_dense(n, args)
+        return cycle_graph(n, directed=True)
     return _load_graph(run.read(g), args,
                        one_based=bool(cfg.get("one_based", False)))
 

@@ -169,16 +169,19 @@ class ConsensusConfig:
             raise ValueError("x0 must be (n, m) with one row per node")
         if v0.shape != x0.shape:
             raise ValueError("v0 must match the shape of x0")
+        for name, value in (("x0", x0), ("v0", v0)):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite")
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "v0", v0)
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
-        if self.gamma is not None and self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.step is not None and self.step <= 0:
-            raise ValueError("step must be positive")
+        for name in ("beta", "horizon", "gamma", "step"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < math.inf:
+                raise ValueError(
+                    f"{name} must be positive and finite, got {value}")
+        if not math.isfinite(self.gamma_margin):
+            raise ValueError(
+                f"gamma_margin must be finite, got {self.gamma_margin}")
         if self.output_stride is not None and not (
                 isinstance(self.output_stride, (int, np.integer))
                 and self.output_stride >= 1):
@@ -228,6 +231,8 @@ def _check_target(cfg: ConsensusConfig):
         fd = (np.asarray(cfg.target.position(t + h))
               - np.asarray(cfg.target.position(t - h))) / (2.0 * h)
         v = np.asarray(cfg.target.velocity(t))
+        if not (np.all(np.isfinite(fd)) and np.all(np.isfinite(v))):
+            raise ValueError(f"target is not finite near t={t:g}")
         worst = max(worst, float(np.abs(fd - v).max()))
         vscale = max(vscale, float(np.abs(v).max()))
     if worst > 1e-6 * vscale:

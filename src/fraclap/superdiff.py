@@ -46,11 +46,11 @@ def _check_orientation(orientation: str) -> str:
     return orientation
 
 
-def _check_time(t) -> float:
-    t = float(t)
-    if not 0.0 < t < math.inf:
-        raise ValueError(f"t must be positive and finite, got {t}")
-    return t
+def _positive(name: str, value) -> float:
+    value = float(value)
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
 
 
 def _next_pow2(n: int) -> int:
@@ -222,7 +222,7 @@ class LatticeSolution:
     orientation : {'undirected', 'directed'}
         Chain orientation.
     tol : float, optional
-        Quadrature refinement tolerance.
+        Quadrature refinement tolerance, positive and finite.
     """
 
     alpha: float
@@ -235,6 +235,7 @@ class LatticeSolution:
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
         _check_orientation(self.orientation)
+        _positive("tol", self.tol)
 
     def _rule(self, t: float) -> _HalfLineRule:
         cached_t, rule = self._cache
@@ -253,7 +254,7 @@ class LatticeSolution:
 
     def __call__(self, t: float, z):
         """Evaluate ``u(t)_z`` for scalar or array ``z``."""
-        t = _check_time(t)
+        t = _positive("t", t)
         vals = self._rule(t)(np.atleast_1d(np.asarray(z, dtype=float)),
                              self.tol)
         return vals if np.ndim(z) else float(vals[0])
@@ -309,7 +310,7 @@ def lattice_window_stats(alpha: float, orientation: str, t: float,
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    t = _check_time(t)
+    t = _positive("t", t)
     n = _next_pow2(max(8 * kmax, 4096))
     x = 2.0 * math.pi * np.arange(n) / n
     # conjugate symbol so coeff[k] pairs with index +k on directed chains
@@ -355,9 +356,7 @@ class StableParams:
             raise ValueError("only beta in {0, 1} is supported")
         if self.alpha == 1.0 and self.beta != 0.0:
             raise ValueError("alpha = 1 requires beta = 0")
-        if not 0.0 < self.gamma < math.inf:
-            raise ValueError(
-                f"gamma must be positive and finite, got {self.gamma}")
+        _positive("gamma", self.gamma)
 
     @property
     def omega(self) -> float:
@@ -507,11 +506,12 @@ def fwhm(evaluator, bracket, *, samples: int = 129,
          tol: float = 1e-10) -> float:
     """Full width at half maximum of a unimodal curve.
 
-    Locates the peak by golden-section refinement of a coarse sample,
-    then each half-maximum crossing by bisection.  If every sample left
-    of the peak stays above half maximum, the left bracket edge is taken
-    as the support boundary (one-sided densities); place the bracket so
-    that its left edge sits at the support edge in that case.
+    Takes ``samples`` points on the bracket.  While the largest sits on
+    an edge, or an edge sample exceeds 0.45 of it, that side moves out by
+    0.6 of the current width (low side first, then high side from the new
+    low edge) and the bracket is sampled again, at most 8 times.  Then
+    sharpens the peak by golden-section search and finds each
+    half-maximum crossing by bisection.
 
     Parameters
     ----------
@@ -519,11 +519,11 @@ def fwhm(evaluator, bracket, *, samples: int = 129,
         Density evaluator, vectorized: maps an ndarray to values of the
         same shape.
     bracket : tuple of float
-        Search interval containing the peak strictly inside.
+        Start of the search interval.
     samples : int, optional
         Coarse sample count (at least 5).
     tol : float, optional
-        Crossing resolution.
+        Crossing resolution, positive and finite.
 
     Returns
     -------
@@ -533,21 +533,32 @@ def fwhm(evaluator, bracket, *, samples: int = 129,
     Raises
     ------
     ValueError
-        Peak on the bracket edge, non-unimodal samples, a refined peak
-        above twice the best sample, or no crossing.
+        Bad bracket, sample count or tol; peak on the bracket edge after
+        8 widenings, non-unimodal samples, a refined peak above twice the
+        best sample, or no crossing.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not hi > lo:
         raise ValueError("empty bracket")
     if samples < 5:
         raise ValueError("need at least 5 samples")
-    xs = np.linspace(lo, hi, int(samples))
-    ys = np.asarray(evaluator(xs), dtype=float)
+    _positive("tol", tol)
+    for widenings in range(9):  # the start bracket, then up to 8 wider
+        xs = np.linspace(lo, hi, int(samples))
+        ys = np.asarray(evaluator(xs), dtype=float)
+        k = int(np.argmax(ys))
+        low = k == 0 or ys[0] > 0.45 * ys[k]
+        high = k == xs.shape[0] - 1 or ys[-1] > 0.45 * ys[k]
+        if widenings == 8 or not (low or high):
+            break
+        if low:
+            lo -= 0.6 * (hi - lo)
+        if high:
+            hi += 0.6 * (hi - lo)
 
     def f(x: float) -> float:
         return float(np.asarray(evaluator(np.array([x])))[0])
 
-    k = int(np.argmax(ys))
     if k in (0, xs.shape[0] - 1):
         raise ValueError("peak not interior to the bracket")
     # band-limited index extensions ring at ~1e-5 of the peak near empty
@@ -600,11 +611,9 @@ def fwhm(evaluator, bracket, *, samples: int = 129,
 
     below_left = np.flatnonzero(ys[:k + 1] < half)
     if below_left.size == 0:
-        left = lo  # support boundary of a one-sided density
-    else:
-        j = int(below_left[-1])
-        left = bisect(float(xs[j + 1]), float(xs[j]))
-    return right - left
+        raise ValueError("no left half-maximum crossing inside the bracket")
+    j = int(below_left[-1])
+    return right - bisect(float(xs[j + 1]), float(xs[j]))
 
 
 @dataclass(frozen=True)
@@ -639,34 +648,16 @@ class ExponentFit:
     expected: float
 
 
-def _auto_bracket(g, orientation: str) -> tuple[float, float]:
-    lo, hi = (-8.0, 8.0) if orientation == "undirected" else (-1.0, 10.0)
-    for _ in range(8):
-        xs = np.linspace(lo, hi, 41)
-        ys = np.asarray(g(xs), dtype=float)
-        k = int(np.argmax(ys))
-        peak = float(ys[k])
-        grew = False
-        if k == 0 or ys[0] > 0.45 * peak:
-            lo -= 0.6 * (hi - lo)
-            grew = True
-        if k == xs.shape[0] - 1 or ys[-1] > 0.45 * peak:
-            hi += 0.6 * (hi - lo)
-            grew = True
-        if not grew:
-            return lo, hi
-    return lo, hi
-
-
 def superdiffusion_exponent(alpha: float, orientation: str, t_values, *,
                             samples: int = 129,
                             tol: float = 1e-10) -> ExponentFit:
     """Fit the spreading exponent of the lattice solution.
 
     Measures the full width at half maximum of ``u(t)`` on a geometric
-    time grid in rescaled coordinates (so the search bracket stays O(1))
-    and fits the slope of ``log FWHM**2`` against ``log t``.  Values
-    above 1 flag superdiffusive spreading.
+    time grid in rescaled coordinates, where `fwhm` starts from the
+    bracket (-8, 8) (undirected) or (-1, 10) (directed), and fits the
+    slope of ``log FWHM**2`` against ``log t``.  Values above 1 flag
+    superdiffusive spreading.
 
     Parameters
     ----------
@@ -680,7 +671,7 @@ def superdiffusion_exponent(alpha: float, orientation: str, t_values, *,
     samples : int, optional
         Coarse FWHM sample count (at least 5).
     tol : float, optional
-        Quadrature and crossing tolerance.
+        Quadrature and crossing tolerance, positive and finite.
 
     Returns
     -------
@@ -689,7 +680,7 @@ def superdiffusion_exponent(alpha: float, orientation: str, t_values, *,
     Raises
     ------
     ValueError
-        Bad alpha, orientation, grid or sample count.
+        Bad alpha, orientation, grid, sample count or tolerance.
     NumericalError
         No FWHM at some time (naming it), or fit quality below
         r^2 = 0.99.
@@ -709,6 +700,7 @@ def superdiffusion_exponent(alpha: float, orientation: str, t_values, *,
     if ratios.max() / ratios.min() > 1.02:
         raise ValueError("grid must be geometric (constant ratio within 2%)")
     scale_exp = _spreading_scale(alpha, orientation)
+    bracket = (-8.0, 8.0) if orientation == "undirected" else (-1.0, 10.0)
     widths = np.empty(ts.shape[0])
     for i, t in enumerate(ts):
         st = t ** scale_exp
@@ -717,8 +709,7 @@ def superdiffusion_exponent(alpha: float, orientation: str, t_values, *,
             return solution(t, st * np.asarray(xi, dtype=float))
 
         try:
-            widths[i] = fwhm(g, _auto_bracket(g, orientation),
-                             samples=samples, tol=tol) * st
+            widths[i] = fwhm(g, bracket, samples=samples, tol=tol) * st
         except ValueError as exc:
             raise NumericalError(
                 f"FWHM of u(t) at t = {t:g}, alpha = {alpha:g} "

@@ -394,6 +394,41 @@ def test_dense_guard_requires_opt_in(tmp_path):
     assert run(["consensus", "--config", str(cfg)], tmp_path) == 1
 
 
+def test_dense_guard_covers_absorb_and_the_builtin_cycle(monkeypatch,
+                                                        tmp_path, capsys):
+    import fraclap.cli
+
+    def fail(*args, **kwargs):
+        raise AssertionError("work ran before the size check")
+
+    monkeypatch.setattr(fraclap.cli, "expected_absorption_steps", fail)
+    monkeypatch.setattr(fraclap.cli, "cycle_graph", fail)
+    guard = "graph has 2001 > 2000 nodes; pass --force-dense"
+    assert run(["absorb", "--n", "2001", "--alpha", "0.5"], tmp_path) == 1
+    assert guard in capsys.readouterr().err
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps({"vehicles": 2001}))
+    assert run(["consensus", "--config", str(cfg)], tmp_path) == 1
+    assert guard in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("gamma", float("nan"), "gamma must be positive and finite, got nan"),
+    ("gamma_margin", float("nan"), "gamma_margin must be finite, got nan"),
+    ("center", [float("nan"), 3.0], "target is not finite"),
+    ("beta", float("nan"), "beta must be positive and finite, got nan"),
+    ("horizon", float("inf"), "horizon must be positive and finite, got inf"),
+    ("step", float("nan"), "step must be positive and finite, got nan"),
+])
+def test_non_finite_consensus_input_exits_one_naming_it(tmp_path, capsys,
+                                                        field, value, message):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"vehicles": 8, "alpha": 0.5, "horizon": 1.0,
+                               field: value}))
+    assert run(["consensus", "--config", str(cfg)], tmp_path) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_console_entry_point(ring, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "fraclap.cli", "laplacian",

@@ -297,6 +297,15 @@ def test_instability_guard_checks_the_final_output():
         simulate_consensus(cfg)
 
 
+@pytest.mark.parametrize("field", ["x0", "v0"])
+def test_non_finite_start_rejected(field):
+    cfg = circle_relocation_config(n=8)
+    start = getattr(cfg, field).copy()
+    start[3, 1] = np.nan
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        replace(cfg, **{field: start})
+
+
 @pytest.mark.parametrize("stride", [0, -3, 2.5])
 def test_bad_output_stride_rejected(stride):
     with pytest.raises(ValueError):

@@ -104,6 +104,29 @@ def test_fwhm_golden_values():
         pytest.approx(2.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("bracket", [(-1.0, 1.0), (-10.0, 1.5), (0.0, 10.0)])
+def test_fwhm_widens_a_bracket_that_cuts_the_profile(bracket):
+    gauss = StableParams(2.0, 0.0, 1.0)
+    assert fwhm(lambda x: stable_density(gauss, x), bracket) == \
+        pytest.approx(4.0 * np.sqrt(np.log(2.0)), abs=1e-9)
+
+
+def test_superdiffusion_exponent_samples_each_profile_once(monkeypatch):
+    # one coarse sample per time; every later call is a single point
+    multi = []
+    real = LatticeSolution.__call__
+
+    def spy(self, t, z):
+        if np.size(z) > 1:
+            multi.append(t)
+        return real(self, t, z)
+
+    monkeypatch.setattr(LatticeSolution, "__call__", spy)
+    ts = np.geomspace(100.0, 1e3, 5)
+    superdiffusion_exponent(1.0, "undirected", ts, samples=33)
+    assert multi == list(ts)
+
+
 def test_fwhm_rejects_flat_input():
     with pytest.raises(ValueError):
         fwhm(lambda x: np.ones_like(np.asarray(x, dtype=float)), (-1, 1))
@@ -425,6 +448,20 @@ def test_non_finite_inputs_are_rejected_before_quadrature(no_quadrature, bad):
         with pytest.raises(ValueError,
                            match=f"t must be positive and finite, got {t}"):
             lattice_window_stats(0.5, "undirected", t, 10)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+def test_bad_tol_is_rejected_before_quadrature(no_quadrature, tol):
+    bad = f"tol must be positive and finite, got {tol}"
+    with pytest.raises(ValueError, match=bad):
+        LatticeSolution(0.5, "undirected", tol=tol)
+    with pytest.raises(ValueError, match=bad):
+        superdiffusion_exponent(0.5, "undirected", np.geomspace(10.0, 1e4, 5),
+                                tol=tol)
+    calls = []
+    with pytest.raises(ValueError, match=bad):
+        fwhm(calls.append, (-1.0, 1.0), tol=tol)
+    assert calls == []
 
 
 def test_empty_evaluation_points_give_empty_arrays():
