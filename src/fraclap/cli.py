@@ -312,7 +312,8 @@ def _cmd_evolve(args, run):
     cols = [traj.times] + [traj.states[:, i] for i in range(g.n)]
     path = _emit_table(run.base, header, cols, args.format)
     return {"conservation_drift": traj.conservation_drift,
-            "output": path.name}
+            "spectrum": traj.spectrum,
+            "balance_residual": traj.balance_residual, "output": path.name}
 
 
 def _cmd_absorb(args, run):
@@ -412,7 +413,9 @@ def _cmd_returnprob(args, run):
     finite = D[np.isfinite(D)]
     summary = {"spectral_gap": curve.spectral_gap,
                "zero_multiplicity": curve.zero_multiplicity,
-               "diameter": int(finite.max()) if finite.size else 0}
+               "diameter": int(finite.max()) if finite.size else 0,
+               "spectrum": curve.spectrum,
+               "balance_residual": curve.balance_residual}
     return run.summary(summary, path)
 
 
@@ -452,7 +455,9 @@ def _alpha_tag(alpha: float) -> str:
 def _consensus_graph(cfg, args, run):
     g = cfg.get("graph", "directed-cycle")
     if g == "directed-cycle":
-        n = int(cfg.get("vehicles", 120))
+        n = cfg.get("vehicles", 120)
+        if type(n) is not int:
+            raise UsageError(f"vehicles must be an integer, got {n!r}")
         _check_dense(n, args)
         return cycle_graph(n, directed=True)
     return _load_graph(run.read(g), args,
@@ -465,6 +470,13 @@ def _cmd_consensus(args, run):
     except json.JSONDecodeError as exc:
         raise UsageError(f"bad JSON config: {exc}") from None
 
+    raw = cfg.get("center", [3.0, 3.0])
+    try:
+        center = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError):
+        center = np.empty(0)
+    if center.shape != (2,) or not np.all(np.isfinite(center)):
+        raise UsageError(f"center must be 2 finite numbers, got {raw!r}")
     graph = _consensus_graph(cfg, args, run)
     alphas = cfg.get("alpha", [0.5])
     if np.isscalar(alphas):
@@ -473,7 +485,6 @@ def _cmd_consensus(args, run):
     horizon = float(cfg.get("horizon", 5.0))
     step = cfg.get("step")
     stride = cfg.get("stride")
-    center = np.asarray(cfg.get("center", (3.0, 3.0)), dtype=float)
     gamma_cfg = cfg.get("gamma", "bound+margin")
     margin = float(cfg.get("gamma_margin", 1.0))
     ring, v0, target = _relocation_geometry(graph.n, center)

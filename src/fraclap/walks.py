@@ -9,9 +9,12 @@ curves.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgetrf, dgetrs
 from scipy.special import gammaln, gammasgn
 
 from .errors import ConvergenceError, NumericalError
@@ -58,11 +61,18 @@ class TransitionKernel:
 
 @dataclass(frozen=True)
 class TrajectoryResult:
-    """Discrete node sequence or continuous distribution snapshots."""
+    """Discrete node sequence or continuous distribution snapshots.
+
+    A continuous evolution also reports its conservation drift, the
+    spectral path that ran (``"symmetric"`` or ``"general"``) and the
+    detailed-balance residual of :func:`_symmetric_form`.
+    """
 
     times: np.ndarray
     states: np.ndarray
     conservation_drift: float | None = None
+    spectrum: str | None = None
+    balance_residual: float | None = None
 
 
 @dataclass(frozen=True)
@@ -74,10 +84,16 @@ class AbsorptionResult:
 
 @dataclass(frozen=True)
 class ReturnProbabilityCurve:
+    """The curve, its spectral figures, the spectral path that ran and
+    the detailed-balance residual (None when no stationary law was
+    found)."""
+
     times: np.ndarray
     values: np.ndarray
     spectral_gap: float
     zero_multiplicity: int
+    spectrum: str
+    balance_residual: float | None
 
 
 def transition_kernel(lalpha: DenseOperator) -> TransitionKernel:
@@ -157,7 +173,11 @@ def simulate_discrete(kernel: TransitionKernel, start: int, steps: int,
                       seed: int) -> TrajectoryResult:
     """Sample one walk by inverse-CDF draws from a PCG64 stream.
 
-    Absorbing states freeze the walk for the remaining steps.
+    Step ``k`` moves to the first node whose cumulative row probability
+    exceeds the ``k``-th uniform draw.  Absorbing states freeze the walk
+    for the remaining steps.  Each visited row of the cumulative kernel
+    is copied once into an ``array("d")`` and searched with
+    ``bisect_right``, so a step makes no numpy call.
     """
     start = _check_start(kernel, start)
     steps = int(steps)
@@ -165,18 +185,23 @@ def simulate_discrete(kernel: TransitionKernel, start: int, steps: int,
         raise ValueError("steps must be >= 0")
     rng = np.random.Generator(np.random.PCG64(seed))
     cum = np.cumsum(kernel.P, axis=1)
+    rows = [None] * kernel.n
     absorbing = set(kernel.absorbing)
-    states = np.empty(steps + 1, dtype=int)
-    states[0] = start
+    last = kernel.n - 1
+    states = array("q", [start])
     node = start
-    for k in range(1, steps + 1):
+    # one call draws the same doubles as ``steps`` scalar calls
+    for u in rng.random(steps).tolist():
         if node in absorbing:
-            states[k:] = node
             break
-        u = rng.random()
-        node = min(int(np.searchsorted(cum[node], u, side="right")), kernel.n - 1)
-        states[k] = node
-    return TrajectoryResult(times=np.arange(steps + 1), states=states)
+        row = rows[node]
+        if row is None:
+            row = rows[node] = array("d", cum[node].tobytes())
+        node = min(bisect_right(row, u), last)
+        states.append(node)
+    states.extend([node] * (steps + 1 - len(states)))
+    return TrajectoryResult(times=np.arange(steps + 1),
+                            states=np.array(states, dtype=int))
 
 
 def absorption_time_samples(kernel: TransitionKernel, start: int, runs: int,
@@ -204,7 +229,7 @@ def absorption_time_samples(kernel: TransitionKernel, start: int, runs: int,
                                    "after 1000000 steps")
         u = rng.random(int(alive.sum()))
         rows = cum[state[alive]]
-        # counts cum <= u: simulate_discrete's searchsorted(side="right")
+        # counts cum <= u, as simulate_discrete's bisect_right does
         nxt = np.minimum((rows <= u[:, None]).sum(axis=1), kernel.n - 1)
         state[alive] = nxt
         steps[alive] = t
@@ -212,18 +237,49 @@ def absorption_time_samples(kernel: TransitionKernel, start: int, runs: int,
     return steps
 
 
+def _symmetric_form(G, w):
+    """The symmetric matrix similar to ``G`` under the weights ``w``.
+
+    Returns ``(S, residual)``.  ``residual`` is the relative
+    detailed-balance residual ``max|B - B^T| / max|B|`` of
+    ``B = diag(w) G``.  When every weight is positive and the residual
+    is at most ``n * eps``, ``S`` is ``W^1/2 G W^-1/2`` (``W = diag(w)``)
+    with its antisymmetric part dropped, which by Bauer-Fike moves no
+    eigenvalue by more than that part's 2-norm.  Otherwise ``S`` is None.
+    """
+    B = w[:, None] * G
+    residual = float(np.abs(B - B.T).max() / (np.abs(B).max() or 1.0))
+    if not (np.all(w > 0) and residual <= G.shape[0] * np.finfo(float).eps):
+        return None, residual
+    r = np.sqrt(w)
+    S = r[:, None] * G / r
+    return (S + S.T) / 2.0, residual
+
+
 def evolve_continuous(kernel: TransitionKernel, u0, times) -> TrajectoryResult:
     """Heat-semigroup evolution of a probability vector.
 
-    The generator is I - P (the normalized fractional Laplacian); its
-    adjoint drives the evolution, which conserves mass exactly for every
-    graph.  One :func:`matrix_exponential` call applies exp(-t (I - P)^T)
-    to the start vector at every time, with no dense exponential per time.
-    Times must be finite, nonnegative and ascending.  An entry below
-    -1e-10 raises; smaller negative roundoff is clipped to 0.  A
-    conservation drift above 1e-8 raises.
+    The generator is ``G = I - P`` (the normalized fractional Laplacian);
+    its adjoint drives the evolution ``u(t) = exp(-t G^T) u0``.  Two
+    paths give it:
+
+    - ``"symmetric"``: with no absorbing node and ``d_i P_ij = d_j P_ji``
+      for the fractional degrees ``d`` (to :func:`_symmetric_form`'s
+      ``n * eps``), as for every kernel of a symmetric ``L**alpha``, one
+      ``eigh`` of ``S = D^1/2 G D^-1/2 = V diag(mu) V^T`` gives
+      ``u(t) = r * (V @ (exp(-t mu) * (V^T @ (u0 / r))))`` with
+      ``r = sqrt(d)``: one matrix-vector product per time.
+    - ``"general"``: every other kernel (directed, absorbing) takes one
+      :func:`matrix_exponential` call, with no dense exponential per
+      time.
+
+    Both conserve mass and return ``u0`` exactly at ``t = 0``.  Times
+    must be finite, nonnegative and ascending.  An entry below -1e-10
+    raises; smaller negative roundoff is clipped to 0.  A conservation
+    drift above 1e-8 raises.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
+    _check_times(times)
     if np.any(np.diff(times) < 0):
         raise ValueError("times must be ascending")
     if np.isscalar(u0) or np.ndim(u0) == 0:
@@ -236,8 +292,16 @@ def evolve_continuous(kernel: TransitionKernel, u0, times) -> TrajectoryResult:
         if vec.min() < -1e-12 or abs(vec.sum() - 1.0) > 1e-8:
             raise ValueError("u0 is not a probability vector")
 
-    M = (np.eye(kernel.n) - kernel.P).T
-    out = matrix_exponential(M, times, vec)
+    G = np.eye(kernel.n) - kernel.P
+    S, residual = _symmetric_form(G, kernel.d_alpha)
+    if S is None:
+        out = matrix_exponential(G.T, times, vec)
+    else:
+        mu, V = np.linalg.eigh(S)
+        r = np.sqrt(kernel.d_alpha)
+        coef = V.T @ (vec / r)
+        out = np.array([vec if t == 0.0 else r * (V @ (np.exp(-t * mu) * coef))
+                        for t in times])
     low = out.min(axis=1)
     if np.any(low < -1e-10):
         k = int(np.argmax(low < -1e-10))
@@ -246,7 +310,9 @@ def evolve_continuous(kernel: TransitionKernel, u0, times) -> TrajectoryResult:
     drift = float(np.abs(1.0 - out.sum(axis=1)).max())
     if drift > 1e-8:
         raise NumericalError(f"conservation drift {drift:.3e} above 1e-8")
-    return TrajectoryResult(times=times, states=out, conservation_drift=drift)
+    return TrajectoryResult(times=times, states=out, conservation_drift=drift,
+                            spectrum="general" if S is None else "symmetric",
+                            balance_residual=residual)
 
 
 def path_fractional_entries(n: int, alpha: float) -> DenseOperator:
@@ -341,15 +407,48 @@ def path_transition_asymptotic(alpha: float, gap: int) -> float:
                  * float(gap) ** (-alpha - 1.0))
 
 
+def _stationary_law(G):
+    """The ``pi`` with ``G^T pi = 0`` and ``sum(pi) = 1``, by one LU solve
+    with the last equation replaced by the sum.  None for complex input,
+    or when some pivot is at most ``n * eps`` times the largest: the
+    system is then singular, as when the law is not unique (more than
+    one closed class)."""
+    if np.iscomplexobj(G):
+        return None
+    n = G.shape[0]
+    M = G.T.copy()
+    M[-1] = 1.0
+    lu, piv, info = dgetrf(M)
+    pivots = np.abs(np.diag(lu))
+    if info != 0 or pivots.min() <= n * np.finfo(float).eps * pivots.max():
+        return None
+    rhs = np.zeros(n)
+    rhs[-1] = 1.0
+    return dgetrs(lu, piv, rhs)[0]
+
+
 def return_probability(lbar, times) -> ReturnProbabilityCurve:
-    """Average return probability (1/n) sum_i exp(-lambda_i t) of the
-    normalized generator, with the relative spectral gap
-    |lambda|_max / |lambda|_min-nonzero and the zero multiplicity.
+    """Average return probability ``(1/n) sum_i exp(-lambda_i t)`` of the
+    normalized generator ``G = lbar``, with the relative spectral gap
+    ``|lambda|_max / |lambda|_min-nonzero`` and the zero multiplicity.
+
+    The eigenvalues come from one of two paths:
+
+    - ``"symmetric"``: when ``G`` has a unique stationary law ``pi > 0``
+      and ``diag(pi) G`` is symmetric to :func:`_symmetric_form`'s
+      ``n * eps`` (a reversible kernel, as from any symmetric
+      ``L**alpha``), ``eigvalsh`` of ``S = D^1/2 G D^-1/2``,
+      ``D = diag(pi)``.
+    - ``"general"``: every other input (directed, absorbing,
+      disconnected, complex) takes ``eigvals`` of ``G``.
+
     Times must be finite and nonnegative."""
     A = as_matrix(lbar)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     _check_times(times)
-    lam = np.linalg.eigvals(A)
+    pi = _stationary_law(A)
+    S, residual = (None, None) if pi is None else _symmetric_form(A, pi)
+    lam = np.linalg.eigvals(A) if S is None else np.linalg.eigvalsh(S)
     ztol = _zero_tolerance(lam)
     zero_mult = int(np.sum(np.abs(lam) <= ztol))
     nonzero = lam[np.abs(lam) > ztol]
@@ -362,4 +461,6 @@ def return_probability(lbar, times) -> ReturnProbabilityCurve:
             raise NumericalError(f"return probability not real at t={t}: {z!r}")
         vals[k] = z.real
     return ReturnProbabilityCurve(times=times, values=vals, spectral_gap=gap,
-                                  zero_multiplicity=zero_mult)
+                                  zero_multiplicity=zero_mult,
+                                  spectrum="general" if S is None else "symmetric",
+                                  balance_residual=residual)

@@ -255,6 +255,21 @@ def test_returnprob_starts_at_one(ring, tmp_path):
     assert rows.shape[0] == 4
 
 
+@pytest.mark.parametrize("graph, spectrum", [("und", "symmetric"),
+                                             ("ring", "general")])
+@pytest.mark.parametrize("command", ["evolve", "returnprob"])
+def test_walk_summaries_name_the_spectral_path(request, tmp_path, command,
+                                              graph, spectrum):
+    edges = request.getfixturevalue(graph)
+    assert run([command, "--input", str(edges), "--alpha", "0.5",
+                "--times", "0,1"], tmp_path) == 0
+    man = json.loads((tmp_path / f"{command}_manifest.json").read_text())
+    res = man["results"]
+    assert res["spectrum"] == spectrum
+    symmetric = res["balance_residual"] <= 8 * np.finfo(float).eps
+    assert symmetric == (spectrum == "symmetric")
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_evolve_non_finite_time_exits_one(und, tmp_path, capsys, bad):
     assert run(["evolve", "--input", str(und), "--alpha", "0.5",
@@ -415,13 +430,39 @@ def test_dense_guard_covers_absorb_and_the_builtin_cycle(monkeypatch,
 @pytest.mark.parametrize("field, value, message", [
     ("gamma", float("nan"), "gamma must be positive and finite, got nan"),
     ("gamma_margin", float("nan"), "gamma_margin must be finite, got nan"),
-    ("center", [float("nan"), 3.0], "target is not finite"),
+    ("center", [float("nan"), 3.0], "center must be"),
     ("beta", float("nan"), "beta must be positive and finite, got nan"),
     ("horizon", float("inf"), "horizon must be positive and finite, got inf"),
     ("step", float("nan"), "step must be positive and finite, got nan"),
 ])
 def test_non_finite_consensus_input_exits_one_naming_it(tmp_path, capsys,
                                                         field, value, message):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"vehicles": 8, "alpha": 0.5, "horizon": 1.0,
+                               field: value}))
+    assert run(["consensus", "--config", str(cfg)], tmp_path) == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("vehicles", 5.9, "vehicles must be an integer, got 5.9"),
+    ("vehicles", float("nan"), "vehicles must be an integer, got nan"),
+    ("vehicles", True, "vehicles must be an integer, got True"),
+    ("center", [float("nan"), 3.0],
+     "center must be 2 finite numbers, got [nan, 3.0]"),
+    ("center", [3.0], "center must be 2 finite numbers, got [3.0]"),
+    ("center", [1.0, 2.0, 3.0], "center must be 2 finite numbers, got"),
+    ("center", "far", "center must be 2 finite numbers, got 'far'"),
+])
+def test_malformed_consensus_field_exits_one_before_any_work(
+        tmp_path, capsys, monkeypatch, field, value, message):
+    import fraclap.cli
+
+    def fail(*args, **kwargs):
+        raise AssertionError("work ran before the config check")
+
+    monkeypatch.setattr(fraclap.cli, "cycle_graph", fail)
+    monkeypatch.setattr(fraclap.cli, "simulate_consensus", fail)
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"vehicles": 8, "alpha": 0.5, "horizon": 1.0,
                                field: value}))

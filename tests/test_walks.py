@@ -6,8 +6,9 @@ from scipy.linalg import expm
 
 from fraclap.generators import (cycle_graph, path_graph,
                                 random_connected_graph)
-from fraclap.graphs import DenseOperator, LaplacianKind, build_laplacian
-from fraclap.matfun import (fractional_power_general,
+from fraclap.graphs import (DenseOperator, Graph, LaplacianKind,
+                            build_laplacian)
+from fraclap.matfun import (_zero_tolerance, fractional_power_general,
                             fractional_power_series,
                             fractional_power_symmetric,
                             matrix_exponential)
@@ -116,6 +117,33 @@ def test_simulate_discrete_reproducible():
     assert a.states.shape == (201,)
     assert a.states[0] == 3
     assert ((a.states >= 0) & (a.states < 20)).all()
+
+
+# states recorded from the searchsorted sampler that preceded the bisect one
+GOLDEN_WALKS = {
+    ("symmetric", 7): [3, 11, 18, 12, 7, 5, 18, 0, 15, 17, 9, 6, 3, 4, 8, 9,
+                       8, 19, 14, 10, 19, 3, 1, 7, 1, 0, 6, 8, 16, 10, 12, 9,
+                       4, 0, 2, 10, 4, 5, 0, 15, 4],
+    ("symmetric", 2024): [3, 12, 7, 6, 17, 19, 2, 0, 2, 6, 2, 9, 11, 3, 11, 0,
+                          6, 19, 14, 8, 7, 2, 7, 5, 18, 4, 3, 14, 3, 4, 2, 8,
+                          6, 17, 6, 16, 6, 8, 18, 15, 0],
+    ("path", 7): [0, 1, 7, 9, 10, 11, 15, 16, 19, 21, 22, 23, 24, 25, 26, 27,
+                  28] + [39] * 24,
+    ("path", 2024): [0, 1, 2, 3, 5] + [39] * 36,
+}
+
+
+@pytest.mark.parametrize("kind, seed", sorted(GOLDEN_WALKS))
+def test_simulate_discrete_golden_states(kind, seed):
+    if kind == "symmetric":
+        k, start = kernel_for(20, 1, 0.5), 3
+    else:
+        k, start = transition_kernel(path_fractional_entries(40, 0.7)), 0
+        assert k.absorbing == (39,)
+    traj = simulate_discrete(k, start, 40, seed)
+    assert traj.states.dtype == np.dtype(int)
+    assert traj.states.tolist() == GOLDEN_WALKS[kind, seed]
+    assert traj.times.tolist() == list(range(41))
 
 
 def test_long_range_jumps_present_for_small_alpha():
@@ -293,3 +321,98 @@ def test_return_probability_monotone_when_symmetric():
     assert (np.diff(curve.values) <= 1e-12).all()
     assert curve.values[0] == 1.0
     assert curve.spectral_gap > 0
+
+
+def _eigvals_curve(G, times):
+    # the general path of return_probability, kept as the reference
+    lam = np.linalg.eigvals(G)
+    zero = np.abs(lam) <= _zero_tolerance(lam)
+    nonzero = np.abs(lam[~zero])
+    gap = float(nonzero.max() / nonzero.min()) if nonzero.size else np.nan
+    values = np.array([np.exp(-lam * t).mean().real for t in times])
+    return values, gap, int(zero.sum())
+
+
+def _expm_evolution(k, start, times):
+    # the general path of evolve_continuous, kept as the reference
+    out = matrix_exponential((np.eye(k.n) - k.P).T, times, np.eye(k.n)[start])
+    return np.clip(out, 0.0, None)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10**6), n=st.integers(2, 40),
+       alpha=st.floats(0.0, 1.0, exclude_min=True))
+def test_symmetric_spectrum_matches_expm_and_eigvals(seed, n, alpha):
+    k = kernel_for(n, seed, alpha)
+    G = np.eye(n) - k.P
+    times = [0.0, 0.5, 3.0, 25.0]
+    curve = return_probability(G, times)
+    assert curve.spectrum == "symmetric"
+    assert curve.balance_residual <= n * np.finfo(float).eps
+    want = [np.trace(expm(-t * G)) / n for t in times]
+    assert np.abs(curve.values - want).max() <= 1e-10
+    _, gap, zero_mult = _eigvals_curve(G, times)
+    assert curve.zero_multiplicity == zero_mult == 1
+    assert curve.spectral_gap == pytest.approx(gap, rel=1e-10)
+
+    start = seed % n
+    traj = evolve_continuous(k, start, times)
+    assert traj.spectrum == "symmetric"
+    assert traj.balance_residual <= n * np.finfo(float).eps
+    assert np.array_equal(traj.states[0], np.eye(n)[start])
+    for row, t in zip(traj.states, times):
+        assert np.abs(row - expm(-t * G.T)[:, start]).max() <= 1e-10
+
+
+def _directed_cycle_kernel():
+    return transition_kernel(cycle_fractional_entries(16, 0.6))
+
+
+def _absorbing_path_kernel():
+    return transition_kernel(path_fractional_entries(16, 0.6))
+
+
+def _disconnected_kernel():
+    # for these seeds the singular stationary solve happens to return a
+    # positive law in detailed balance: only the pivot test rejects it
+    parts = [random_connected_graph(9, seed=3), random_connected_graph(7, seed=2)]
+    edges = parts[0].edges + tuple((u + 9, v + 9, w)
+                                   for u, v, w in parts[1].edges)
+    L = build_laplacian(Graph(n=16, directed=False, edges=edges),
+                        LaplacianKind.COMBINATORIAL)
+    return transition_kernel(fractional_power_symmetric(L, 0.6))
+
+
+@pytest.mark.parametrize("make", [_directed_cycle_kernel,
+                                  _absorbing_path_kernel,
+                                  _disconnected_kernel])
+def test_return_probability_general_path_is_eigvals(make):
+    k = make()
+    G = np.eye(k.n) - k.P
+    times = [0.0, 0.5, 3.0, 25.0]
+    curve = return_probability(G, times)
+    values, gap, zero_mult = _eigvals_curve(G, times)
+    assert curve.spectrum == "general"
+    assert np.array_equal(curve.values, values)
+    assert np.array_equal(curve.spectral_gap, gap)
+    assert curve.zero_multiplicity == zero_mult
+
+
+@pytest.mark.parametrize("make", [_directed_cycle_kernel,
+                                  _absorbing_path_kernel])
+def test_evolve_general_path_is_matrix_exponential(make):
+    k = make()
+    times = [0.0, 0.5, 3.0, 25.0]
+    traj = evolve_continuous(k, 0, times)
+    assert traj.spectrum == "general"
+    assert np.array_equal(traj.states, _expm_evolution(k, 0, times))
+
+
+def test_evolve_on_a_disconnected_graph_stays_in_its_component():
+    # detailed balance holds on each component, so the symmetric path runs
+    k = _disconnected_kernel()
+    times = [0.0, 0.5, 3.0, 25.0]
+    traj = evolve_continuous(k, 0, times)
+    assert traj.spectrum == "symmetric"
+    assert np.abs(traj.states - _expm_evolution(k, 0, times)).max() <= 1e-12
+    assert traj.states[:, 9:].max() <= 1e-12
