@@ -61,12 +61,8 @@ class TransitionKernel:
 
 @dataclass(frozen=True)
 class TrajectoryResult:
-    """Discrete node sequence or continuous distribution snapshots.
-
-    A continuous evolution also reports its conservation drift, the
-    spectral path that ran (``"symmetric"`` or ``"general"``) and the
-    detailed-balance residual of :func:`_symmetric_form`.
-    """
+    """Discrete node sequence or continuous distribution snapshots; an
+    evolution adds its drift, spectral path and balance residual."""
 
     times: np.ndarray
     states: np.ndarray
@@ -84,9 +80,7 @@ class AbsorptionResult:
 
 @dataclass(frozen=True)
 class ReturnProbabilityCurve:
-    """The curve, its spectral figures, the spectral path that ran and
-    the detailed-balance residual (None when no stationary law was
-    found)."""
+    """``balance_residual`` is None when no stationary law was found."""
 
     times: np.ndarray
     values: np.ndarray
@@ -173,11 +167,9 @@ def simulate_discrete(kernel: TransitionKernel, start: int, steps: int,
                       seed: int) -> TrajectoryResult:
     """Sample one walk by inverse-CDF draws from a PCG64 stream.
 
-    Step ``k`` moves to the first node whose cumulative row probability
-    exceeds the ``k``-th uniform draw.  Absorbing states freeze the walk
-    for the remaining steps.  Each visited row of the cumulative kernel
-    is copied once into an ``array("d")`` and searched with
-    ``bisect_right``, so a step makes no numpy call.
+    Absorbing states freeze the walk for the remaining steps.  Each
+    visited cumulative row is copied once into an ``array("d")`` and
+    bisected, so a step makes no numpy call.
     """
     start = _check_start(kernel, start)
     steps = int(steps)
@@ -238,15 +230,11 @@ def absorption_time_samples(kernel: TransitionKernel, start: int, runs: int,
 
 
 def _symmetric_form(G, w):
-    """The symmetric matrix similar to ``G`` under the weights ``w``.
-
-    Returns ``(S, residual)``.  ``residual`` is the relative
-    detailed-balance residual ``max|B - B^T| / max|B|`` of
-    ``B = diag(w) G``.  When every weight is positive and the residual
-    is at most ``n * eps``, ``S`` is ``W^1/2 G W^-1/2`` (``W = diag(w)``)
-    with its antisymmetric part dropped, which by Bauer-Fike moves no
-    eigenvalue by more than that part's 2-norm.  Otherwise ``S`` is None.
-    """
+    """``(S, residual)``: the detailed-balance residual
+    ``max|B - B^T| / max|B|`` of ``B = diag(w) G`` and, if every weight
+    is positive and the residual at most ``n * eps``, the symmetric part
+    of ``W^1/2 G W^-1/2`` (else None).  By Bauer-Fike, dropping the
+    antisymmetric part moves no eigenvalue by more than its 2-norm."""
     B = w[:, None] * G
     residual = float(np.abs(B - B.T).max() / (np.abs(B).max() or 1.0))
     if not (np.all(w > 0) and residual <= G.shape[0] * np.finfo(float).eps):
@@ -259,22 +247,15 @@ def _symmetric_form(G, w):
 def evolve_continuous(kernel: TransitionKernel, u0, times) -> TrajectoryResult:
     """Heat-semigroup evolution of a probability vector.
 
-    The generator is ``G = I - P`` (the normalized fractional Laplacian);
-    its adjoint drives the evolution ``u(t) = exp(-t G^T) u0``.  Two
-    paths give it:
-
-    - ``"symmetric"``: with no absorbing node and ``d_i P_ij = d_j P_ji``
-      for the fractional degrees ``d`` (to :func:`_symmetric_form`'s
-      ``n * eps``), as for every kernel of a symmetric ``L**alpha``, one
-      ``eigh`` of ``S = D^1/2 G D^-1/2 = V diag(mu) V^T`` gives
-      ``u(t) = r * (V @ (exp(-t mu) * (V^T @ (u0 / r))))`` with
-      ``r = sqrt(d)``: one matrix-vector product per time.
-    - ``"general"``: every other kernel (directed, absorbing) takes one
-      :func:`matrix_exponential` call, with no dense exponential per
-      time.
-
-    Both conserve mass and return ``u0`` exactly at ``t = 0``.  Times
-    must be finite, nonnegative and ascending.  An entry below -1e-10
+    ``u(t) = exp(-t G^T) u0`` for the generator ``G = I - P``.  With no
+    absorbing node and ``d_i P_ij = d_j P_ji`` for the fractional degrees
+    ``d`` (see :func:`_symmetric_form`), as for any symmetric
+    ``L**alpha``, the ``"symmetric"`` path takes one ``eigh`` of
+    ``D^1/2 G D^-1/2 = V diag(mu) V^T``; then ``u(t) = r * (V @
+    (exp(-t mu) * (V^T @ (u0 / r))))``, ``r = sqrt(d)``, is one product
+    per time.  Every other kernel takes the ``"general"`` path, one
+    :func:`matrix_exponential` call.  Times must be finite, nonnegative
+    and ascending; ``t = 0`` returns ``u0``.  An entry below -1e-10
     raises; smaller negative roundoff is clipped to 0.  A conservation
     drift above 1e-8 raises.
     """
@@ -300,7 +281,7 @@ def evolve_continuous(kernel: TransitionKernel, u0, times) -> TrajectoryResult:
         mu, V = np.linalg.eigh(S)
         r = np.sqrt(kernel.d_alpha)
         coef = V.T @ (vec / r)
-        out = np.array([vec if t == 0.0 else r * (V @ (np.exp(-t * mu) * coef))
+        out = np.array([r * (V @ (np.exp(-t * mu) * coef)) if t else vec
                         for t in times])
     low = out.min(axis=1)
     if np.any(low < -1e-10):
@@ -408,11 +389,9 @@ def path_transition_asymptotic(alpha: float, gap: int) -> float:
 
 
 def _stationary_law(G):
-    """The ``pi`` with ``G^T pi = 0`` and ``sum(pi) = 1``, by one LU solve
-    with the last equation replaced by the sum.  None for complex input,
-    or when some pivot is at most ``n * eps`` times the largest: the
-    system is then singular, as when the law is not unique (more than
-    one closed class)."""
+    """``pi`` with ``G^T pi = 0``, ``sum(pi) = 1``, by one LU solve; None
+    for complex input or a pivot within ``n * eps`` of singular, as when
+    the law is not unique (more than one closed class)."""
     if np.iscomplexobj(G):
         return None
     n = G.shape[0]
@@ -428,21 +407,14 @@ def _stationary_law(G):
 
 
 def return_probability(lbar, times) -> ReturnProbabilityCurve:
-    """Average return probability ``(1/n) sum_i exp(-lambda_i t)`` of the
-    normalized generator ``G = lbar``, with the relative spectral gap
-    ``|lambda|_max / |lambda|_min-nonzero`` and the zero multiplicity.
-
-    The eigenvalues come from one of two paths:
-
-    - ``"symmetric"``: when ``G`` has a unique stationary law ``pi > 0``
-      and ``diag(pi) G`` is symmetric to :func:`_symmetric_form`'s
-      ``n * eps`` (a reversible kernel, as from any symmetric
-      ``L**alpha``), ``eigvalsh`` of ``S = D^1/2 G D^-1/2``,
-      ``D = diag(pi)``.
-    - ``"general"``: every other input (directed, absorbing,
-      disconnected, complex) takes ``eigvals`` of ``G``.
-
-    Times must be finite and nonnegative."""
+    """Average return probability (1/n) sum_i exp(-lambda_i t) of the
+    normalized generator G, with the relative spectral gap
+    |lambda|_max / |lambda|_min-nonzero and the zero multiplicity.
+    When G has a unique stationary law pi > 0 in detailed balance (see
+    :func:`_symmetric_form`), as any reversible kernel does, the
+    ``"symmetric"`` path takes ``eigvalsh`` of D^1/2 G D^-1/2,
+    D = diag(pi); directed, absorbing and disconnected input takes
+    ``eigvals`` of G.  Times must be finite and nonnegative."""
     A = as_matrix(lbar)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     _check_times(times)
@@ -460,7 +432,7 @@ def return_probability(lbar, times) -> ReturnProbabilityCurve:
         if abs(z.imag) > 1e-10 * max(1.0, abs(z.real)):
             raise NumericalError(f"return probability not real at t={t}: {z!r}")
         vals[k] = z.real
-    return ReturnProbabilityCurve(times=times, values=vals, spectral_gap=gap,
-                                  zero_multiplicity=zero_mult,
-                                  spectrum="general" if S is None else "symmetric",
-                                  balance_residual=residual)
+    return ReturnProbabilityCurve(
+        times=times, values=vals, spectral_gap=gap,
+        zero_multiplicity=zero_mult, balance_residual=residual,
+        spectrum="general" if S is None else "symmetric")

@@ -375,7 +375,8 @@ def _absorbing_path_kernel():
 def _disconnected_kernel():
     # for these seeds the singular stationary solve happens to return a
     # positive law in detailed balance: only the pivot test rejects it
-    parts = [random_connected_graph(9, seed=3), random_connected_graph(7, seed=2)]
+    parts = [random_connected_graph(9, seed=3),
+             random_connected_graph(7, seed=2)]
     edges = parts[0].edges + tuple((u + 9, v + 9, w)
                                    for u, v, w in parts[1].edges)
     L = build_laplacian(Graph(n=16, directed=False, edges=edges),
