@@ -163,13 +163,19 @@ def _check_start(kernel, start):
     return start
 
 
+_DRAWS = 4096
+
+
 def simulate_discrete(kernel: TransitionKernel, start: int, steps: int,
                       seed: int) -> TrajectoryResult:
     """Sample one walk by inverse-CDF draws from a PCG64 stream.
 
     Absorbing states freeze the walk for the remaining steps.  Each
     visited cumulative row is copied once into an ``array("d")`` and
-    bisected, so a step makes no numpy call.
+    bisected, so a step makes no numpy call.  Uniforms are drawn in
+    chunks of `_DRAWS` (the same doubles as ``steps`` scalar draws), so
+    memory does not grow with ``steps`` and an absorbed walk stops
+    drawing.
     """
     start = _check_start(kernel, start)
     steps = int(steps)
@@ -182,15 +188,17 @@ def simulate_discrete(kernel: TransitionKernel, start: int, steps: int,
     last = kernel.n - 1
     states = array("q", [start])
     node = start
-    # one call draws the same doubles as ``steps`` scalar calls
-    for u in rng.random(steps).tolist():
+    for first in range(0, steps, _DRAWS):
+        for u in rng.random(min(_DRAWS, steps - first)).tolist():
+            if node in absorbing:
+                break
+            row = rows[node]
+            if row is None:
+                row = rows[node] = array("d", cum[node].tobytes())
+            node = min(bisect_right(row, u), last)
+            states.append(node)
         if node in absorbing:
             break
-        row = rows[node]
-        if row is None:
-            row = rows[node] = array("d", cum[node].tobytes())
-        node = min(bisect_right(row, u), last)
-        states.append(node)
     states.extend([node] * (steps + 1 - len(states)))
     return TrajectoryResult(times=np.arange(steps + 1),
                             states=np.array(states, dtype=int))

@@ -7,11 +7,14 @@ import pytest
 from scipy.linalg import expm
 
 from fraclap.cli import cli_dispatch
-from fraclap.consensus import gamma_lower_bound
+from fraclap.consensus import (circle_relocation_config,
+                               consensus_error_curve, gamma_lower_bound,
+                               simulate_consensus)
+from fraclap.decay import verify_decay_bounds
 from fraclap.graphs import LaplacianKind, build_laplacian, load_edge_list
 from fraclap.io import sha256_file
 from fraclap.matfun import fractional_power
-from fraclap.walks import transition_kernel
+from fraclap.walks import evolve_continuous, transition_kernel
 
 
 @pytest.fixture
@@ -90,6 +93,66 @@ def test_byte_identical_reruns(ring, tmp_path):
     for d in (a, b):
         assert run(["power", "--input", str(ring), "--alpha", "0.5"], d) == 0
     assert (a / "power.csv").read_bytes() == (b / "power.csv").read_bytes()
+
+
+def per_cell_csv(columns, header=None):
+    """CSV text built cell by cell: ``%d`` for integer columns,
+    ``'%.16e' % float`` for every other column."""
+    cells = []
+    for c in map(np.asarray, columns):
+        if np.issubdtype(c.dtype, np.integer):
+            cells.append(["%d" % v for v in c.tolist()])
+        else:
+            cells.append(["%.16e" % v for v in c.astype(float).tolist()])
+    lines = ([",".join(header)] if header else []) + [
+        ",".join(row) for row in zip(*cells)]
+    return "".join(line + "\n" for line in lines)
+
+
+def test_csv_bytes_match_a_per_cell_rendering(ring, und, tmp_path):
+    # every CSV equals the cell-by-cell rendering of the arrays the
+    # library returns, so no change of the writer can move a byte
+    cfg = tmp_path / "cons.json"
+    cfg.write_text(json.dumps({"vehicles": 12, "alpha": 0.5,
+                               "horizon": 1.0}))
+    argvs = {"power_dir": ["power", "--input", str(ring)],
+             "power_und": ["power", "--input", str(und)],
+             "evolve": ["evolve", "--input", str(und), "--times", "0,1,5"],
+             "decay": ["decay", "--input", str(und)],
+             "consensus": ["consensus", "--config", str(cfg)]}
+    for name, argv in argvs.items():
+        (tmp_path / name).mkdir()
+        alpha = [] if name == "consensus" else ["--alpha", "0.5"]
+        assert run(argv + alpha, tmp_path / name) == 0
+
+    want = {}
+    for name, edges in (("dir", ring), ("und", und)):
+        g = load_edge_list(edges)
+        L = build_laplacian(g, LaplacianKind.DIRECTED_OUT if g.directed
+                            else LaplacianKind.COMBINATORIAL)
+        M = fractional_power(L, 0.5).matrix
+        want[f"power_{name}/power.csv"] = per_cell_csv(M.T)
+    traj = evolve_continuous(transition_kernel(fractional_power(L, 0.5)), 0,
+                             np.array([0.0, 1.0, 5.0]))
+    want["evolve/evolve.csv"] = per_cell_csv(
+        [traj.times, *traj.states.T], ["t"] + [f"u{i}" for i in range(8)])
+    rep = verify_decay_bounds(L, 0.5, mode="power")
+    want["decay/decay.csv"] = per_cell_csv(
+        [rep.pairs[:, 0], rep.pairs[:, 1], rep.distances.astype(int),
+         rep.observed, rep.bounds, rep.satisfied.astype(int)],
+        ["i", "j", "d", "observed", "bound", "ok"])
+    states = simulate_consensus(circle_relocation_config(12, 0.5, 0.5, 1.0))
+    pos = np.stack([s.positions for s in states])
+    want["consensus/consensus_traj_alpha0p5.csv"] = per_cell_csv(
+        [[s.time for s in states], *pos.reshape(len(states), -1).T],
+        ["t"] + [f"{c}{i}" for i in range(12) for c in "xy"])
+    want["consensus/consensus_error_alpha0p5.csv"] = per_cell_csv(
+        consensus_error_curve(states).T, ["t", "error", "position_error"])
+
+    written = {str(p.relative_to(tmp_path)) for p in tmp_path.glob("*/*.csv")}
+    assert written == set(want)
+    for name, text in want.items():
+        assert (tmp_path / name).read_text() == text, name
 
 
 def test_output_formats(ring, tmp_path):

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fraclap.io import (sha256_file, write_json, write_matrix_csv,
                         write_matrix_mm, write_table_csv)
@@ -76,6 +78,83 @@ def test_table_csv_matches_per_cell_reference(tmp_path):
     assert p.read_text() == per_cell_table(["a", "b", "c", "d"], one_row)
     assert p.read_text() == ("a,b,c,d\n7,1.0000000000000001e-01,"
                              "1.0000000000000000e+00,2.5000000000000000e+00\n")
+
+
+def rendered(tmp_path, values):
+    """The cells `write_matrix_csv` writes for ``values``, one per row."""
+    p = tmp_path / "cells.csv"
+    write_matrix_csv(p, np.asarray(values, dtype=float).reshape(-1, 1))
+    return p.read_text().splitlines()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_cells_match_percent_format_for_any_float(tmp_path_factory, xs):
+    # st.floats() includes nan, +-inf, +-0.0 and subnormals
+    got = rendered(tmp_path_factory.getbasetemp(), xs)
+    assert got == ["%.16e" % x for x in xs]
+
+
+def test_cells_match_percent_format_for_random_bit_patterns(tmp_path):
+    bits = np.random.default_rng(22).integers(0, 2**64, 10**6,
+                                              dtype=np.uint64)
+    x = bits.view(np.float64).reshape(-1, 8)
+    p = tmp_path / "bits.csv"
+    write_matrix_csv(p, x)
+    row = ",".join(["%.16e"] * 8) + "\n"
+    assert p.read_text() == "".join(row % tuple(r) for r in x.tolist())
+
+
+def test_cells_match_percent_format_at_hard_cases(tmp_path):
+    tens = np.array([float(f"1e{k}") for k in range(-300, 301)])
+    edges = np.array([1e-280, 1e280, 2.0 ** 53, 1e16, 1e17])
+    m = np.random.default_rng(4).integers(2**52, 2**53, 2000,
+                                          dtype=np.int64)
+    near = [np.nextafter(v, towards) for v in (tens, edges)
+            for towards in (0.0, np.inf)]
+    values = np.concatenate(
+        [tens, edges, *near, m / 4, m / 8, [1e15 + 0.25, 1e15 + 0.75]])
+    values = np.concatenate([values, -values, [0.0, -0.0]])
+    assert rendered(tmp_path, values) == ["%.16e" % x for x in values]
+    # exact ties round half to even
+    assert rendered(tmp_path, [1e15 + 0.25, 1e15 + 0.75]) == [
+        "1.0000000000000002e+15", "1.0000000000000008e+15"]
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (163, 100),
+                                   (164, 100), (327, 100), (40, 500)])
+@pytest.mark.parametrize("dtype", [float, np.float32, np.int64, bool])
+def test_matrix_csv_matches_savetxt(tmp_path, shape, dtype):
+    # 16384 cells per block: 163 rows of 100 fill one block, 164 start a
+    # second, and a 500-column row block holds 32 rows
+    rng = np.random.default_rng(shape[0] * shape[1])
+    M = (rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 15, shape)
+         ).astype(dtype)
+    mine, ref = tmp_path / "mine.csv", tmp_path / "ref.csv"
+    write_matrix_csv(mine, M)
+    np.savetxt(ref, M, fmt="%.16e", delimiter=",")
+    assert mine.read_bytes() == ref.read_bytes()
+
+
+def test_matrix_csv_writes_vectors_and_scalars_as_one_row(tmp_path):
+    p = tmp_path / "v.csv"
+    write_matrix_csv(p, [0.5, -2.0])
+    assert p.read_text() == "5.0000000000000000e-01,-2.0000000000000000e+00\n"
+    write_matrix_csv(p, 3)
+    assert p.read_text() == "3.0000000000000000e+00\n"
+
+
+def test_table_csv_across_blocks_matches_per_cell_reference(tmp_path):
+    rng = np.random.default_rng(5)
+    n = 3000
+    columns = [np.arange(n), rng.standard_normal(n),
+               rng.integers(-10**12, 10**12, n),
+               rng.standard_normal(n) * 1e-200, np.full(n, np.nan)]
+    columns += [rng.standard_normal(n) for _ in range(7)]
+    header = [f"c{i}" for i in range(len(columns))]
+    p = tmp_path / "t.csv"
+    write_table_csv(p, header, columns)
+    assert p.read_text() == per_cell_table(header, columns)
 
 
 def test_table_csv_rejects_ragged_columns(tmp_path):

@@ -146,6 +146,43 @@ def test_simulate_discrete_golden_states(kind, seed):
     assert traj.times.tolist() == list(range(41))
 
 
+def test_simulate_discrete_matches_scalar_draws_across_chunks():
+    # one scalar draw per step, the sampler before chunked draws
+    k = kernel_for(20, 1, 0.5)
+    steps = 2 * 4096 + 17
+    rng = np.random.Generator(np.random.PCG64(5))
+    cum = np.cumsum(k.P, axis=1)
+    want = [3]
+    for _ in range(steps):
+        u = rng.random()
+        want.append(min(int(np.searchsorted(cum[want[-1]], u, "right")),
+                        k.n - 1))
+    assert simulate_discrete(k, 3, steps, seed=5).states.tolist() == want
+
+
+def test_absorbed_walk_stops_drawing(monkeypatch):
+    L = build_laplacian(path_graph(6, directed=True),
+                        LaplacianKind.DIRECTED_OUT)
+    k = transition_kernel(fractional_power_general(L.matrix, 0.5))
+    want = simulate_discrete(k, 0, 50, seed=1).states.tolist()
+    drawn, make = [], np.random.Generator
+
+    class Counted:
+        # numpy's Generator, recording how many uniforms it hands out
+        def __init__(self, bit_generator):
+            self.rng = make(bit_generator)
+
+        def random(self, size):
+            drawn.append(size)
+            return self.rng.random(size)
+
+    monkeypatch.setattr(np.random, "Generator", Counted)
+    traj = simulate_discrete(k, 0, 10 ** 6, seed=1)
+    assert sum(drawn) <= 4096
+    assert traj.states.shape == (10 ** 6 + 1,)
+    assert traj.states[:51].tolist() == want and (traj.states[5:] == 5).all()
+
+
 def test_long_range_jumps_present_for_small_alpha():
     # fractional kernel on the path jumps past nearest neighbours
     g = path_graph(40, directed=False)
