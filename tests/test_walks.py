@@ -147,7 +147,7 @@ def test_simulate_discrete_golden_states(kind, seed):
 
 
 def test_simulate_discrete_matches_scalar_draws_across_chunks():
-    # one scalar draw per step, the sampler before chunked draws
+    # reference: one scalar draw and one searchsorted per step
     k = kernel_for(20, 1, 0.5)
     steps = 2 * 4096 + 17
     rng = np.random.Generator(np.random.PCG64(5))
