@@ -22,8 +22,8 @@ from .consensus import (ConsensusConfig, ConsensusState, GammaBound,
                         consensus_error_curve, gamma_lower_bound,
                         simulate_consensus, static_formation)
 from .decay import (DecayReport, NumericalRangeProfile, distance_decay_slope,
-                    graph_distances, numerical_range_profile,
-                    verify_decay_bounds, verify_p_alpha_bound)
+                    numerical_range_profile, verify_decay_bounds,
+                    verify_p_alpha_bound)
 from .errors import ConvergenceError, GraphFormatError, NumericalError
 from .generators import (cycle_graph, grid_graph, path_graph,
                          random_connected_graph, random_geometric_graph)

@@ -24,9 +24,9 @@ import numpy as np
 from . import __version__
 from .consensus import (ConsensusConfig, _relocation_geometry,
                         consensus_error_curve, simulate_consensus)
-from .decay import (graph_distances, numerical_range_profile,
+from .decay import (numerical_range_profile, pattern_distances,
                     verify_decay_bounds, verify_p_alpha_bound)
-from .errors import GraphFormatError, NumericalError
+from .errors import NumericalError
 from .generators import cycle_graph, path_graph
 from .graphs import LaplacianKind, build_laplacian, load_edge_list
 from .io import (sha256_file, write_json, write_matrix_csv, write_matrix_mm,
@@ -308,9 +308,8 @@ def _cmd_evolve(args, run):
     times = _parse_times(args.times)
     ker = _kernel_of(args, L)
     traj = evolve_continuous(ker, args.start, times)
-    header = ["t"] + [f"u{i}" for i in range(g.n)]
-    cols = [traj.times] + [traj.states[:, i] for i in range(g.n)]
-    path = _emit_table(run.base, header, cols, args.format)
+    path = _emit_table(run.base, ["t"] + [f"u{i}" for i in range(g.n)],
+                       [traj.times, *traj.states.T], args.format)
     return {"conservation_drift": traj.conservation_drift,
             "spectrum": traj.spectrum,
             "balance_residual": traj.balance_residual, "output": path.name}
@@ -409,11 +408,10 @@ def _cmd_returnprob(args, run):
     curve = return_probability(np.eye(ker.n) - ker.P, times)
     path = _emit_table(run.base, ["t", "value"],
                        [curve.times, curve.values], args.format)
-    D = graph_distances(g)
-    finite = D[np.isfinite(D)]
+    D = pattern_distances(g.weight_matrix, directed=g.directed)
     summary = {"spectral_gap": curve.spectral_gap,
                "zero_multiplicity": curve.zero_multiplicity,
-               "diameter": int(finite.max()) if finite.size else 0,
+               "diameter": int(D[np.isfinite(D)].max()),
                "spectrum": curve.spectrum,
                "balance_residual": curve.balance_residual}
     return run.summary(summary, path)
@@ -452,6 +450,14 @@ def _alpha_tag(alpha: float) -> str:
     return ("%g" % alpha).replace(".", "p").replace("-", "m")
 
 
+def _number(value, name: str) -> float:
+    """``float(value)``, or `UsageError` naming the config field ``name``."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise UsageError(f"{name} must be a number, got {value!r}") from None
+
+
 def _consensus_graph(cfg, args, run):
     g = cfg.get("graph", "directed-cycle")
     if g == "directed-cycle":
@@ -460,6 +466,9 @@ def _consensus_graph(cfg, args, run):
             raise UsageError(f"vehicles must be an integer, got {n!r}")
         _check_dense(n, args)
         return cycle_graph(n, directed=True)
+    if not isinstance(g, str):
+        raise UsageError("graph must be \"directed-cycle\" or an edge-list "
+                         f"path, got {g!r}")
     return _load_graph(run.read(g), args,
                        one_based=bool(cfg.get("one_based", False)))
 
@@ -469,6 +478,8 @@ def _cmd_consensus(args, run):
         cfg = json.loads(run.read(args.config).read_text())
     except json.JSONDecodeError as exc:
         raise UsageError(f"bad JSON config: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise UsageError(f"config must be a JSON object, got {cfg!r}")
 
     raw = cfg.get("center", [3.0, 3.0])
     try:
@@ -477,38 +488,34 @@ def _cmd_consensus(args, run):
         center = np.empty(0)
     if center.shape != (2,) or not np.all(np.isfinite(center)):
         raise UsageError(f"center must be 2 finite numbers, got {raw!r}")
-    graph = _consensus_graph(cfg, args, run)
     alphas = cfg.get("alpha", [0.5])
-    if np.isscalar(alphas):
-        alphas = [alphas]
-    beta = float(cfg.get("beta", 0.5))
-    horizon = float(cfg.get("horizon", 5.0))
+    alphas = [_number(a, "alpha")
+              for a in (alphas if isinstance(alphas, list) else [alphas])]
+    beta = _number(cfg.get("beta", 0.5), "beta")
+    horizon = _number(cfg.get("horizon", 5.0), "horizon")
     step = cfg.get("step")
-    stride = cfg.get("stride")
-    gamma_cfg = cfg.get("gamma", "bound+margin")
-    margin = float(cfg.get("gamma_margin", 1.0))
+    step = None if step is None else _number(step, "step")
+    gamma = cfg.get("gamma", "bound+margin")
+    gamma = None if gamma == "bound+margin" else _number(gamma, "gamma")
+    margin = _number(cfg.get("gamma_margin", 1.0), "gamma_margin")
+    graph = _consensus_graph(cfg, args, run)
     ring, v0, target = _relocation_geometry(graph.n, center)
 
     results = {}
     for alpha in alphas:
-        alpha = float(alpha)
-        gamma = None if gamma_cfg == "bound+margin" else float(gamma_cfg)
         sim = ConsensusConfig(graph=graph, alpha=alpha, beta=beta,
                               target=target, x0=ring, v0=v0, horizon=horizon,
-                              gamma=gamma, gamma_margin=margin,
-                              step=None if step is None else float(step),
-                              output_stride=stride)
+                              gamma=gamma, gamma_margin=margin, step=step,
+                              output_stride=cfg.get("stride"))
         states = simulate_consensus(sim)
         tag = _alpha_tag(alpha)
 
         pos = np.stack([s.positions for s in states])
-        traj_header = ["t"]
-        traj_cols = [np.array([s.time for s in states])]
-        for i in range(graph.n):
-            traj_header += [f"x{i}", f"y{i}"]
-            traj_cols += [pos[:, i, 0], pos[:, i, 1]]
-        traj_path = _emit_table(run.outdir / f"consensus_traj_alpha{tag}",
-                                traj_header, traj_cols, args.format)
+        traj_path = _emit_table(
+            run.outdir / f"consensus_traj_alpha{tag}",
+            ["t"] + [f"{c}{i}" for i in range(graph.n) for c in "xy"],
+            [np.array([s.time for s in states]),
+             *pos.reshape(len(states), -1).T], args.format)
 
         curve = consensus_error_curve(states)
         err_path = _emit_table(run.outdir / f"consensus_error_alpha{tag}",
@@ -536,7 +543,7 @@ def cli_dispatch(argv) -> int:
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except (GraphFormatError, ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

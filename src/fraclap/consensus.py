@@ -58,7 +58,7 @@ class GammaBound:
     ``arctan(Re(nu) / Im(nu))`` and keeps ``sqrt(2) / sqrt(radicand)``
     over the indices where it is defined and positive.  Real ``nu``
     (the arctan limit is taken as 0) and nonpositive radicands are
-    excluded and reported.
+    excluded; the real ones are reported.
 
     Attributes
     ----------
@@ -66,13 +66,10 @@ class GammaBound:
         Max over valid indices; damping must exceed this.
     excluded_real : tuple of int
         Indices dropped because ``Im(nu) = 0``.
-    excluded_nonpositive : tuple of int
-        Indices dropped because the radicand is nonpositive.
     """
 
     bound: float
     excluded_real: tuple
-    excluded_nonpositive: tuple
 
 
 def gamma_lower_bound(lalpha, beta: float) -> GammaBound:
@@ -106,14 +103,11 @@ def gamma_lower_bound(lalpha, beta: float) -> GammaBound:
     nonzero = ~real_mask
     radicands[nonzero] = np.arctan(nu.real[nonzero] / nu.imag[nonzero])
     valid = nonzero & (radicands > 0.0)
-    excluded_real = tuple(np.flatnonzero(real_mask).tolist())
-    excluded_nonpos = tuple(np.flatnonzero(nonzero
-                                           & ~(radicands > 0.0)).tolist())
     if not valid.any():
         raise ValueError("damping bound undefined: every index excluded")
     bound = float(np.sqrt(2.0 / radicands[valid]).max())
-    return GammaBound(bound=bound, excluded_real=excluded_real,
-                      excluded_nonpositive=excluded_nonpos)
+    return GammaBound(bound=bound,
+                      excluded_real=tuple(np.flatnonzero(real_mask).tolist()))
 
 
 @dataclass(frozen=True)

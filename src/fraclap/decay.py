@@ -4,8 +4,8 @@ Off-diagonal entries of matrix functions of a banded or sparse symmetric
 matrix decay in the hop distance between nodes.  This module instantiates
 Jackson-type polynomial approximation bounds for ``L^alpha`` and
 ``exp(-t L^alpha)`` on every node pair, and computes numerical range
-boundaries, whose excursion into the left half-plane is the obstruction
-to extending such bounds to nonsymmetric operators.
+boundaries.  A range that reaches into the left half-plane rules out
+range-based decay bounds for a nonsymmetric operator, and no others.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericalError
-from .graphs import DenseOperator, Graph, as_matrix, pattern_distances
+from .graphs import DenseOperator, as_matrix, pattern_distances
 from .matfun import (
     SpectralData,
     exp_fractional_symmetric,
@@ -27,30 +27,6 @@ from .matfun import (
 #: Jackson inequality constant for best uniform polynomial approximation
 #: of Hoelder-continuous functions on an interval.
 JACKSON_CONSTANT = 1.0 + np.pi ** 2 / 2.0
-
-
-def graph_distances(g: Graph) -> np.ndarray:
-    """All-pairs hop distances in a graph, ignoring edge weights.
-
-    Arcs of a digraph are followed in their own direction only.
-
-    Parameters
-    ----------
-    g : Graph
-        Input graph.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``(n, n)`` hop counts with ``numpy.inf`` for unreachable pairs.
-
-    Examples
-    --------
-    >>> from fraclap.generators import path_graph
-    >>> graph_distances(path_graph(5))[0]
-    array([0., 1., 2., 3., 4.])
-    """
-    return pattern_distances(g.weight_matrix, directed=g.directed)
 
 
 @dataclass(frozen=True)
@@ -131,7 +107,7 @@ def _decay_report(mode, alpha, rho, D, observed, per_hop, sample, seed, *,
     ``i`` is ``per_hop[d - 2]``, times ``row[i]`` when ``row`` is given;
     ``secondary`` is indexed like ``per_hop``."""
     mask = (D >= 2) & np.isfinite(D)
-    idx = np.argwhere(mask).astype(np.int64)
+    idx = np.argwhere(mask)
     dist = D[mask]
     hop = dist.astype(np.intp) - 2
     obs = observed[mask]

@@ -45,7 +45,6 @@ class Graph:
     def __post_init__(self):
         if self.n < 1:
             raise GraphFormatError("graph needs at least one node")
-        seen = set()
         arcs = {}
         for u, v, w in self.edges:
             if not (0 <= u < self.n and 0 <= v < self.n):
@@ -54,9 +53,8 @@ class Graph:
                 raise GraphFormatError(f"self-loop at node {u}")
             if not (np.isfinite(w) and w > 0):
                 raise GraphFormatError(f"arc ({u}, {v}) has nonpositive weight {w}")
-            if (u, v) in seen:
+            if (u, v) in arcs:
                 raise GraphFormatError(f"duplicate arc ({u}, {v})")
-            seen.add((u, v))
             arcs[(u, v)] = w
         if not self.directed:
             for (u, v), w in arcs.items():

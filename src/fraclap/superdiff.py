@@ -103,14 +103,23 @@ def _support_cut(alpha: float, orientation: str, t: float) -> float:
         return math.acos(1.0 - v / 2.0)
     if t * _directed_symbol_real(alpha, math.pi) <= _TAIL_LOG:
         return math.pi
-    lo, hi = 0.0, math.pi
-    for _ in range(90):
+    return _bisect(lambda x: t * _directed_symbol_real(alpha, x) < _TAIL_LOG,
+                   0.0, math.pi, 0.0, 90)[1]
+
+
+def _bisect(inside: Callable[[float], bool], lo: float, hi: float,
+            tol: float, steps: int) -> tuple[float, float]:
+    """``(lo, hi)`` halved at most ``steps`` times, or until within ``tol``;
+    ``inside(lo)`` holds and ``inside(hi)`` does not (either may be larger)."""
+    for _ in range(steps):
+        if abs(hi - lo) <= tol:
+            break
         mid = (lo + hi) / 2.0
-        if t * _directed_symbol_real(alpha, mid) < _TAIL_LOG:
+        if inside(mid):
             lo = mid
         else:
             hi = mid
-    return hi
+    return lo, hi
 
 
 class _HalfLineRule:
@@ -399,11 +408,10 @@ def stable_density(params: StableParams, xi):
     zmax = _ENVELOPE_LOG ** (1.0 / params.alpha) / params.gamma
     vals = _HalfLineRule(params.characteristic, zmax)(
         np.atleast_1d(np.asarray(xi, dtype=float)), 1e-10)
-    negative = vals < 0.0
     if np.any(vals < -1e-9):
         raise NumericalError(
             f"density fell to {vals.min():.3e}, below the roundoff floor")
-    vals = np.where(negative, 0.0, vals)
+    vals = np.where(vals < 0.0, 0.0, vals)
     return vals if np.ndim(xi) else float(vals[0])
 
 
@@ -453,6 +461,17 @@ def stable_limit_params(alpha: float, orientation: str) -> StableParams:
     return StableParams(alpha=alpha, beta=1.0, gamma=gamma)
 
 
+def _time_grid(t_values, least: int) -> np.ndarray:
+    """``t_values`` as an array of at least ``least`` strictly increasing,
+    positive and finite times, else ``ValueError``."""
+    ts = np.asarray(t_values, dtype=float)
+    if ts.ndim != 1 or ts.size < least or not np.all(np.diff(ts) > 0) \
+            or not 0 < ts[0] <= ts[-1] < math.inf:
+        raise ValueError(f"need at least {least} strictly increasing, "
+                         f"positive and finite times, got {ts}")
+    return ts
+
+
 def verify_stable_limit(alpha: float, orientation: str, t_values,
                         xi=None) -> StableLimitReport:
     """Compare rescaled lattice solutions against the stable limit law.
@@ -480,11 +499,7 @@ def verify_stable_limit(alpha: float, orientation: str, t_values,
     StableLimitReport
     """
     params = stable_limit_params(alpha, orientation)
-    ts = np.asarray(t_values, dtype=float)
-    if ts.ndim != 1 or ts.size < 2 or not np.all(np.diff(ts) > 0) \
-            or not 0 < ts[0] <= ts[-1] < math.inf:
-        raise ValueError(
-            f"t_values must be increasing, positive and finite, got {ts}")
+    ts = _time_grid(t_values, 2)
     if xi is None:
         xi = np.linspace(-8.0, 8.0, 41) if orientation == "undirected" \
             else np.linspace(-2.0, 10.0, 41)
@@ -591,29 +606,22 @@ def fwhm(evaluator, bracket, *, samples: int = 129,
         # both crossing searches would start at k and cross over
         raise ValueError("peak not resolved by the coarse samples")
 
-    def bisect(xlo: float, xhi: float) -> float:
-        # invariant: f(xlo) >= half > f(xhi)
-        for _ in range(200):
-            if abs(xhi - xlo) <= tol:
-                break
-            mid = (xlo + xhi) / 2.0
-            if f(mid) >= half:
-                xlo = mid
-            else:
-                xhi = mid
-        return (xlo + xhi) / 2.0
+    def crossing(xlo: float, xhi: float) -> float:
+        # f(xlo) >= half > f(xhi)
+        a, b = _bisect(lambda x: f(x) >= half, xlo, xhi, tol, 200)
+        return (a + b) / 2.0
 
     below_right = np.flatnonzero(ys[k:] < half)
     if below_right.size == 0:
         raise ValueError("no right half-maximum crossing inside the bracket")
     i = k + int(below_right[0])
-    right = bisect(float(xs[i - 1]), float(xs[i]))
+    right = crossing(float(xs[i - 1]), float(xs[i]))
 
     below_left = np.flatnonzero(ys[:k + 1] < half)
     if below_left.size == 0:
         raise ValueError("no left half-maximum crossing inside the bracket")
     j = int(below_left[-1])
-    return right - bisect(float(xs[j + 1]), float(xs[j]))
+    return right - crossing(float(xs[j + 1]), float(xs[j]))
 
 
 @dataclass(frozen=True)
@@ -688,12 +696,7 @@ def superdiffusion_exponent(alpha: float, orientation: str, t_values, *,
     solution = LatticeSolution(alpha, orientation, tol=tol)
     if samples < 5:
         raise ValueError("need at least 5 FWHM samples")
-    ts = np.asarray(t_values, dtype=float)
-    if ts.ndim != 1 or ts.size < 5:
-        raise ValueError("need a geometric grid with at least 5 points")
-    if not np.all(np.diff(ts) > 0) or not 0 < ts[0] <= ts[-1] < math.inf:
-        raise ValueError("times must be strictly increasing, positive and "
-                         f"finite, got {ts}")
+    ts = _time_grid(t_values, 5)
     if ts[-1] < 1e3:
         raise ValueError("largest time must be at least 1e3")
     ratios = ts[1:] / ts[:-1]

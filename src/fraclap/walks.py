@@ -128,8 +128,7 @@ def transition_kernel(lalpha: DenseOperator) -> TransitionKernel:
     np.clip(P, 0.0, None, out=P)
     sums = P.sum(axis=1)
     P[act, :] /= sums[act, None]
-    for i in np.flatnonzero(absorbing):
-        P[i, i] = 1.0
+    P[absorbing, absorbing] = 1.0
 
     d_alpha = diag.copy()
     d_alpha[absorbing] = 0.0
@@ -271,7 +270,7 @@ def evolve_continuous(kernel: TransitionKernel, u0, times) -> TrajectoryResult:
     _check_times(times)
     if np.any(np.diff(times) < 0):
         raise ValueError("times must be ascending")
-    if np.isscalar(u0) or np.ndim(u0) == 0:
+    if np.ndim(u0) == 0:
         vec = np.zeros(kernel.n)
         vec[_check_start(kernel, u0)] = 1.0
     else:
@@ -339,11 +338,7 @@ def cycle_fractional_entries(n: int, alpha: float) -> DenseOperator:
     resid = float(np.abs(row.imag).max())
     if resid > 1e-10 * max(1.0, float(np.abs(row.real).max())):
         raise NumericalError(f"circulant imaginary residue {resid:.3e}")
-    first = row.real
-    F = np.empty((n, n))
-    for h in range(n):
-        F[h] = np.roll(first, h)
-    return DenseOperator(F, alpha)
+    return DenseOperator(row.real[(l - l[:, None]) % n], alpha)
 
 
 def cycle_entry_limit(alpha: float, gap: int) -> float:

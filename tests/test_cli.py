@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.io import mmread
 from scipy.linalg import expm
 
 from fraclap.cli import cli_dispatch
@@ -160,6 +161,30 @@ def test_output_formats(ring, tmp_path):
         assert run(["laplacian", "--input", str(ring), "--format", fmt,
                     "--out", "lap"], tmp_path) == 0
         assert (tmp_path / ("lap" + suffix)).exists()
+
+
+def test_kernel_on_a_digraph_with_a_sink(tmp_path):
+    edges = tmp_path / "sink.txt"
+    edges.write_text("0 1\n1 2\n0 2\n2 3\n1 3\n")
+    assert run(["kernel", "--input", str(edges), "--alpha", "0.5"],
+               tmp_path) == 0
+    P = np.loadtxt(tmp_path / "kernel.csv", delimiter=",")
+    assert P.shape == (4, 4) and P.min() >= 0.0
+    assert np.abs(P.sum(axis=1) - 1.0).max() < 1e-14
+    assert np.array_equal(P[3], [0.0, 0.0, 0.0, 1.0])
+    man = json.loads((tmp_path / "kernel_manifest.json").read_text())
+    assert man["results"]["absorbing"] == [3]
+
+
+def test_walk_table_in_matrix_market_keeps_the_header(ring, tmp_path):
+    argv = ["walk", "--input", str(ring), "--alpha", "0.5", "--steps", "40",
+            "--seed", "5"]
+    assert run(argv, tmp_path) == 0
+    assert run(argv + ["--format", "mm"], tmp_path) == 0
+    mtx = tmp_path / "walk.mtx"
+    assert mtx.read_text().splitlines()[1] == "%step,node"
+    table = np.loadtxt(tmp_path / "walk.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(np.asarray(mmread(mtx).todense()), table)
 
 
 def test_walk_seeded_reproducible(ring, tmp_path):
@@ -516,6 +541,10 @@ def test_non_finite_consensus_input_exits_one_naming_it(tmp_path, capsys,
     ("center", [3.0], "center must be 2 finite numbers, got [3.0]"),
     ("center", [1.0, 2.0, 3.0], "center must be 2 finite numbers, got"),
     ("center", "far", "center must be 2 finite numbers, got 'far'"),
+    ("beta", None, "beta must be a number, got None"),
+    ("horizon", [1], "horizon must be a number, got [1]"),
+    ("alpha", [None], "alpha must be a number, got None"),
+    ("graph", 5, 'graph must be "directed-cycle" or an edge-list path'),
 ])
 def test_malformed_consensus_field_exits_one_before_any_work(
         tmp_path, capsys, monkeypatch, field, value, message):
@@ -531,6 +560,55 @@ def test_malformed_consensus_field_exits_one_before_any_work(
                                field: value}))
     assert run(["consensus", "--config", str(cfg)], tmp_path) == 1
     assert message in capsys.readouterr().err
+
+
+def test_consensus_config_that_is_not_an_object_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text("[1, 2]")
+    assert run(["consensus", "--config", str(cfg)], tmp_path) == 1
+    err = capsys.readouterr().err
+    assert "config must be a JSON object, got [1, 2]" in err
+
+
+@pytest.mark.parametrize("text, where, flags", [
+    ("0 1\n1 2 3 4\n", "2: expected 'src dst [weight]', got 4 fields", []),
+    ("0 1\n1 x\n", "2: non-integer node id", []),
+    ("1 2\n0 1\n", "2: node id below 1 (one-based input)", ["--one-based"]),
+    ("0 1\n\n2 2\n", "3: self-loop at node 2", []),
+    ("0 1 heavy\n", "1: bad weight 'heavy'", []),
+    ("0 1 1.5\n1 2 0\n", "2: weight must be positive and finite", []),
+    ("0 1\n1 2\n0 1\n", "3: duplicate edge (0, 1), first seen on line 1",
+     []),
+    ("# nothing here\n\n", " no edges found", []),
+    ("0 1 2.0\n# reverse\n1 0 3.0\n",
+     "3: asymmetric weights for edge (0, 1), 2.0 vs 3.0 (line 1)",
+     ["--force-undirected"]),
+])
+def test_malformed_edge_list_exits_one_naming_path_and_line(
+        tmp_path, capsys, text, where, flags):
+    edges = tmp_path / "edges.txt"
+    edges.write_text(text)
+    assert run(["laplacian", "--input", str(edges), *flags], tmp_path) == 1
+    assert f"error: {edges}:{where}" in capsys.readouterr().err
+
+
+def test_weighted_edge_list_loads_its_weights(tmp_path):
+    # both directions listed under --force-undirected, with equal weights
+    edges = tmp_path / "weighted.txt"
+    edges.write_text("0 1 2.5\n1 0 2.5\n1 2 0.5\n")
+    assert run(["laplacian", "--input", str(edges), "--force-undirected"],
+               tmp_path) == 0
+    L = np.loadtxt(tmp_path / "laplacian.csv", delimiter=",")
+    assert np.array_equal(L, [[2.5, -2.5, 0.0], [-2.5, 3.0, -0.5],
+                              [0.0, -0.5, 0.5]])
+
+
+def test_out_dir_naming_an_existing_file_exits_one(ring, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert cli_dispatch(["laplacian", "--input", str(ring),
+                         "--out-dir", str(taken)]) == 1
+    assert "File exists" in capsys.readouterr().err
 
 
 def test_console_entry_point(ring, tmp_path):

@@ -6,9 +6,9 @@ import pytest
 
 from fraclap import graphs
 from fraclap.consensus import gamma_lower_bound
-from fraclap.decay import (distance_decay_slope, graph_distances,
-                           numerical_range_profile, pattern_distances,
-                           verify_decay_bounds, verify_p_alpha_bound)
+from fraclap.decay import (distance_decay_slope, numerical_range_profile,
+                           pattern_distances, verify_decay_bounds,
+                           verify_p_alpha_bound)
 from fraclap.generators import (cycle_graph, grid_graph,
                                 random_connected_graph,
                                 random_geometric_graph)
@@ -274,7 +274,7 @@ def test_numerical_range_nonnegative_for_symmetric_psd():
 def test_distance_decay_slope_on_grid():
     g = grid_graph(12, 12)
     L = build_laplacian(g, LaplacianKind.COMBINATORIAL)
-    dist = graph_distances(g)
+    dist = pattern_distances(g.weight_matrix, directed=g.directed)
     for alpha in (0.25, 0.5, 0.75):
         A = fractional_power_symmetric(L, alpha).matrix
         prof = distance_decay_slope(np.abs(A), dist)
@@ -284,7 +284,7 @@ def test_distance_decay_slope_on_grid():
 def test_distance_decay_peaks_match_the_per_class_loop():
     for g in (grid_graph(15, 15), random_geometric_graph(60, 0.2, seed=3)):
         L = build_laplacian(g, LaplacianKind.COMBINATORIAL)
-        dist = graph_distances(g)
+        dist = pattern_distances(g.weight_matrix, directed=g.directed)
         A = np.abs(fractional_power_symmetric(L, 0.5).matrix)
         prof = distance_decay_slope(A, dist)
         classes = np.unique(dist[np.isfinite(dist) & (dist >= 2)])
@@ -300,7 +300,7 @@ def test_pattern_and_graph_distances_agree():
     g = random_geometric_graph(40, 0.3, seed=2)
     L = build_laplacian(g, LaplacianKind.COMBINATORIAL)
     dp = pattern_distances(L.matrix, directed=False)
-    dg = graph_distances(g)
+    dg = pattern_distances(g.weight_matrix, directed=g.directed)
     assert np.array_equal(dp, dg)
     assert (np.diag(dg) == 0).all()
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fraclap.errors import GraphFormatError
-from fraclap.decay import graph_distances
 from fraclap.generators import (cycle_graph, grid_graph, path_graph,
                                 random_connected_graph,
                                 random_geometric_graph)
@@ -64,6 +63,14 @@ def test_directed_out_laplacian_row_sums():
     assert np.allclose(np.diag(L), 1.0)
 
 
+def test_kind_that_is_not_a_laplacian_kind_is_refused():
+    # a kind's value is not the kind: without the refusal the string
+    # would fall through to the last branch and build another Laplacian
+    for g in (path_graph(4), path_graph(4, directed=True)):
+        with pytest.raises(ValueError, match="unhandled kind 'undirected'"):
+            build_laplacian(g, "undirected")
+
+
 def test_symmetric_normalized_spectrum_bounded():
     g = grid_graph(3, 4)                              # bipartite: max is 2
     L = build_laplacian(g, LaplacianKind.SYMMETRIC_NORMALIZED).matrix
@@ -92,7 +99,8 @@ def test_grid_graph_shape():
 def test_generators_connected():
     for seed in range(4):
         g = random_connected_graph(30, seed=seed)
-        assert np.isfinite(graph_distances(g)).all()
+        assert np.isfinite(pattern_distances(g.weight_matrix,
+                                             directed=g.directed)).all()
 
 
 def test_hop_distances_are_the_undirected_pattern_distances():
