@@ -42,6 +42,8 @@ from .walks import (absorption_time_samples, evolve_continuous,
 
 DENSE_LIMIT = 2000
 _KINDS = [k.value for k in LaplacianKind]
+_CONFIG_KEYS = {"vehicles", "graph", "one_based", "center", "alpha", "beta",
+                "horizon", "step", "gamma", "gamma_margin", "stride"}
 
 
 class UsageError(Exception):
@@ -470,7 +472,7 @@ def _consensus_graph(cfg, args, run):
         raise UsageError("graph must be \"directed-cycle\" or an edge-list "
                          f"path, got {g!r}")
     return _load_graph(run.read(g), args,
-                       one_based=bool(cfg.get("one_based", False)))
+                       one_based=cfg.get("one_based", False))
 
 
 def _cmd_consensus(args, run):
@@ -480,6 +482,12 @@ def _cmd_consensus(args, run):
         raise UsageError(f"bad JSON config: {exc}") from None
     if not isinstance(cfg, dict):
         raise UsageError(f"config must be a JSON object, got {cfg!r}")
+    unknown = sorted(cfg.keys() - _CONFIG_KEYS)
+    if unknown:
+        raise UsageError(f"unknown config keys: {', '.join(unknown)}")
+    if not isinstance(cfg.get("one_based", False), bool):
+        raise UsageError("one_based must be true or false, got "
+                         f"{cfg['one_based']!r}")
 
     raw = cfg.get("center", [3.0, 3.0])
     try:
@@ -491,6 +499,8 @@ def _cmd_consensus(args, run):
     alphas = cfg.get("alpha", [0.5])
     alphas = [_number(a, "alpha")
               for a in (alphas if isinstance(alphas, list) else [alphas])]
+    if not alphas:
+        raise UsageError("alpha must list at least one exponent")
     beta = _number(cfg.get("beta", 0.5), "beta")
     horizon = _number(cfg.get("horizon", 5.0), "horizon")
     step = cfg.get("step")

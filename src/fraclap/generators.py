@@ -15,24 +15,22 @@ __all__ = [
 ]
 
 
-def _close(arcs):
-    return tuple(arcs) + tuple((v, u, w) for u, v, w in arcs)
+def _graph(n, arcs, directed=False) -> Graph:
+    """The graph on ``n`` nodes with ``arcs`` and, unless ``directed``,
+    their reverses after them."""
+    if not directed:
+        arcs = arcs + [(v, u, w) for u, v, w in arcs]
+    return Graph(n=n, directed=directed, edges=tuple(arcs))
 
 
 def path_graph(n: int, *, directed=False) -> Graph:
-    arcs = [(i, i + 1, 1.0) for i in range(n - 1)]
-    if directed:
-        return Graph(n=n, directed=True, edges=tuple(arcs))
-    return Graph(n=n, directed=False, edges=_close(arcs))
+    return _graph(n, [(i, i + 1, 1.0) for i in range(n - 1)], directed)
 
 
 def cycle_graph(n: int, *, directed=False) -> Graph:
     if n < 3:
         raise ValueError("cycle needs n >= 3")
-    arcs = [(i, (i + 1) % n, 1.0) for i in range(n)]
-    if directed:
-        return Graph(n=n, directed=True, edges=tuple(arcs))
-    return Graph(n=n, directed=False, edges=_close(arcs))
+    return _graph(n, [(i, (i + 1) % n, 1.0) for i in range(n)], directed)
 
 
 def grid_graph(rows: int, cols: int) -> Graph:
@@ -46,7 +44,7 @@ def grid_graph(rows: int, cols: int) -> Graph:
                 arcs.append((node(r, c), node(r, c + 1), 1.0))
             if r + 1 < rows:
                 arcs.append((node(r, c), node(r + 1, c), 1.0))
-    return Graph(n=rows * cols, directed=False, edges=_close(arcs))
+    return _graph(rows * cols, arcs)
 
 
 def random_connected_graph(n: int, *, directed=False, seed=0) -> Graph:
@@ -74,9 +72,7 @@ def random_connected_graph(n: int, *, directed=False, seed=0) -> Graph:
         target -= 1
 
     arcs = [(u, v, float(rng.uniform(0.5, 1.5))) for u, v in sorted(pairs)]
-    if directed:
-        return Graph(n=n, directed=True, edges=tuple(arcs))
-    return Graph(n=n, directed=False, edges=_close(arcs))
+    return _graph(n, arcs, directed)
 
 
 def random_geometric_graph(n: int, radius: float, *, seed=0) -> Graph:
@@ -117,5 +113,4 @@ def random_geometric_graph(n: int, radius: float, *, seed=0) -> Graph:
         pairs.append((min(u, v), max(u, v)))
         parent[find(u)] = find(v)
 
-    arcs = [(u, v, 1.0) for u, v in sorted(pairs)]
-    return Graph(n=n, directed=False, edges=_close(arcs))
+    return _graph(n, [(u, v, 1.0) for u, v in sorted(pairs)])

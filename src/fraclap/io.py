@@ -186,27 +186,20 @@ def write_table_csv(path, header: list[str], columns: list) -> None:
     _write_csv(path, rows, (",".join(header) + "\n").encode("utf-8"), ints)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+def _json_default(obj):
+    """What `json` cannot encode itself: arrays as lists, numpy scalars
+    as Python ones, complex numbers as ``{"re": ..., "im": ...}``."""
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
-    return obj
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def write_json(path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True,
+                  default=_json_default)
         fh.write("\n")
 
 

@@ -337,8 +337,8 @@ def lattice_window_stats(alpha: float, orientation: str, t: float,
 @dataclass(frozen=True)
 class StableParams:
     """Parameters of a stable distribution with characteristic function
-    ``exp(-|gamma z|**alpha (1 + 1j * beta * sign(z) * omega))`` where
-    ``omega = -tan(pi alpha / 2)``; the location is 0.
+    ``exp(-|gamma z|**alpha (1 - 1j * beta * sign(z) * tan(pi alpha / 2)))``;
+    the location is 0.
 
     Only the symmetric (``beta = 0``) and maximally skewed (``beta = 1``)
     families are supported, and ``alpha = 1`` requires ``beta = 0``
@@ -367,18 +367,12 @@ class StableParams:
             raise ValueError("alpha = 1 requires beta = 0")
         _positive("gamma", self.gamma)
 
-    @property
-    def omega(self) -> float:
-        """Skew phase factor ``-tan(pi alpha / 2)`` (0 when unused)."""
-        if self.beta == 0.0:
-            return 0.0
-        return -math.tan(math.pi * self.alpha / 2.0)
-
     def characteristic(self, z) -> np.ndarray:
         """Characteristic function values at real frequencies ``z``."""
         z = np.asarray(z, dtype=float)
         mag = np.power(np.abs(self.gamma * z), self.alpha)
-        phase = 1.0 + 1j * self.beta * np.sign(z) * self.omega
+        phase = 1.0 - 1j * self.beta * np.sign(z) * math.tan(
+            math.pi * self.alpha / 2.0)
         return np.exp(-mag * phase)
 
 
@@ -421,18 +415,12 @@ class StableLimitReport:
 
     Attributes
     ----------
-    alpha : float
-        Lattice exponent.
-    orientation : str
-        Chain orientation.
     errors : numpy.ndarray
         Sup over the grid of |rescaled solution - limit density| per time.
     strictly_decreasing : bool
         Whether the whole error sequence decreases strictly.
     """
 
-    alpha: float
-    orientation: str
     errors: np.ndarray
     strictly_decreasing: bool
 
@@ -513,8 +501,7 @@ def verify_stable_limit(alpha: float, orientation: str, t_values,
         r = st * np.atleast_1d(solution(t, st * xi))
         errors[i] = float(np.abs(r - target).max())
     return StableLimitReport(
-        alpha=float(alpha), orientation=orientation, errors=errors,
-        strictly_decreasing=bool(np.all(np.diff(errors) < 0)))
+        errors=errors, strictly_decreasing=bool(np.all(np.diff(errors) < 0)))
 
 
 def fwhm(evaluator, bracket, *, samples: int = 129,

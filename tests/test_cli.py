@@ -466,7 +466,7 @@ def test_consensus_bad_step_or_stride_exits_one(tmp_path, bad):
     assert run(["consensus", "--config", str(cfg)], tmp_path) == 1
 
 
-def test_usage_errors_exit_one(ring, tmp_path):
+def test_usage_errors_exit_one(ring, tmp_path, capsys):
     assert run(["power", "--input", str(ring)], tmp_path) == 1     # no alpha
     assert run(["power", "--input", str(tmp_path / "nope.txt"),
                 "--alpha", "0.5"], tmp_path) == 1                  # no file
@@ -475,6 +475,26 @@ def test_usage_errors_exit_one(ring, tmp_path):
                tmp_path) == 1                                      # directed
     assert run(["decay", "--input", str(ring), "--alpha", "0.5",
                 "--pairs", "sampled:zero"], tmp_path) == 1
+    capsys.readouterr()
+    not_json = tmp_path / "bad.json"
+    not_json.write_text("{vehicles: 8}")
+    graph = ["--input", str(ring), "--alpha", "0.5"]
+    for argv, message in [
+            (["decay", *graph, "--pairs", "sampled:0"],
+             "sampled pair count must be positive"),
+            (["decay", *graph, "--pairs", "bogus"],
+             "--pairs expects \"all\" or \"sampled:<k>\", got 'bogus'"),
+            (["evolve", *graph, "--times", "0,x"], "bad time list '0,x'"),
+            (["returnprob", *graph, "--times", " , "], "empty time list"),
+            (["superdiff", "--orientation", "undirected", "--alpha", "0.5",
+              "--tmin", "10", "--tmax", "5"], "need 0 < tmin < tmax"),
+            (["stable", "--alpha", "1.5", "--beta", "0", "--xi-count", "1"],
+             "need xi_min < xi_max and at least 2 points"),
+            (["consensus", "--config", str(not_json)], "bad JSON config")]:
+        assert run(argv, tmp_path) == 1
+        assert message in capsys.readouterr().err
+    assert cli_dispatch([]) == 1                           # no subcommand
+    assert "usage: fraclap" in capsys.readouterr().err
 
 
 def test_numerical_blowup_exits_two(tmp_path):
@@ -545,6 +565,10 @@ def test_non_finite_consensus_input_exits_one_naming_it(tmp_path, capsys,
     ("horizon", [1], "horizon must be a number, got [1]"),
     ("alpha", [None], "alpha must be a number, got None"),
     ("graph", 5, 'graph must be "directed-cycle" or an edge-list path'),
+    ("one_based", "false", "one_based must be true or false, got 'false'"),
+    ("one_based", 0, "one_based must be true or false, got 0"),
+    ("alpha", [], "alpha must list at least one exponent"),
+    ("horizn", 1.0, "unknown config keys: horizn"),
 ])
 def test_malformed_consensus_field_exits_one_before_any_work(
         tmp_path, capsys, monkeypatch, field, value, message):

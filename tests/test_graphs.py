@@ -26,6 +26,17 @@ def test_graph_rejects_asymmetric_undirected():
         Graph(n=2, directed=False, edges=((0, 1, 1.0),))
 
 
+@pytest.mark.parametrize("n, edges, message", [
+    (0, (), "at least one node"),
+    (2, ((0, 2, 1.0),), r"arc \(0, 2\) out of range for n=2"),
+    (2, ((0, 1, 0.0),), r"arc \(0, 1\) has nonpositive weight 0.0"),
+])
+def test_graph_rejects_no_nodes_bad_ids_and_nonpositive_weights(n, edges,
+                                                                message):
+    with pytest.raises(GraphFormatError, match=message):
+        Graph(n=n, directed=True, edges=edges)
+
+
 def test_load_edge_list_roundtrip(tmp_path):
     p = tmp_path / "g.txt"
     p.write_text("# comment\n0 1\n1 2\n2 0\n")
@@ -71,6 +82,14 @@ def test_kind_that_is_not_a_laplacian_kind_is_refused():
             build_laplacian(g, "undirected")
 
 
+def test_kinds_the_graph_does_not_support_are_refused():
+    g = path_graph(4, directed=True)                  # node 3 dangles
+    with pytest.raises(ValueError, match="requires an undirected graph"):
+        build_laplacian(g, LaplacianKind.COMBINATORIAL)
+    with pytest.raises(ValueError, match="node 3 has zero out-degree"):
+        build_laplacian(g, LaplacianKind.DIRECTED_OUT_NORMALIZED)
+
+
 def test_symmetric_normalized_spectrum_bounded():
     g = grid_graph(3, 4)                              # bipartite: max is 2
     L = build_laplacian(g, LaplacianKind.SYMMETRIC_NORMALIZED).matrix
@@ -87,6 +106,9 @@ def test_dangling_fixup_pagerank_rows():
     expect = np.full(4, -0.25)
     expect[3] = 0.75
     assert np.allclose(row, expect)
+    # the in-degree kind fixes the column of node 0, which has no in-arcs
+    L = build_laplacian(g, LaplacianKind.DIRECTED_IN, dangling_fixup=True)
+    assert np.allclose(L.matrix[:, 0], np.roll(expect, 1))
 
 
 def test_grid_graph_shape():

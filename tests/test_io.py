@@ -23,6 +23,11 @@ def test_matrix_csv_rejects_complex(tmp_path):
         write_matrix_csv(tmp_path / "c.csv", np.eye(2) * (1 + 1j))
 
 
+def test_matrix_csv_rejects_three_dimensions(tmp_path):
+    with pytest.raises(ValueError, match="expects 2 dimensions, got 3"):
+        write_matrix_csv(tmp_path / "c.csv", np.zeros((2, 2, 2)))
+
+
 def test_matrix_mm_roundtrip(tmp_path):
     from scipy.io import mmread
     A = np.arange(12, dtype=float).reshape(3, 4) / 7.0
@@ -122,7 +127,8 @@ def test_cells_match_percent_format_at_hard_cases(tmp_path):
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (163, 100),
-                                   (164, 100), (327, 100), (40, 500)])
+                                   (164, 100), (327, 100), (40, 500),
+                                   (4, 0)])
 @pytest.mark.parametrize("dtype", [float, np.float32, np.int64, bool])
 def test_matrix_csv_matches_savetxt(tmp_path, shape, dtype):
     # 16384 cells per block: 163 rows of 100 fill one block, 164 start a
@@ -170,6 +176,18 @@ def test_write_json_deterministic(tmp_path):
     write_json(p2, dict(reversed(list(payload.items()))))
     assert p1.read_bytes() == p2.read_bytes()
     assert json.loads(p1.read_text())["a"] == [0, 1, 2]
+
+
+def test_write_json_encodes_numpy_and_complex_values(tmp_path):
+    p = tmp_path / "v.json"
+    write_json(p, {"zero_d": np.array(1.5), "int": np.int64(7),
+                   "flag": np.bool_(True), "z": 1 - 2j,
+                   "zs": np.array([0.5j]), "x": np.float64(0.1)})
+    assert json.loads(p.read_text()) == {
+        "zero_d": 1.5, "int": 7, "flag": True, "z": {"re": 1.0, "im": -2.0},
+        "zs": [{"re": 0.0, "im": 0.5}], "x": 0.1}
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        write_json(p, {"s": {1}})
 
 
 def test_sha256_file(tmp_path):

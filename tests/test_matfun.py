@@ -120,6 +120,12 @@ def test_series_error_within_reported_remainder_on_random_graphs(
     assert np.abs(approx.matrix - exact).max() <= approx.remainder
 
 
+def test_series_of_an_edgeless_laplacian_is_zero():
+    approx = fractional_power_series(np.zeros((3, 3)), 0.5, terms=10)
+    assert np.array_equal(approx.matrix, np.zeros((3, 3)))
+    assert approx.remainder == 0.0
+
+
 def test_series_rejects_non_laplacian():
     M = np.array([[1.0, 0.5], [0.5, 1.0]])
     with pytest.raises(ValueError):

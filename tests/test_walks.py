@@ -291,6 +291,19 @@ def test_non_finite_times_are_rejected(bad):
         return_probability(np.eye(k.n) - k.P, [0.0, bad])
 
 
+@pytest.mark.parametrize("times, u0, message", [
+    ([1.0, 0.5], 0, "times must be ascending"),
+    ([0.0, 1.0], np.full(9, 1.0 / 9), "u0 has the wrong length"),
+    ([0.0, 1.0], np.full(10, 0.2), "u0 is not a probability vector"),
+    ([0.0, 1.0], np.r_[-0.5, 1.5, np.zeros(8)],
+     "u0 is not a probability vector"),
+])
+def test_evolve_rejects_descending_times_and_bad_start_vectors(times, u0,
+                                                               message):
+    with pytest.raises(ValueError, match=message):
+        evolve_continuous(kernel_for(10, 1, 0.5), u0, times)
+
+
 def test_path_closed_form_matches_engine():
     g = path_graph(10, directed=True)
     L = build_laplacian(g, LaplacianKind.DIRECTED_OUT).matrix
@@ -321,6 +334,7 @@ def test_cycle_entries_approach_infinite_limit():
     order = np.log(errs[1] / errs[3]) / np.log(1024 / 64)
     assert abs(order - (1 + alpha)) < 0.2
     assert errs[-1] < 1e-4
+    assert cycle_entry_limit(alpha, 0) == 1.0
 
 
 def test_path_jump_probability_power_law():

@@ -1,4 +1,4 @@
-"""Compare the files that one ``perfbench`` ``cli`` pass writes in two
+"""Compare the outputs of one pass of each ``perfbench`` workload in two
 checkouts of fraclap.
 
 Usage, from the repository root:
@@ -6,41 +6,105 @@ Usage, from the repository root:
     python3 tools/compare_outputs.py --parent ../base --change . --seeds 3,7
 
 For each seed, each checkout runs every operation of its own
-``perfbench`` ``cli`` workload once, in a subprocess that puts that
-checkout's ``src/`` and ``perfbench/`` first on the path, pins BLAS to
-the thread count of its ``perfbench/run.py`` and works in a fresh
-temporary directory.  Every file the pass writes is digested; a run
-manifest is digested without ``duration_s`` and with the temporary
-directory replaced by ``<work>`` (`normalise`).  The exit code of each
-operation is compared too.  The tool prints each file that differs or
-exists on one side only and exits 1 if there is any.  Standard library
-only.
+``perfbench`` ``cli``, ``undirected`` and ``lattice`` workloads once, in
+a subprocess that puts that checkout's ``src/`` and ``perfbench/`` first
+on the path, pins BLAS to the thread count of its ``perfbench/run.py``
+and works in a fresh temporary directory.  Every file the ``cli`` pass
+writes is digested; a run manifest is digested without ``duration_s``
+and with the temporary directory replaced by ``<work>`` (`normalise`).
+The exit code of each ``cli`` operation is compared too, and so is the
+value each ``undirected`` and ``lattice`` operation returns, one digest
+per dataclass field (`digest`).  The tool prints each name that differs
+or exists on one side only and exits 1 if there is any.  Standard
+library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
+import struct
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
-# run in the subprocess: argv is the checkout, the work directory and the seed
+TOOLS = Path(__file__).resolve().parent
+# run in the subprocess: argv is the checkout, the work directory, the seed
+# and this file's directory, whose `result_digests` both checkouts share
 PASS = """
 import json, os, sys
 from pathlib import Path
 checkout, work, seed = Path(sys.argv[1]), Path(sys.argv[2]), int(sys.argv[3])
-sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
+sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench"),
+                sys.argv[4]]
 import run
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = run.BLAS_THREADS
 import workloads
+from compare_outputs import result_digests
 ops = workloads.cli_workload(seed, work)
-print(json.dumps({op.name: op.run() for op in ops}))
+out = {"exit": {op.name: op.run() for op in ops}}
+for name in ("undirected", "lattice"):
+    for op in workloads.WORKLOADS[name](seed, work / name):
+        try:
+            value = op.run()
+        except Exception as exc:
+            value = f"raised {type(exc).__name__}"
+        out.update(result_digests(f"{name}:{op.name}", value))
+print(json.dumps(out))
 """
+
+
+def _feed(h, obj) -> None:
+    """Add ``obj`` to the hash ``h``, each part tagged by its type."""
+    def part(tag, data):
+        h.update(tag + len(data).to_bytes(8, "little") + data)
+
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        part(b"D", type(obj).__name__.encode())
+        for field in dataclasses.fields(obj):
+            part(b"F", field.name.encode())
+            _feed(h, getattr(obj, field.name))
+    elif isinstance(obj, float):
+        part(b"f", struct.pack("<d", obj))
+    elif hasattr(obj, "dtype") and hasattr(obj, "tobytes"):
+        part(b"A", f"{obj.dtype.str}{obj.shape}".encode())
+        part(b"a", obj.tobytes())
+    elif isinstance(obj, int):
+        part(b"i", repr(obj).encode())       # True and 1 differ
+    elif isinstance(obj, str):
+        part(b"s", obj.encode())
+    elif obj is None:
+        part(b"N", b"")
+    elif isinstance(obj, (tuple, list)):
+        part(b"T" if isinstance(obj, tuple) else b"L", str(len(obj)).encode())
+        for item in obj:
+            _feed(h, item)
+    else:
+        raise TypeError(f"no digest for {type(obj).__name__}")
+
+
+def digest(obj) -> str:
+    """SHA-256 of a canonical encoding of ``obj``: a dataclass by its
+    fields in order, an array by dtype, shape and bytes, a float by its
+    8 bytes, then ints, strings, ``None``, and tuples and lists of these,
+    recursively."""
+    h = hashlib.sha256()
+    _feed(h, obj)
+    return h.hexdigest()
+
+
+def result_digests(name: str, value) -> dict[str, str]:
+    """`digest` of an operation's returned ``value`` under ``name``, or
+    of each of its fields under ``name.field`` if it is a dataclass."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {f"{name}.{f.name}": digest(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    return {name: digest(value)}
 
 
 def normalise(name: str, data: bytes, work: str) -> bytes:
@@ -58,18 +122,21 @@ def normalise(name: str, data: bytes, work: str) -> bytes:
 
 def digests(checkout: Path, seed: int) -> dict[str, str]:
     """SHA-256 of each normalised file one ``cli`` pass writes, by path
-    relative to its output directory, and each operation's exit code
-    under ``exit:<operation>``."""
+    relative to its output directory; each ``cli`` operation's exit code
+    under ``exit:<operation>``; and the `result_digests` of each
+    ``undirected`` and ``lattice`` operation under
+    ``<workload>:<operation>``."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp) / "work"
         proc = subprocess.run(
             [sys.executable, "-c", PASS, str(checkout.resolve()), str(work),
-             str(seed)], cwd=tmp, capture_output=True, text=True)
+             str(seed), str(TOOLS)], cwd=tmp, capture_output=True, text=True)
         if proc.returncode != 0:
-            raise SystemExit(f"the cli pass failed in {checkout} (seed {seed})"
+            raise SystemExit(f"the pass failed in {checkout} (seed {seed})"
                              f":\n{proc.stderr}")
-        codes = json.loads(proc.stdout.strip().splitlines()[-1])
-        out = {f"exit:{op}": str(code) for op, code in codes.items()}
+        out = json.loads(proc.stdout.strip().splitlines()[-1])
+        codes = out.pop("exit")
+        out.update({f"exit:{op}": str(code) for op, code in codes.items()})
         root = work / "out"
         for path in sorted(p for p in root.rglob("*") if p.is_file()):
             name = path.relative_to(root).as_posix()
@@ -102,8 +169,11 @@ def main(argv=None) -> int:
     for seed in (int(s) for s in args.seeds.split(",")):
         got = {side: digests(getattr(args, side), seed) for side in SIDES}
         diff = differences(got["parent"], got["change"])
-        files = sum(not n.startswith("exit:") for n in got["change"])
-        print(f"seed {seed}: {files} files, {len(diff)} differences")
+        files = sum(":" not in n for n in got["change"])
+        results = sum(":" in n and not n.startswith("exit:")
+                      for n in got["change"])
+        print(f"seed {seed}: {files} files, {results} results, "
+              f"{len(diff)} differences")
         for line in diff:
             print(f"  {line}")
         failed = failed or bool(diff)
