@@ -107,27 +107,25 @@ def _decay_report(mode, alpha, rho, D, observed, per_hop, sample, seed, *,
     ``i`` is ``per_hop[d - 2]``, times ``row[i]`` when ``row`` is given;
     ``secondary`` is indexed like ``per_hop``."""
     mask = (D >= 2) & np.isfinite(D)
-    flat = np.flatnonzero(mask)
+    idx = np.argwhere(mask)
     dist = D[mask]
     hop = dist.astype(np.intp) - 2
     obs = observed[mask]
-    bnd = per_hop[hop] if row is None \
-        else row[flat // D.shape[1]] * per_hop[hop]
+    bnd = per_hop[hop] if row is None else row[idx[:, 0]] * per_hop[hop]
     with np.errstate(invalid="ignore"):
         max_ratio = float((obs / bnd).max()) if obs.size else 0.0
     violations = int((~(obs <= bnd)).sum())
     keep = slice(None)
-    if sample is not None and sample < flat.size:
+    if sample is not None and sample < idx.shape[0]:
         rng = np.random.Generator(np.random.PCG64(seed))
-        keep = np.sort(rng.choice(flat.size, size=int(sample),
+        keep = np.sort(rng.choice(idx.shape[0], size=int(sample),
                                   replace=False))
     obs, bnd = obs[keep], bnd[keep]
     return DecayReport(
         mode=mode, alpha=float(alpha), c=JACKSON_CONSTANT, rho=rho, t=t,
-        n_pairs=flat.size, all_satisfied=violations == 0,
+        n_pairs=idx.shape[0], all_satisfied=violations == 0,
         violations=violations, max_ratio=max_ratio,
-        pairs=np.column_stack(np.unravel_index(flat[keep], D.shape)),
-        distances=dist[keep], observed=obs, bounds=bnd,
+        pairs=idx[keep], distances=dist[keep], observed=obs, bounds=bnd,
         satisfied=obs <= bnd,
         secondary_bounds=None if secondary is None else secondary[hop[keep]],
         **diagonal)
