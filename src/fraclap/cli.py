@@ -2,7 +2,8 @@
 
 Every subcommand reads file-based inputs, writes its outputs plus a JSON
 run manifest (resolved parameters, input digests, seed, version, wall
-time) into ``--out-dir``, and is reproducible: identical argv, inputs
+time) into ``--out-dir`` once its work has succeeded (a failed run
+writes nothing), and is reproducible: identical argv, inputs
 and seed give byte-identical CSV output at a fixed BLAS thread count.
 The directed power is included: it draws no random numbers.
 Between thread counts, values built on a matrix factorization may differ
@@ -31,8 +32,8 @@ from .generators import cycle_graph, path_graph
 from .graphs import LaplacianKind, build_laplacian, load_edge_list
 from .io import (sha256_file, write_json, write_matrix_csv, write_matrix_mm,
                  write_table_csv)
-from .matfun import (fractional_power, fractional_power_symmetric,
-                     symmetric_spectral_data)
+from .matfun import (_check_alpha, fractional_power,
+                     fractional_power_symmetric, symmetric_spectral_data)
 # not called here: perfbench's wrapper-count test reads this attribute
 from .matfun import fractional_power_general  # noqa: F401
 from .superdiff import StableParams, stable_density, superdiffusion_exponent
@@ -143,21 +144,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 class _Run:
-    """Where one run writes, and the files it reads.
+    """Everything one run reads and writes.
 
-    Outputs go to ``--out-dir`` (default ``$FRACLAP_OUT_DIR``, else
-    ``.``); the primary one is ``base``, named by ``--out`` or else by
-    the subcommand.  `read` records each input file's SHA-256 for the
-    manifest.
+    `read` records each input file's SHA-256 for the manifest.
+    `matrix`, `table` and `summary` only queue their output and return
+    its file name: ``name`` (default ``--out``, else the subcommand)
+    under ``--out-dir`` (default ``$FRACLAP_OUT_DIR``, else ``.``), with
+    the suffix of ``--format``.  `finish` creates the directory, writes
+    the queue in order and then the manifest, so a run that raises
+    before it writes nothing.
     """
 
     def __init__(self, args):
-        self.command = args.command
+        self.args = args
         self.outdir = Path(args.out_dir or os.environ.get("FRACLAP_OUT_DIR")
                            or ".")
-        self.outdir.mkdir(parents=True, exist_ok=True)
-        self.base = self.outdir / (args.out or args.command)
         self.inputs = {}
+        self.writes = []
         self.started = time.monotonic()
 
     def read(self, path) -> Path:
@@ -168,18 +171,50 @@ class _Run:
         self.inputs[str(path)] = sha256_file(path)
         return path
 
-    def summary(self, summary: dict, path: Path) -> dict:
-        """Write ``summary`` to ``<command>_summary.json``, then return it
-        with the output file name added."""
-        write_json(self.outdir / f"{self.command}_summary.json", summary)
-        summary["output"] = path.name
+    def record(self, payload: dict, name=None) -> str:
+        """Queue ``payload`` as a JSON object."""
+        return self._queue(name, ".json", write_json, payload)
+
+    def matrix(self, M, name=None) -> str:
+        if self.args.format == "csv":
+            return self._queue(name, ".csv", write_matrix_csv, M)
+        if self.args.format == "mm":
+            return self._queue(name, ".mtx", write_matrix_mm, M)
+        return self.record({"matrix": np.asarray(M)}, name)
+
+    def table(self, header, columns, name=None) -> str:
+        if self.args.format == "csv":
+            return self._queue(name, ".csv", write_table_csv, header, columns)
+        if self.args.format == "mm":
+            M = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+            return self._queue(name, ".mtx", write_matrix_mm, M,
+                               ",".join(header))
+        return self.record({"columns": {h: np.asarray(c)
+                                        for h, c in zip(header, columns)}},
+                           name)
+
+    def summary(self, summary: dict, output: str) -> dict:
+        """Queue a copy of ``summary`` as ``<command>_summary.json``, then
+        return it with the ``output`` file name added."""
+        self.record(dict(summary), f"{self.args.command}_summary")
+        summary["output"] = output
         return summary
 
-    def manifest(self, args, results: dict) -> None:
+    def _queue(self, name, suffix: str, write, *payload) -> str:
+        path = self.outdir / Path(name or self.args.out
+                                  or self.args.command).with_suffix(suffix)
+        self.writes.append((write, path, payload))
+        return path.name
+
+    def finish(self, results: dict) -> None:
+        self.outdir.mkdir(parents=True, exist_ok=True)
+        for write, path, payload in self.writes:
+            write(path, *payload)
+        args = self.args
         params = {k: v for k, v in sorted(vars(args).items())
                   if k not in ("command", "handler") and v is not None}
-        write_json(self.outdir / f"{self.command}_manifest.json", {
-            "subcommand": self.command,
+        write_json(self.outdir / f"{args.command}_manifest.json", {
+            "subcommand": args.command,
             "parameters": params,
             "inputs": self.inputs,
             "seed": args.seed,
@@ -243,66 +278,34 @@ def _parse_times(text: str) -> np.ndarray:
     return times
 
 
-def _emit_matrix(base: Path, M, fmt: str) -> Path:
-    if fmt == "csv":
-        path = base.with_suffix(".csv")
-        write_matrix_csv(path, M)
-    elif fmt == "mm":
-        path = base.with_suffix(".mtx")
-        write_matrix_mm(path, M)
-    else:
-        path = base.with_suffix(".json")
-        write_json(path, {"matrix": np.asarray(M)})
-    return path
-
-
-def _emit_table(base: Path, header, columns, fmt: str) -> Path:
-    if fmt == "csv":
-        path = base.with_suffix(".csv")
-        write_table_csv(path, header, columns)
-    elif fmt == "mm":
-        path = base.with_suffix(".mtx")
-        write_matrix_mm(path, np.column_stack([np.asarray(c, dtype=float)
-                                               for c in columns]),
-                        comment=",".join(header))
-    else:
-        path = base.with_suffix(".json")
-        write_json(path, {"columns": {h: np.asarray(c)
-                                      for h, c in zip(header, columns)}})
-    return path
-
-
 def _cmd_laplacian(args, run):
     g, kind, L = _laplacian(args, run)
-    path = _emit_matrix(run.base, L.matrix, args.format)
-    return {"n": g.n, "kind": kind.value, "output": path.name}
+    return {"n": g.n, "kind": kind.value, "output": run.matrix(L.matrix)}
 
 
 def _cmd_power(args, run):
     g, kind, L = _laplacian(args, run)
     res = fractional_power(L, args.alpha)
-    path = _emit_matrix(run.base, res.matrix, args.format)
     return {"n": g.n, "kind": kind.value, "alpha": args.alpha,
             "method": res.method, "zero_cluster_size": len(res.zero_cluster),
             "square_roots": res.square_roots, "pade_degree": res.pade_degree,
-            "output": path.name}
+            "output": run.matrix(res.matrix)}
 
 
 def _cmd_kernel(args, run):
     g, kind, L = _laplacian(args, run)
     ker = _kernel_of(args, L)
-    path = _emit_matrix(run.base, ker.P, args.format)
     return {"n": g.n, "kind": kind.value, "alpha": args.alpha,
-            "absorbing": list(ker.absorbing), "output": path.name}
+            "absorbing": list(ker.absorbing), "output": run.matrix(ker.P)}
 
 
 def _cmd_walk(args, run):
     _, _, L = _laplacian(args, run)
     ker = _kernel_of(args, L)
     traj = simulate_discrete(ker, args.start, args.steps, args.seed)
-    path = _emit_table(run.base, ["step", "node"],
-                       [traj.times.astype(int), traj.states], args.format)
-    return {"start": args.start, "steps": args.steps, "output": path.name}
+    return {"start": args.start, "steps": args.steps,
+            "output": run.table(["step", "node"],
+                                [traj.times.astype(int), traj.states])}
 
 
 def _cmd_evolve(args, run):
@@ -310,11 +313,11 @@ def _cmd_evolve(args, run):
     times = _parse_times(args.times)
     ker = _kernel_of(args, L)
     traj = evolve_continuous(ker, args.start, times)
-    path = _emit_table(run.base, ["t"] + [f"u{i}" for i in range(g.n)],
-                       [traj.times, *traj.states.T], args.format)
     return {"conservation_drift": traj.conservation_drift,
             "spectrum": traj.spectrum,
-            "balance_residual": traj.balance_residual, "output": path.name}
+            "balance_residual": traj.balance_residual,
+            "output": run.table(["t"] + [f"u{i}" for i in range(g.n)],
+                                [traj.times, *traj.states.T])}
 
 
 def _cmd_absorb(args, run):
@@ -332,14 +335,9 @@ def _cmd_absorb(args, run):
                                           args.runs, args.seed)
         out["mc_mean"] = float(samples.mean())
         out["mc_stderr"] = float(samples.std(ddof=1) / np.sqrt(args.runs))
-    if args.format == "json":
-        path = run.base.with_suffix(".json")
-        write_json(path, out)
-    else:
-        keys = sorted(out)
-        path = _emit_table(run.base, keys, [[out[k]] for k in keys],
-                           args.format)
-    out["output"] = path.name
+    keys = sorted(out)
+    out["output"] = (run.record(dict(out)) if args.format == "json"
+                     else run.table(keys, [[out[k]] for k in keys]))
     return out
 
 
@@ -370,13 +368,6 @@ def _cmd_decay(args, run):
     else:
         report = verify_decay_bounds(L, args.alpha, mode=args.mode, t=args.t,
                                      sample=sample, seed=args.seed)
-    path = _emit_table(
-        run.base,
-        ["i", "j", "d", "observed", "bound", "ok"],
-        [report.pairs[:, 0], report.pairs[:, 1],
-         report.distances.astype(int), report.observed, report.bounds,
-         report.satisfied.astype(int)],
-        args.format)
     summary = {"mode": report.mode, "alpha": report.alpha, "c": report.c,
                "rho": report.rho, "t": report.t, "n_pairs": report.n_pairs,
                "all_satisfied": report.all_satisfied,
@@ -385,22 +376,23 @@ def _cmd_decay(args, run):
     if report.diagonal_ok is not None:
         summary["diagonal_ok"] = report.diagonal_ok
         summary["diagonal_margin"] = report.diagonal_margin
-    return run.summary(summary, path)
+    return run.summary(summary, run.table(
+        ["i", "j", "d", "observed", "bound", "ok"],
+        [report.pairs[:, 0], report.pairs[:, 1],
+         report.distances.astype(int), report.observed, report.bounds,
+         report.satisfied.astype(int)]))
 
 
 def _cmd_frange(args, run):
     _, _, L = _laplacian(args, run)
     M = L if args.alpha is None else fractional_power(L, args.alpha)
     prof = numerical_range_profile(M, angles=args.angles)
-    path = _emit_table(
-        run.base,
-        ["angle", "boundary_re", "boundary_im", "support"],
-        [prof.angles, prof.boundary.real, prof.boundary.imag, prof.support],
-        args.format)
     summary = {"min_real": prof.min_real,
                "eigenvector_condition": prof.eigenvector_condition,
                "contains_negative_real": prof.min_real < 0.0}
-    return run.summary(summary, path)
+    return run.summary(summary, run.table(
+        ["angle", "boundary_re", "boundary_im", "support"],
+        [prof.angles, prof.boundary.real, prof.boundary.imag, prof.support]))
 
 
 def _cmd_returnprob(args, run):
@@ -408,15 +400,14 @@ def _cmd_returnprob(args, run):
     times = _parse_times(args.times)
     ker = _kernel_of(args, L)
     curve = return_probability(np.eye(ker.n) - ker.P, times)
-    path = _emit_table(run.base, ["t", "value"],
-                       [curve.times, curve.values], args.format)
     D = pattern_distances(g.weight_matrix, directed=g.directed)
     summary = {"spectral_gap": curve.spectral_gap,
                "zero_multiplicity": curve.zero_multiplicity,
                "diameter": int(D[np.isfinite(D)].max()),
                "spectrum": curve.spectrum,
                "balance_residual": curve.balance_residual}
-    return run.summary(summary, path)
+    return run.summary(summary, run.table(["t", "value"],
+                                          [curve.times, curve.values]))
 
 
 def _cmd_superdiff(args, run):
@@ -425,15 +416,12 @@ def _cmd_superdiff(args, run):
     times = np.geomspace(args.tmin, args.tmax, args.tcount)
     fit = superdiffusion_exponent(args.alpha, args.orientation, times,
                                   samples=args.samples)
-    path = _emit_table(
-        run.base,
-        ["t", "fwhm_sq", "exponent"],
-        [fit.times, fit.widths ** 2, np.full(fit.times.shape, fit.exponent)],
-        args.format)
     summary = {"alpha": fit.alpha, "orientation": fit.orientation,
                "exponent": fit.exponent, "expected": fit.expected,
                "r_squared": fit.r_squared}
-    return run.summary(summary, path)
+    return run.summary(summary, run.table(
+        ["t", "fwhm_sq", "exponent"],
+        [fit.times, fit.widths ** 2, np.full(fit.times.shape, fit.exponent)]))
 
 
 def _cmd_stable(args, run):
@@ -442,22 +430,25 @@ def _cmd_stable(args, run):
     params = StableParams(alpha=args.alpha, beta=args.beta, gamma=args.scale)
     xi = np.linspace(args.xi_min, args.xi_max, args.xi_count)
     dens = stable_density(params, xi)
-    path = _emit_table(run.base, ["xi", "density"],
-                       [xi, dens], args.format)
     return {"alpha": args.alpha, "beta": args.beta, "scale": args.scale,
-            "output": path.name}
+            "output": run.table(["xi", "density"], [xi, dens])}
 
 
 def _alpha_tag(alpha: float) -> str:
     return ("%g" % alpha).replace(".", "p").replace("-", "m")
 
 
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, not a bool."""
+    return type(value) in (int, float)
+
+
 def _number(value, name: str) -> float:
-    """``float(value)``, or `UsageError` naming the config field ``name``."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"{name} must be a number, got {value!r}") from None
+    """``float(value)``, or `UsageError` naming the config field ``name``
+    if ``value`` is not a JSON number."""
+    if not _is_number(value):
+        raise UsageError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def _consensus_graph(cfg, args, run):
@@ -489,18 +480,20 @@ def _cmd_consensus(args, run):
         raise UsageError("one_based must be true or false, got "
                          f"{cfg['one_based']!r}")
 
-    raw = cfg.get("center", [3.0, 3.0])
-    try:
-        center = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError):
-        center = np.empty(0)
-    if center.shape != (2,) or not np.all(np.isfinite(center)):
-        raise UsageError(f"center must be 2 finite numbers, got {raw!r}")
+    center = cfg.get("center", [3.0, 3.0])
+    if not (isinstance(center, list) and len(center) == 2
+            and all(map(_is_number, center)) and np.isfinite(center).all()):
+        raise UsageError(f"center must be 2 finite numbers, got {center!r}")
     alphas = cfg.get("alpha", [0.5])
-    alphas = [_number(a, "alpha")
+    alphas = [_check_alpha(_number(a, "alpha"))
               for a in (alphas if isinstance(alphas, list) else [alphas])]
     if not alphas:
         raise UsageError("alpha must list at least one exponent")
+    if len({_alpha_tag(a) for a in alphas}) < len(alphas):
+        raise UsageError(f"alpha must list distinct exponents, got {alphas}")
+    stride = cfg.get("stride")
+    if stride is not None and (type(stride) is not int or stride < 1):
+        raise UsageError(f"stride must be an integer >= 1, got {stride!r}")
     beta = _number(cfg.get("beta", 0.5), "beta")
     horizon = _number(cfg.get("horizon", 5.0), "horizon")
     step = cfg.get("step")
@@ -509,35 +502,31 @@ def _cmd_consensus(args, run):
     gamma = None if gamma == "bound+margin" else _number(gamma, "gamma")
     margin = _number(cfg.get("gamma_margin", 1.0), "gamma_margin")
     graph = _consensus_graph(cfg, args, run)
-    ring, v0, target = _relocation_geometry(graph.n, center)
+    ring, v0, target = _relocation_geometry(graph.n, np.array(center, float))
 
     results = {}
     for alpha in alphas:
         sim = ConsensusConfig(graph=graph, alpha=alpha, beta=beta,
                               target=target, x0=ring, v0=v0, horizon=horizon,
                               gamma=gamma, gamma_margin=margin, step=step,
-                              output_stride=cfg.get("stride"))
+                              output_stride=stride)
         states = simulate_consensus(sim)
         tag = _alpha_tag(alpha)
 
         pos = np.stack([s.positions for s in states])
-        traj_path = _emit_table(
-            run.outdir / f"consensus_traj_alpha{tag}",
-            ["t"] + [f"{c}{i}" for i in range(graph.n) for c in "xy"],
-            [np.array([s.time for s in states]),
-             *pos.reshape(len(states), -1).T], args.format)
-
         curve = consensus_error_curve(states)
-        err_path = _emit_table(run.outdir / f"consensus_error_alpha{tag}",
-                               ["t", "error", "position_error"],
-                               [curve[:, 0], curve[:, 1], curve[:, 2]],
-                               args.format)
         results[f"alpha={alpha:g}"] = {
             "gamma": sim.damping,
             "initial_position_error": states[0].position_error,
             "final_position_error": states[-1].position_error,
-            "trajectory": traj_path.name,
-            "errors": err_path.name,
+            "trajectory": run.table(
+                ["t"] + [f"{c}{i}" for i in range(graph.n) for c in "xy"],
+                [np.array([s.time for s in states]),
+                 *pos.reshape(len(states), -1).T],
+                f"consensus_traj_alpha{tag}"),
+            "errors": run.table(["t", "error", "position_error"],
+                                [curve[:, 0], curve[:, 1], curve[:, 2]],
+                                f"consensus_error_alpha{tag}"),
         }
     return {"runs": results}
 
@@ -549,7 +538,7 @@ def cli_dispatch(argv) -> int:
         if args.command is None:
             raise UsageError(parser.format_usage())
         run = _Run(args)
-        run.manifest(args, args.handler(args, run))
+        run.finish(args.handler(args, run))
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1

@@ -12,6 +12,7 @@ from fraclap.consensus import (circle_relocation_config,
                                consensus_error_curve, gamma_lower_bound,
                                simulate_consensus)
 from fraclap.decay import verify_decay_bounds
+from fraclap.errors import NumericalError
 from fraclap.graphs import LaplacianKind, build_laplacian, load_edge_list
 from fraclap.io import sha256_file
 from fraclap.matfun import fractional_power
@@ -467,14 +468,21 @@ def test_consensus_bad_step_or_stride_exits_one(tmp_path, bad):
 
 
 def test_usage_errors_exit_one(ring, tmp_path, capsys):
-    assert run(["power", "--input", str(ring)], tmp_path) == 1     # no alpha
-    assert run(["power", "--input", str(tmp_path / "nope.txt"),
-                "--alpha", "0.5"], tmp_path) == 1                  # no file
-    assert run(["nonsense"], tmp_path) == 1
-    assert run(["decay", "--input", str(ring), "--alpha", "0.5"],
-               tmp_path) == 1                                      # directed
-    assert run(["decay", "--input", str(ring), "--alpha", "0.5",
-                "--pairs", "sampled:zero"], tmp_path) == 1
+    out = tmp_path / "out"
+
+    def fails(argv):
+        # a failed run creates neither its output directory nor a file
+        code = run(argv, out)
+        assert not out.exists()
+        return code
+
+    assert fails(["power", "--input", str(ring)]) == 1             # no alpha
+    assert fails(["power", "--input", str(tmp_path / "nope.txt"),
+                  "--alpha", "0.5"]) == 1                          # no file
+    assert fails(["nonsense"]) == 1
+    assert fails(["decay", "--input", str(ring), "--alpha", "0.5"]) == 1
+    assert fails(["decay", "--input", str(ring), "--alpha", "0.5",
+                  "--pairs", "sampled:zero"]) == 1
     capsys.readouterr()
     not_json = tmp_path / "bad.json"
     not_json.write_text("{vehicles: 8}")
@@ -491,7 +499,7 @@ def test_usage_errors_exit_one(ring, tmp_path, capsys):
             (["stable", "--alpha", "1.5", "--beta", "0", "--xi-count", "1"],
              "need xi_min < xi_max and at least 2 points"),
             (["consensus", "--config", str(not_json)], "bad JSON config")]:
-        assert run(argv, tmp_path) == 1
+        assert fails(argv) == 1
         assert message in capsys.readouterr().err
     assert cli_dispatch([]) == 1                           # no subcommand
     assert "usage: fraclap" in capsys.readouterr().err
@@ -569,6 +577,16 @@ def test_non_finite_consensus_input_exits_one_naming_it(tmp_path, capsys,
     ("one_based", 0, "one_based must be true or false, got 0"),
     ("alpha", [], "alpha must list at least one exponent"),
     ("horizn", 1.0, "unknown config keys: horizn"),
+    ("alpha", ["0.5"], "alpha must be a number, got '0.5'"),
+    ("beta", True, "beta must be a number, got True"),
+    ("horizon", "1.0", "horizon must be a number, got '1.0'"),
+    ("gamma", False, "gamma must be a number, got False"),
+    ("center", ["3", True],
+     "center must be 2 finite numbers, got ['3', True]"),
+    ("stride", True, "stride must be an integer >= 1, got True"),
+    ("alpha", [0.5, 2.0], "alpha must lie in (0, 1], got 2.0"),
+    ("alpha", [0.5, 0.5],
+     "alpha must list distinct exponents, got [0.5, 0.5]"),
 ])
 def test_malformed_consensus_field_exits_one_before_any_work(
         tmp_path, capsys, monkeypatch, field, value, message):
@@ -582,8 +600,30 @@ def test_malformed_consensus_field_exits_one_before_any_work(
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"vehicles": 8, "alpha": 0.5, "horizon": 1.0,
                                field: value}))
-    assert run(["consensus", "--config", str(cfg)], tmp_path) == 1
+    out = tmp_path / "out"
+    assert run(["consensus", "--config", str(cfg)], out) == 1
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_late_numerical_failure_writes_nothing(tmp_path, monkeypatch):
+    # the first exponent's run succeeds; the second one's raises
+    import fraclap.cli
+    calls = []
+
+    def second_fails(sim):
+        calls.append(sim.alpha)
+        if len(calls) == 2:
+            raise NumericalError("consensus state is not finite")
+        return simulate_consensus(sim)
+
+    monkeypatch.setattr(fraclap.cli, "simulate_consensus", second_fails)
+    cfg = tmp_path / "cons.json"
+    cfg.write_text(json.dumps({"vehicles": 8, "alpha": [0.5, 1.0],
+                               "horizon": 0.5}))
+    out = tmp_path / "out"
+    assert run(["consensus", "--config", str(cfg)], out) == 2
+    assert calls == [0.5, 1.0] and not out.exists()
 
 
 def test_consensus_config_that_is_not_an_object_exits_one(tmp_path, capsys):
