@@ -147,8 +147,8 @@ class _Run:
     """Everything one run reads and writes.
 
     `read` records each input file's SHA-256 for the manifest.
-    `matrix`, `table` and `summary` only queue their output and return
-    its file name: ``name`` (default ``--out``, else the subcommand)
+    `matrix`, `table`, `record` and `summary` only queue their output and
+    return its file name: ``name`` (default ``--out``, else the subcommand)
     under ``--out-dir`` (default ``$FRACLAP_OUT_DIR``, else ``.``), with
     the suffix of ``--format``.  `finish` creates the directory, writes
     the queue in order and then the manifest, so a run that raises
