@@ -150,9 +150,9 @@ class _Run:
     `matrix`, `table`, `record` and `summary` only queue their output and
     return its file name: ``name`` (default ``--out``, else the subcommand)
     under ``--out-dir`` (default ``$FRACLAP_OUT_DIR``, else ``.``), with
-    the suffix of ``--format``.  `finish` creates the directory, writes
-    the queue in order and then the manifest, so a run that raises
-    before it writes nothing.
+    the suffix of ``--format``; ``--out`` may name a subdirectory.
+    `finish` creates the directories, writes the queue in order and
+    then the manifest, so a run that raises before it writes nothing.
     """
 
     def __init__(self, args):
@@ -209,6 +209,7 @@ class _Run:
     def finish(self, results: dict) -> None:
         self.outdir.mkdir(parents=True, exist_ok=True)
         for write, path, payload in self.writes:
+            path.parent.mkdir(parents=True, exist_ok=True)
             write(path, *payload)
         args = self.args
         params = {k: v for k, v in sorted(vars(args).items())

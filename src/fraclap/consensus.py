@@ -141,7 +141,7 @@ class ConsensusConfig:
         The horizon is split into ``ceil(horizon / step)`` equal steps.
     output_stride : int or None
         Record every this many steps, default about 500 snapshots; must
-        be an integer >= 1.
+        be an integer >= 1, not a bool.
     """
 
     graph: Graph
@@ -176,9 +176,11 @@ class ConsensusConfig:
         if not math.isfinite(self.gamma_margin):
             raise ValueError(
                 f"gamma_margin must be finite, got {self.gamma_margin}")
-        if self.output_stride is not None and not (
-                isinstance(self.output_stride, (int, np.integer))
-                and self.output_stride >= 1):
+        # bool subclasses int, but True is not a stride
+        if self.output_stride is not None and (
+                isinstance(self.output_stride, bool) or not (
+                    isinstance(self.output_stride, (int, np.integer))
+                    and self.output_stride >= 1)):
             raise ValueError("output_stride must be an integer >= 1")
 
     @cached_property

@@ -320,11 +320,17 @@ def numerical_range_profile(M, angles: int = 360) -> NumericalRangeProfile:
     Raises
     ------
     ValueError
-        Fewer than 8 angles, non-square input or non-finite entries.
+        Fewer than 8 angles, non-square input, non-finite entries, or
+        entries so large that twice the largest modulus overflows.
     """
     if angles < 8:
         raise ValueError("need at least 8 angles")
     A = as_matrix(M)
+    # both paths form the Hermitian part (R + R^H) / 2, whose sum can
+    # reach 2 * max|A| before the halving
+    if not np.isfinite(2.0 * float(np.abs(A).max(initial=0.0))):
+        raise ValueError("matrix entries too large for the numerical "
+                         "range: 2 * max|A| overflows")
     m = int(angles)
     thetas = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
     if np.array_equal(A, A.conj().T):

@@ -1,7 +1,5 @@
 """Exception types shared across the package."""
 
-__all__ = ["GraphFormatError", "NumericalError", "ConvergenceError"]
-
 
 class GraphFormatError(ValueError):
     """Raised when an edge-list file or graph description is malformed."""

@@ -4,23 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import Graph
-
-__all__ = [
-    "path_graph",
-    "cycle_graph",
-    "grid_graph",
-    "random_connected_graph",
-    "random_geometric_graph",
-]
-
-
-def _graph(n, arcs, directed=False) -> Graph:
-    """The graph on ``n`` nodes with ``arcs`` and, unless ``directed``,
-    their reverses after them."""
-    if not directed:
-        arcs = arcs + [(v, u, w) for u, v, w in arcs]
-    return Graph(n=n, directed=directed, edges=tuple(arcs))
+from .graphs import Graph, _graph
 
 
 def path_graph(n: int, *, directed=False) -> Graph:
@@ -66,7 +50,7 @@ def random_connected_graph(n: int, *, directed=False, seed=0) -> Graph:
         if u == v:
             continue
         key = (u, v) if directed else (min(u, v), max(u, v))
-        if key in pairs or (not directed and (key[1], key[0]) in pairs):
+        if key in pairs:
             continue
         pairs.add(key)
         target -= 1

@@ -20,16 +20,6 @@ from scipy.sparse.csgraph import shortest_path
 
 from .errors import GraphFormatError
 
-__all__ = [
-    "Graph",
-    "DenseOperator",
-    "LaplacianKind",
-    "load_edge_list",
-    "build_laplacian",
-    "pattern_distances",
-]
-
-
 @dataclass(frozen=True)
 class Graph:
     """Weighted loop-free graph with contiguous 0-based node ids.
@@ -161,16 +151,28 @@ def pattern_distances(A, *, directed: bool = True) -> np.ndarray:
                          unweighted=True)
 
 
+def _graph(n, arcs, directed=False) -> Graph:
+    """The graph on ``n`` nodes with ``arcs`` and, unless ``directed``,
+    their reverses after them."""
+    if not directed:
+        arcs = arcs + [(v, u, w) for u, v, w in arcs]
+    return Graph(n=n, directed=directed, edges=tuple(arcs))
+
+
 def load_edge_list(path, *, one_based=False, force_undirected=False):
     """Read a whitespace-separated edge list.
 
     Each non-comment line is ``src dst [weight]`` (weight defaults to 1.0).
     Node ids may be arbitrary nonnegative integers and are remapped to
-    contiguous 0-based indices in sorted order.  With ``force_undirected``
-    the symmetric closure is stored; a reverse arc listed explicitly must
-    carry the same weight.
+    contiguous 0-based indices in sorted order, so a 1-based file loads
+    the same graph with or without ``one_based``, which only rejects an
+    id of 0.  With ``force_undirected`` the symmetric closure is stored;
+    a reverse arc listed explicitly must carry the same weight.  The
+    first fault in file order is reported.
     """
-    arcs: dict[tuple[int, int], tuple[float, int]] = {}
+    lines: dict[tuple[int, int], int] = {}
+    # one weight per arc, or per unordered pair with force_undirected
+    weights: dict[tuple[int, int], float] = {}
     least = 1 if one_based else 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -202,39 +204,27 @@ def load_edge_list(path, *, one_based=False, force_undirected=False):
                     raise GraphFormatError(f"{path}:{lineno}: weight must be positive and finite")
             else:
                 w = 1.0
-            if (u, v) in arcs:
+            if (u, v) in lines:
                 raise GraphFormatError(
                     f"{path}:{lineno}: duplicate edge ({u}, {v}), "
-                    f"first seen on line {arcs[(u, v)][1]}"
+                    f"first seen on line {lines[(u, v)]}"
                 )
-            arcs[(u, v)] = (w, lineno)
-    if not arcs:
+            key = (min(u, v), max(u, v)) if force_undirected else (u, v)
+            # a second arc on a pair is the reverse of the first
+            if weights.get(key, w) != w:
+                raise GraphFormatError(
+                    f"{path}:{lineno}: asymmetric weights for edge {key}, "
+                    f"{weights[key]} vs {w} (line {lines[(v, u)]})"
+                )
+            lines[(u, v)] = lineno
+            weights[key] = w
+    if not weights:
         raise GraphFormatError(f"{path}: no edges found")
 
-    labels = sorted({u for u, _ in arcs} | {v for _, v in arcs})
+    labels = sorted({u for u, _ in weights} | {v for _, v in weights})
     index = {orig: k for k, orig in enumerate(labels)}
-
-    if force_undirected:
-        pairs: dict[tuple[int, int], tuple[float, int]] = {}
-        for (u, v), (w, lineno) in arcs.items():
-            key = (min(u, v), max(u, v))
-            if key in pairs:
-                if pairs[key][0] != w:
-                    raise GraphFormatError(
-                        f"{path}:{lineno}: asymmetric weights for edge {key}, "
-                        f"{pairs[key][0]} vs {w} (line {pairs[key][1]})"
-                    )
-                continue
-            pairs[key] = (w, lineno)
-        edges = []
-        for (u, v), (w, _) in sorted(pairs.items()):
-            edges.append((index[u], index[v], w))
-            edges.append((index[v], index[u], w))
-        return Graph(n=len(labels), directed=False, edges=tuple(edges))
-    edges = tuple(
-        (index[u], index[v], w) for (u, v), (w, _) in sorted(arcs.items())
-    )
-    return Graph(n=len(labels), directed=True, edges=edges)
+    arcs = [(index[u], index[v], w) for (u, v), w in sorted(weights.items())]
+    return _graph(len(labels), arcs, directed=not force_undirected)
 
 
 def _fix_dangling_rows(W: np.ndarray) -> np.ndarray:

@@ -39,14 +39,6 @@ import numpy as np
 from scipy.io import mmwrite
 from scipy.sparse import coo_array
 
-__all__ = [
-    "write_matrix_csv",
-    "write_matrix_mm",
-    "write_table_csv",
-    "write_json",
-    "sha256_file",
-]
-
 # cells per numpy pass: a whole large matrix at once costs tens of MB
 _BLOCK = 1 << 14
 # bytes per cell: text in 0-24 around zero pads, the separator at 25

@@ -28,23 +28,6 @@ from scipy.sparse.linalg import expm_multiply
 from .errors import NumericalError
 from .graphs import DenseOperator, as_matrix
 
-__all__ = [
-    "SpectralData",
-    "FractionalPowerResult",
-    "SeriesApproximation",
-    "MMatrixReport",
-    "symmetric_spectral_data",
-    "schur_spectral_data",
-    "fractional_power",
-    "fractional_power_symmetric",
-    "fractional_power_general",
-    "fractional_power_series",
-    "exp_fractional_symmetric",
-    "matrix_exponential",
-    "verify_m_matrix",
-    "binomial_coefficients",
-]
-
 
 def _check_times(times: np.ndarray) -> None:
     """Raise ``ValueError`` naming the first non-finite or negative time."""

@@ -22,24 +22,6 @@ from .graphs import DenseOperator, as_matrix
 from .matfun import (_check_alpha, _check_times, _zero_tolerance,
                      binomial_coefficients, matrix_exponential)
 
-__all__ = [
-    "TransitionKernel",
-    "TrajectoryResult",
-    "AbsorptionResult",
-    "ReturnProbabilityCurve",
-    "transition_kernel",
-    "stationary_distribution",
-    "simulate_discrete",
-    "absorption_time_samples",
-    "evolve_continuous",
-    "path_fractional_entries",
-    "cycle_fractional_entries",
-    "cycle_entry_limit",
-    "expected_absorption_steps",
-    "path_transition_asymptotic",
-    "return_probability",
-]
-
 
 @dataclass(frozen=True)
 class TransitionKernel:

@@ -164,6 +164,15 @@ def test_output_formats(ring, tmp_path):
         assert (tmp_path / ("lap" + suffix)).exists()
 
 
+def test_out_naming_a_subdirectory_creates_it(ring, tmp_path):
+    fresh = tmp_path / "fresh"
+    assert run(["laplacian", "--input", str(ring), "--out", "sub/x"],
+               fresh) == 0
+    assert (fresh / "sub" / "x.csv").is_file()
+    man = json.loads((fresh / "laplacian_manifest.json").read_text())
+    assert man["results"]["output"] == "x.csv"
+
+
 def test_kernel_on_a_digraph_with_a_sink(tmp_path):
     edges = tmp_path / "sink.txt"
     edges.write_text("0 1\n1 2\n0 2\n2 3\n1 3\n")
@@ -317,6 +326,21 @@ def test_frange_three_node_eigendarkness(tmp_path):
     assert res["contains_negative_real"] is True
     assert abs(res["min_real"] - (-0.06631874678992)) < 1e-10
     assert res["eigenvector_condition"] > 1e6
+
+
+def test_frange_on_overflowing_weights_exits_one(tmp_path, capsys):
+    # the Hermitian part of the Laplacian of this file overflows; a
+    # hundred orders of magnitude less does not
+    edges = tmp_path / "huge.txt"
+    edges.write_text("0 1 1e308\n1 2 1e308\n")
+    out = tmp_path / "out"
+    assert run(["frange", "--input", str(edges)], out) == 1
+    assert capsys.readouterr().err == (
+        "error: matrix entries too large for the numerical range: "
+        "2 * max|A| overflows\n")
+    assert not out.exists()
+    edges.write_text("0 1 1e200\n1 2 1e200\n")
+    assert run(["frange", "--input", str(edges)], out) == 0
 
 
 def test_frange_odd_angle_count_matches_per_angle_sweep(tmp_path):
@@ -646,6 +670,10 @@ def test_consensus_config_that_is_not_an_object_exits_one(tmp_path, capsys):
     ("# nothing here\n\n", " no edges found", []),
     ("0 1 2.0\n# reverse\n1 0 3.0\n",
      "3: asymmetric weights for edge (0, 1), 2.0 vs 3.0 (line 1)",
+     ["--force-undirected"]),
+    # the first fault in file order wins
+    ("1 0 2.0\n0 1 3.0\n2 x\n",
+     "2: asymmetric weights for edge (0, 1), 2.0 vs 3.0 (line 1)",
      ["--force-undirected"]),
 ])
 def test_malformed_edge_list_exits_one_naming_path_and_line(

@@ -306,9 +306,9 @@ def test_non_finite_start_rejected(field):
         replace(cfg, **{field: start})
 
 
-@pytest.mark.parametrize("stride", [0, -3, 2.5])
+@pytest.mark.parametrize("stride", [0, -3, 2.5, True])
 def test_bad_output_stride_rejected(stride):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="output_stride must be an integer"):
         circle_relocation_config(n=8, output_stride=stride)
 
 

@@ -50,6 +50,8 @@ def test_load_edge_list_force_undirected(tmp_path):
     g = load_edge_list(p, force_undirected=True)
     assert not g.directed
     assert {(u, v) for u, v, _ in g.edges} == {(0, 1), (1, 0), (1, 2), (2, 1)}
+    # closed by the generators' rule: forward arcs, then their reverses
+    assert g == path_graph(3)
 
 
 def test_load_edge_list_one_based(tmp_path):
@@ -57,6 +59,8 @@ def test_load_edge_list_one_based(tmp_path):
     p.write_text("1 2\n2 3\n")
     g = load_edge_list(p, one_based=True)
     assert {(u, v) for u, v, _ in g.edges} == {(0, 1), (1, 2)}
+    # ids are remapped in sorted order, so the flag only rejects an id of 0
+    assert load_edge_list(p) == g
 
 
 def test_combinatorial_laplacian_row_sums():

@@ -410,6 +410,17 @@ def test_general_engine_one_node():
         assert r.zero_cluster == ()
 
 
+@pytest.mark.parametrize("engine, M, message", [
+    (fractional_power_general, [[-1.0, 1.0], [0.0, 2.0]],
+     "outside the principal-branch domain"),
+    (fractional_power_symmetric, -np.eye(3),
+     "below the negative-roundoff floor"),
+], ids=["general", "symmetric"])
+def test_engines_reject_negative_eigenvalues(engine, M, message):
+    with pytest.raises(NumericalError, match=message):
+        engine(M, 0.5)
+
+
 def _dispatch_cases():
     L = combinatorial(20, 4)
     A = L.matrix
