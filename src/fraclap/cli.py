@@ -152,7 +152,8 @@ class _Run:
     under ``--out-dir`` (default ``$FRACLAP_OUT_DIR``, else ``.``), with
     the suffix of ``--format``; ``--out`` may name a subdirectory.
     `finish` creates the directories, writes the queue in order and
-    then the manifest, so a run that raises before it writes nothing.
+    then the manifest, so a run that raises before it writes nothing
+    (and a failed write leaves no new empty directory).
     """
 
     def __init__(self, args):
@@ -207,22 +208,32 @@ class _Run:
         return path.name
 
     def finish(self, results: dict) -> None:
-        self.outdir.mkdir(parents=True, exist_ok=True)
-        for write, path, payload in self.writes:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            write(path, *payload)
-        args = self.args
-        params = {k: v for k, v in sorted(vars(args).items())
-                  if k not in ("command", "handler") and v is not None}
-        write_json(self.outdir / f"{args.command}_manifest.json", {
-            "subcommand": args.command,
-            "parameters": params,
-            "inputs": self.inputs,
-            "seed": args.seed,
-            "version": __version__,
-            "duration_s": time.monotonic() - self.started,
-            "results": results,
-        })
+        dirs = [self.outdir] + [path.parent for _, path, _ in self.writes]
+        # every directory that this run may create, each after its parent
+        absent = [p for d in dirs for p in (*reversed(d.parents), d)
+                  if not p.exists()]
+        try:
+            self.outdir.mkdir(parents=True, exist_ok=True)
+            for write, path, payload in self.writes:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                write(path, *payload)
+            args = self.args
+            params = {k: v for k, v in sorted(vars(args).items())
+                      if k not in ("command", "handler") and v is not None}
+            write_json(self.outdir / f"{args.command}_manifest.json", {
+                "subcommand": args.command,
+                "parameters": params,
+                "inputs": self.inputs,
+                "seed": args.seed,
+                "version": __version__,
+                "duration_s": time.monotonic() - self.started,
+                "results": results,
+            })
+        except BaseException:
+            for p in reversed(absent):
+                if p.is_dir() and not any(p.iterdir()):
+                    p.rmdir()
+            raise
 
 
 def _check_dense(n: int, args) -> None:
@@ -234,27 +245,20 @@ def _check_dense(n: int, args) -> None:
             "to run the dense eigensolve anyway")
 
 
-def _load_graph(path: Path, args, **options):
-    """The edge list at ``path``, read with ``options``, size-checked by
-    `_check_dense`."""
-    g = load_edge_list(path, **options)
-    _check_dense(g.n, args)
-    return g
-
-
-def _pick_kind(args, g) -> LaplacianKind:
-    if args.kind is not None:
-        return LaplacianKind(args.kind)
-    return (LaplacianKind.DIRECTED_OUT if g.directed
-            else LaplacianKind.COMBINATORIAL)
-
-
 def _laplacian(args, run):
-    """The input graph, its Laplacian kind and the Laplacian, built once."""
-    g = _load_graph(run.read(args.input), args, one_based=args.one_based,
-                    force_undirected=args.force_undirected)
-    kind = _pick_kind(args, g)
-    return g, kind, build_laplacian(g, kind, dangling_fixup=args.dangling_fixup)
+    """The input graph, its Laplacian kind and the Laplacian, built once;
+    a refusal names the file."""
+    path = run.read(args.input)
+    g = load_edge_list(path, one_based=args.one_based,
+                       force_undirected=args.force_undirected)
+    _check_dense(g.n, args)
+    kind = LaplacianKind(args.kind
+                         or ("directed-out" if g.directed else "undirected"))
+    try:
+        return g, kind, build_laplacian(g, kind,
+                                        dangling_fixup=args.dangling_fixup)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _kernel_of(args, L):
@@ -463,8 +467,9 @@ def _consensus_graph(cfg, args, run):
     if not isinstance(g, str):
         raise UsageError("graph must be \"directed-cycle\" or an edge-list "
                          f"path, got {g!r}")
-    return _load_graph(run.read(g), args,
-                       one_based=cfg.get("one_based", False))
+    g = load_edge_list(run.read(g), one_based=cfg.get("one_based", False))
+    _check_dense(g.n, args)
+    return g
 
 
 def _cmd_consensus(args, run):

@@ -227,52 +227,43 @@ def load_edge_list(path, *, one_based=False, force_undirected=False):
     return _graph(len(labels), arcs, directed=not force_undirected)
 
 
-def _fix_dangling_rows(W: np.ndarray) -> np.ndarray:
-    # PageRank-style fixup: a zero row becomes the uniform row 1/n.
-    dangling = W.sum(axis=1) == 0
-    if dangling.any():
-        W = W.copy()
-        W[dangling, :] = 1.0 / W.shape[0]
-    return W
-
-
 def build_laplacian(g: Graph, kind: LaplacianKind, *, dangling_fixup=False) -> DenseOperator:
     """Build the requested Laplacian as a :class:`DenseOperator`.
 
-    Normalized kinds require the relevant degrees to be nonzero; with
-    ``dangling_fixup`` a zero out-degree (in-degree) node gets unit degree
-    and its weight row (column) replaced by the constant vector 1/n.
+    ``W`` is the weight matrix of ``g``, transposed for ``DIRECTED_IN``,
+    and ``D = diag(d)`` holds its row sums.  ``COMBINATORIAL`` and
+    ``DIRECTED_OUT`` are ``D - W``, ``DIRECTED_IN`` is ``(D - W)^T``,
+    ``RANDOM_WALK`` and ``DIRECTED_OUT_NORMALIZED`` are ``I - D^-1 W``,
+    and ``SYMMETRIC_NORMALIZED`` is ``I - D^-1/2 W D^-1/2``; only these
+    three refuse a zero degree.  ``dangling_fixup`` first makes each
+    zero row of ``W`` the uniform row 1/n, except for ``COMBINATORIAL``.
+    A node whose absolute row or column sum in ``D - W`` (``2 d_i``;
+    ``d_j`` plus the in-weight of ``j``) overflows raises ``ValueError``.
     """
+    if not isinstance(kind, LaplacianKind):
+        raise ValueError(f"unhandled kind {kind!r}")
     if kind in _UNDIRECTED_KINDS and g.directed:
         raise ValueError(f"kind {kind.value!r} requires an undirected graph")
-    n = g.n
-    W = g.weight_matrix
-
-    if kind is LaplacianKind.COMBINATORIAL:
-        L = np.diag(W.sum(axis=1)) - W
-    elif kind in (LaplacianKind.RANDOM_WALK, LaplacianKind.SYMMETRIC_NORMALIZED,
-                  LaplacianKind.DIRECTED_OUT, LaplacianKind.DIRECTED_OUT_NORMALIZED):
-        if dangling_fixup:
-            W = _fix_dangling_rows(W)
+    reverse = kind is LaplacianKind.DIRECTED_IN
+    W = g.weight_matrix.T if reverse else g.weight_matrix
+    with np.errstate(over="ignore"):
         d = W.sum(axis=1)
-        if np.any(d == 0) and kind is not LaplacianKind.DIRECTED_OUT:
-            bad = int(np.flatnonzero(d == 0)[0])
-            raise ValueError(
-                f"node {bad} has zero out-degree; set dangling_fixup or drop it"
-            )
-        if kind is LaplacianKind.DIRECTED_OUT:
-            L = np.diag(d) - W
-        elif kind in (LaplacianKind.RANDOM_WALK, LaplacianKind.DIRECTED_OUT_NORMALIZED):
-            L = np.eye(n) - W / d[:, None]
-        else:
-            s = 1.0 / np.sqrt(d)
-            L = np.eye(n) - (s[:, None] * W) * s[None, :]
-    elif kind is LaplacianKind.DIRECTED_IN:
-        if dangling_fixup:
-            W = _fix_dangling_rows(W.T).T
-        L = np.diag(W.sum(axis=0)) - W
-    else:
-        raise ValueError(f"unhandled kind {kind!r}")
-
-    return DenseOperator(L)
-
+        if (dangling_fixup and kind is not LaplacianKind.COMBINATORIAL
+                and not d.all()):
+            W = W.copy()
+            W[d == 0] = 1.0 / g.n
+            d = W.sum(axis=1)
+        big = ~(np.isfinite(2.0 * d) & np.isfinite(d + W.sum(axis=0)))
+    if big.any():
+        raise ValueError(f"node {big.argmax()}: its Laplacian row or column "
+                         "sum overflows")
+    if kind in (LaplacianKind.COMBINATORIAL, LaplacianKind.DIRECTED_OUT,
+                LaplacianKind.DIRECTED_IN):
+        return DenseOperator(np.diag(d) - (W.T if reverse else W))
+    if not d.all():
+        raise ValueError(f"node {int(np.flatnonzero(d == 0)[0])} has zero "
+                         "out-degree; set dangling_fixup or drop it")
+    if kind is LaplacianKind.SYMMETRIC_NORMALIZED:
+        s = 1.0 / np.sqrt(d)
+        return DenseOperator(np.eye(g.n) - (s[:, None] * W) * s[None, :])
+    return DenseOperator(np.eye(g.n) - W / d[:, None])

@@ -329,18 +329,42 @@ def test_frange_three_node_eigendarkness(tmp_path):
 
 
 def test_frange_on_overflowing_weights_exits_one(tmp_path, capsys):
-    # the Hermitian part of the Laplacian of this file overflows; a
-    # hundred orders of magnitude less does not
+    # the Laplacian of this file has row sums that overflow; a hundred
+    # orders of magnitude less do not
     edges = tmp_path / "huge.txt"
     edges.write_text("0 1 1e308\n1 2 1e308\n")
     out = tmp_path / "out"
     assert run(["frange", "--input", str(edges)], out) == 1
     assert capsys.readouterr().err == (
-        "error: matrix entries too large for the numerical range: "
-        "2 * max|A| overflows\n")
+        f"error: {edges}: node 0: its Laplacian row or column sum "
+        "overflows\n")
     assert not out.exists()
     edges.write_text("0 1 1e200\n1 2 1e200\n")
     assert run(["frange", "--input", str(edges)], out) == 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ["laplacian"], ["power", "--alpha", "0.5"], ["kernel", "--alpha", "0.5"],
+    ["walk", "--alpha", "0.5", "--steps", "3"],
+    ["evolve", "--alpha", "0.5", "--times", "0,1"],
+    ["returnprob", "--alpha", "0.5", "--times", "0,1"], ["frange"],
+    ["frange", "--alpha", "0.5"], ["decay", "--alpha", "0.5"]], ids=" ".join)
+def test_overflowing_degree_sums_exit_one_naming_the_file(tmp_path, capsys,
+                                                           argv):
+    edges = tmp_path / "huge.txt"
+    out = tmp_path / "out"
+    for text in ("0 1 1e308\n1 2 1e308\n", "0 1 1e308\n"):
+        edges.write_text(text)
+        for flags in ([], ["--force-undirected"]):
+            assert run([*argv, "--input", str(edges), *flags], out) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {edges}: node ")
+            assert err.endswith(" row or column sum overflows\n")
+            assert err.count("\n") == 1 and not out.exists()
+    edges.write_text("0 1 1e200\n1 2 1e200\n")
+    assert run([*argv, "--input", str(edges), "--force-undirected"],
+               out) == 0
 
 
 def test_frange_odd_angle_count_matches_per_angle_sweep(tmp_path):
@@ -529,6 +553,24 @@ def test_usage_errors_exit_one(ring, tmp_path, capsys):
     assert "usage: fraclap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, flags, message", [
+    ("0 1\n1 2\n", ["--kind", "random-walk"],
+     "kind 'random-walk' requires an undirected graph"),
+    ("0 1\n1 2\n", ["--kind", "directed-out-normalized"],
+     "node 2 has zero out-degree; set dangling_fixup or drop it"),
+    ("0 1 1e308\n", [], "node 0: its Laplacian row or column sum overflows"),
+], ids=["undirected-kind", "zero-degree", "overflow"])
+def test_refused_laplacian_exits_one_naming_the_file(tmp_path, capsys, text,
+                                                     flags, message):
+    edges = tmp_path / "edges.txt"
+    edges.write_text(text)
+    out = tmp_path / "out"
+    assert run(["power", "--input", str(edges), "--alpha", "0.5", *flags],
+               out) == 1
+    assert capsys.readouterr().err == f"error: {edges}: {message}\n"
+    assert not out.exists()
+
+
 def test_numerical_blowup_exits_two(tmp_path):
     cfg = tmp_path / "blow.json"
     cfg.write_text(json.dumps({
@@ -701,6 +743,21 @@ def test_out_dir_naming_an_existing_file_exits_one(ring, tmp_path, capsys):
     assert cli_dispatch(["laplacian", "--input", str(ring),
                          "--out-dir", str(taken)]) == 1
     assert "File exists" in capsys.readouterr().err
+
+
+def test_failed_write_removes_the_directories_it_created(ring, tmp_path,
+                                                         capsys):
+    (tmp_path / "taken").write_text("")
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    for out_dir in (tmp_path / "fresh", kept / "a" / "b"):
+        # the primary output would go under the file "taken"
+        out = "../" * len(out_dir.relative_to(tmp_path).parts) + "taken/x"
+        assert cli_dispatch(["laplacian", "--input", str(ring),
+                             "--out", out, "--out-dir", str(out_dir)]) == 1
+        assert "File exists" in capsys.readouterr().err
+    assert not (tmp_path / "fresh").exists()
+    assert kept.is_dir() and not any(kept.iterdir())
 
 
 def test_console_entry_point(ring, tmp_path):

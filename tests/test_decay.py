@@ -271,6 +271,17 @@ def test_numerical_range_nonnegative_for_symmetric_psd():
     assert numerical_range_profile(Lc.matrix).min_real >= -1e-10
 
 
+def test_numerical_range_refuses_entries_whose_double_overflows():
+    # the directed-out Laplacian of the arcs 0 -> 1 -> 2 of weight 1e308;
+    # `build_laplacian` refuses that graph, so no CLI run reaches here
+    A = np.array([[1e308, -1e308, 0.0], [0.0, 1e308, -1e308],
+                  [0.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match=r"2 \* max\|A\| overflows"):
+        numerical_range_profile(A)
+    prof = numerical_range_profile(A * 1e-108)
+    assert np.isfinite(prof.support).all()
+
+
 def test_distance_decay_slope_on_grid():
     g = grid_graph(12, 12)
     L = build_laplacian(g, LaplacianKind.COMBINATORIAL)

@@ -94,6 +94,104 @@ def test_kinds_the_graph_does_not_support_are_refused():
         build_laplacian(g, LaplacianKind.DIRECTED_OUT_NORMALIZED)
 
 
+# node 0 has no in-arcs and node 3 no out-arcs; the out-degrees are
+# 2, 1, 4 and 0
+SOURCE_AND_SINK = Graph(n=4, directed=True, edges=(
+    (0, 1, 0.5), (0, 2, 1.5), (1, 2, 0.25), (1, 3, 0.75), (2, 1, 1.0),
+    (2, 3, 3.0)))
+# degrees 16, 16, 4 and, for the isolated node 3, 0
+TRIANGLE_AND_ISOLATED = Graph(n=4, directed=False, edges=(
+    (0, 1, 14.0), (0, 2, 2.0), (1, 2, 2.0), (1, 0, 14.0), (2, 0, 2.0),
+    (2, 1, 2.0)))
+
+
+def _textbook(W, kind, fixup):
+    """``kind``'s formula on the weight matrix ``W``, with the uniform
+    row (column for the in-degree kind) 1/n in place of each zero one
+    under ``fixup``; None where a normalized kind meets a zero degree."""
+    K, n = LaplacianKind, len(W)
+    if kind is K.DIRECTED_IN:
+        if fixup:
+            W = np.where(W.sum(axis=0) == 0, 1.0 / n, W)
+        return np.diag(W.sum(axis=0)) - W
+    if fixup and kind is not K.COMBINATORIAL:
+        W = np.where(W.sum(axis=1)[:, None] == 0, 1.0 / n, W)
+    D = np.diag(W.sum(axis=1))
+    if kind in (K.COMBINATORIAL, K.DIRECTED_OUT):
+        return D - W
+    if not np.diag(D).all():
+        return None
+    if kind is K.SYMMETRIC_NORMALIZED:
+        S = np.diag(np.diag(D) ** -0.5)
+        return np.eye(n) - S @ W @ S
+    return np.eye(n) - np.linalg.inv(D) @ W
+
+
+@pytest.mark.parametrize("fixup", [False, True])
+@pytest.mark.parametrize("kind", list(LaplacianKind))
+@pytest.mark.parametrize("g", [SOURCE_AND_SINK, TRIANGLE_AND_ISOLATED],
+                         ids=["source-and-sink", "triangle-and-isolated"])
+def test_each_kind_is_its_textbook_formula(g, kind, fixup):
+    # dyadic weights, and nonzero degrees that are powers of two (of four
+    # where a square root is taken), so each formula is exact whatever
+    # the order of its arithmetic; the in-degree kind accepts node 0's
+    # zero in-degree without the fixup
+    want = _textbook(g.weight_matrix, kind, fixup)
+    if g.directed and kind in (LaplacianKind.COMBINATORIAL,
+                               LaplacianKind.RANDOM_WALK,
+                               LaplacianKind.SYMMETRIC_NORMALIZED):
+        with pytest.raises(ValueError, match="requires an undirected graph"):
+            build_laplacian(g, kind, dangling_fixup=fixup)
+    elif want is None:
+        with pytest.raises(ValueError, match="^node 3 has zero out-degree; "
+                           "set dangling_fixup or drop it$"):
+            build_laplacian(g, kind, dangling_fixup=fixup)
+    else:
+        L = build_laplacian(g, kind, dangling_fixup=fixup)
+        assert np.array_equal(L.matrix, want)
+
+
+@pytest.mark.parametrize("fixup", [False, True])
+def test_kinds_that_are_one_rule_agree_exactly(fixup):
+    und = random_connected_graph(30, seed=4)
+    assert np.array_equal(
+        build_laplacian(und, LaplacianKind.RANDOM_WALK,
+                        dangling_fixup=fixup).matrix,
+        build_laplacian(und, LaplacianKind.DIRECTED_OUT_NORMALIZED,
+                        dangling_fixup=fixup).matrix)
+    # weights on a 1/8 grid, so that degree sums are exact in any order
+    di = random_connected_graph(30, directed=True, seed=5)
+    for g in (SOURCE_AND_SINK, Graph(n=30, directed=True, edges=tuple(
+            (u, v, round(8 * w) / 8) for u, v, w in di.edges))):
+        rev = Graph(n=g.n, directed=True,
+                    edges=tuple((v, u, w) for u, v, w in g.edges))
+        L_in = build_laplacian(g, LaplacianKind.DIRECTED_IN,
+                               dangling_fixup=fixup)
+        L_out = build_laplacian(rev, LaplacianKind.DIRECTED_OUT,
+                                dangling_fixup=fixup)
+        assert np.array_equal(L_in.matrix, L_out.matrix.T)
+
+
+# 2 * 1e308 overflows in the row of node 0; three in-arcs of 7e307
+# overflow only in the column of node 3, or in its in-degree
+INTO_3 = ((0, 3, 7e307), (1, 3, 7e307), (2, 3, 7e307))
+
+
+@pytest.mark.parametrize("edges, kind, node", [
+    (((0, 1, 1e308),), LaplacianKind.DIRECTED_OUT, 0),
+    (INTO_3, LaplacianKind.DIRECTED_OUT, 3),
+    (INTO_3, LaplacianKind.DIRECTED_IN, 3),
+])
+def test_overflowing_row_or_column_sums_are_refused(edges, kind, node):
+    g = Graph(n=4, directed=True, edges=edges)
+    with pytest.raises(ValueError, match=f"^node {node}: its Laplacian row "
+                       "or column sum overflows$"):
+        build_laplacian(g, kind)
+    small = Graph(n=4, directed=True,
+                  edges=tuple((u, v, w * 1e-100) for u, v, w in edges))
+    assert np.isfinite(build_laplacian(small, kind).matrix).all()
+
+
 def test_symmetric_normalized_spectrum_bounded():
     g = grid_graph(3, 4)                              # bipartite: max is 2
     L = build_laplacian(g, LaplacianKind.SYMMETRIC_NORMALIZED).matrix
