@@ -2,13 +2,14 @@
 
 Every subcommand reads file-based inputs, writes its outputs plus a JSON
 run manifest (resolved parameters, input digests, seed, version, wall
-time) into ``--out-dir`` once its work has succeeded (a failed run
-writes nothing), and is reproducible: identical argv, inputs
-and seed give byte-identical CSV output at a fixed BLAS thread count.
-The directed power is included: it draws no random numbers.
-Between thread counts, values built on a matrix factorization may differ
-in the last few bits.
-Exit codes: 0 success, 1 usage or input error, 2 numerical failure.
+time) into ``--out-dir`` once its work has succeeded, and is
+reproducible: identical argv, inputs and seed give byte-identical CSV
+output at a fixed BLAS thread count (the directed power draws no random
+numbers; factorization-based values may differ in the last few bits
+between thread counts).  Exit codes: 0 success, 2 numerical failure, 1 a
+refused input (a `ValueError` or `OSError`, printed as ``error: ...``
+naming the file at fault); a failed run removes what it created.
+`decay` needs a symmetric Laplacian.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .generators import cycle_graph, path_graph
 from .graphs import LaplacianKind, build_laplacian, load_edge_list
 from .io import (sha256_file, write_json, write_matrix_csv, write_matrix_mm,
                  write_table_csv)
-from .matfun import (_check_alpha, fractional_power,
+from .matfun import (_check_alpha, _is_symmetric, fractional_power,
                      fractional_power_symmetric, symmetric_spectral_data)
 # not called here: perfbench's wrapper-count test reads this attribute
 from .matfun import fractional_power_general  # noqa: F401
@@ -47,14 +48,10 @@ _CONFIG_KEYS = {"vehicles", "graph", "one_based", "center", "alpha", "beta",
                 "horizon", "step", "gamma", "gamma_margin", "stride"}
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # exit code 1 for bad flags instead of argparse's default 2
     def error(self, message):
-        raise UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
+        raise ValueError(f"{self.prog}: {message}\n{self.format_usage()}")
 
 
 def _finite(text: str) -> float:
@@ -71,7 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="fraclap",
                   description="fractional graph Laplacian toolkit")
     top.add_argument("--version", action="version", version=__version__)
-    sub = top.add_subparsers(dest="command", metavar="subcommand")
+    sub = top.add_subparsers(dest="command", metavar="subcommand",
+                           required=True)
 
     def command(name, handler, help, *flags, graph=True, alpha="required"):
         # the subcommand that handler runs: the edge-list flags if graph,
@@ -151,9 +149,9 @@ class _Run:
     return its file name: ``name`` (default ``--out``, else the subcommand)
     under ``--out-dir`` (default ``$FRACLAP_OUT_DIR``, else ``.``), with
     the suffix of ``--format``; ``--out`` may name a subdirectory.
-    `finish` creates the directories, writes the queue in order and
-    then the manifest, so a run that raises before it writes nothing
-    (and a failed write leaves no new empty directory).
+    `finish` queues the manifest last and writes the queue in order, so a
+    run that raises before it writes nothing; if a write raises, the files
+    and the (empty) directories that the run created are removed.
     """
 
     def __init__(self, args):
@@ -165,10 +163,9 @@ class _Run:
         self.started = time.monotonic()
 
     def read(self, path) -> Path:
-        """``path``, digested; a missing file raises `UsageError`."""
+        """``path``, digested; an unreadable one raises the `OSError` of
+        opening it."""
         path = Path(path)
-        if not path.is_file():
-            raise UsageError(f"input file not found: {path}")
         self.inputs[str(path)] = sha256_file(path)
         return path
 
@@ -208,39 +205,40 @@ class _Run:
         return path.name
 
     def finish(self, results: dict) -> None:
-        dirs = [self.outdir] + [path.parent for _, path, _ in self.writes]
-        # every directory that this run may create, each after its parent
-        absent = [p for d in dirs for p in (*reversed(d.parents), d)
-                  if not p.exists()]
+        args, inputs, started = self.args, self.inputs, self.started
+        params = {k: v for k, v in sorted(vars(args).items())
+                  if k not in ("command", "handler") and v is not None}
+        # built when written, so that duration_s covers the outputs; it
+        # holds no self, whose cycle would keep the queued arrays alive
+        self._queue(f"{args.command}_manifest", ".json", lambda p: write_json(
+            p, {"subcommand": args.command, "parameters": params,
+                "inputs": inputs, "seed": args.seed, "version": __version__,
+                "duration_s": time.monotonic() - started,
+                "results": results}))
+        made = []  # each directory and file that this run created
         try:
-            self.outdir.mkdir(parents=True, exist_ok=True)
             for write, path, payload in self.writes:
-                path.parent.mkdir(parents=True, exist_ok=True)
+                for d in reversed(path.parents):
+                    if not d.is_dir():
+                        d.mkdir()
+                        made.append(d)
+                if not path.exists():
+                    made.append(path)
                 write(path, *payload)
-            args = self.args
-            params = {k: v for k, v in sorted(vars(args).items())
-                      if k not in ("command", "handler") and v is not None}
-            write_json(self.outdir / f"{args.command}_manifest.json", {
-                "subcommand": args.command,
-                "parameters": params,
-                "inputs": self.inputs,
-                "seed": args.seed,
-                "version": __version__,
-                "duration_s": time.monotonic() - self.started,
-                "results": results,
-            })
         except BaseException:
-            for p in reversed(absent):
-                if p.is_dir() and not any(p.iterdir()):
+            for p in reversed(made):
+                if not p.is_dir():
+                    p.unlink(missing_ok=True)
+                elif not any(p.iterdir()):
                     p.rmdir()
             raise
 
 
 def _check_dense(n: int, args) -> None:
     """More than `DENSE_LIMIT` nodes without ``--force-dense`` raises
-    `UsageError`."""
+    `ValueError`."""
     if n > DENSE_LIMIT and not args.force_dense:
-        raise UsageError(
+        raise ValueError(
             f"graph has {n} > {DENSE_LIMIT} nodes; pass --force-dense "
             "to run the dense eigensolve anyway")
 
@@ -269,17 +267,17 @@ def _parse_times(text: str) -> np.ndarray:
     """Comma-separated times as a float array.
 
     An unparsable entry, a non-finite one (``nan``, ``inf``) or an empty
-    list raises :class:`UsageError`.
+    list raises `ValueError`.
     """
     try:
         times = np.array([float(v) for v in text.split(",") if v.strip()])
     except ValueError as exc:
-        raise UsageError(f"bad time list {text!r}: {exc}") from None
+        raise ValueError(f"bad time list {text!r}: {exc}") from None
     if times.size == 0:
-        raise UsageError("empty time list")
+        raise ValueError("empty time list")
     bad = times[~np.isfinite(times)]
     if bad.size:
-        raise UsageError(f"non-finite time {bad[0]} in {text!r}")
+        raise ValueError(f"non-finite time {bad[0]} in {text!r}")
     return times
 
 
@@ -327,7 +325,7 @@ def _cmd_evolve(args, run):
 
 def _cmd_absorb(args, run):
     if args.runs < 0 or args.runs == 1:
-        raise UsageError(f"--runs must be 0 or at least 2, got {args.runs} "
+        raise ValueError(f"--runs must be 0 or at least 2, got {args.runs} "
                          "(the standard error needs two samples)")
     _check_dense(args.n, args)
     res = expected_absorption_steps(args.n, args.alpha)
@@ -353,16 +351,20 @@ def _parse_pairs(text: str):
         try:
             k = int(text.split(":", 1)[1])
         except ValueError:
-            raise UsageError(f"bad pair count in {text!r}") from None
+            raise ValueError(f"bad pair count in {text!r}") from None
         if k <= 0:
-            raise UsageError("sampled pair count must be positive")
+            raise ValueError("sampled pair count must be positive")
         return k
-    raise UsageError(f'--pairs expects "all" or "sampled:<k>", got {text!r}')
+    raise ValueError(f'--pairs expects "all" or "sampled:<k>", got {text!r}')
 
 
 def _cmd_decay(args, run):
     _, _, L = _laplacian(args, run)
     sample = _parse_pairs(args.pairs)
+    if not _is_symmetric(L.matrix):
+        raise ValueError(f"{args.input}: decay bounds need a symmetric "
+                         "Laplacian (an undirected graph with kind undirected"
+                         " or symmetric-normalized)")
     if args.mode == "kernel":
         # one eigendecomposition serves the power and the check
         data = symmetric_spectral_data(L)
@@ -417,7 +419,7 @@ def _cmd_returnprob(args, run):
 
 def _cmd_superdiff(args, run):
     if args.tmin <= 0 or args.tmax <= args.tmin:
-        raise UsageError("need 0 < tmin < tmax")
+        raise ValueError("need 0 < tmin < tmax")
     times = np.geomspace(args.tmin, args.tmax, args.tcount)
     fit = superdiffusion_exponent(args.alpha, args.orientation, times,
                                   samples=args.samples)
@@ -431,7 +433,7 @@ def _cmd_superdiff(args, run):
 
 def _cmd_stable(args, run):
     if args.xi_count < 2 or args.xi_max <= args.xi_min:
-        raise UsageError("need xi_min < xi_max and at least 2 points")
+        raise ValueError("need xi_min < xi_max and at least 2 points")
     params = StableParams(alpha=args.alpha, beta=args.beta, gamma=args.scale)
     xi = np.linspace(args.xi_min, args.xi_max, args.xi_count)
     dens = stable_density(params, xi)
@@ -449,23 +451,23 @@ def _is_number(value) -> bool:
 
 
 def _number(value, name: str) -> float:
-    """``float(value)``, or `UsageError` naming the config field ``name``
+    """``float(value)``, or `ValueError` naming the config field ``name``
     if ``value`` is not a JSON number."""
     if not _is_number(value):
-        raise UsageError(f"{name} must be a number, got {value!r}")
+        raise ValueError(f"{name} must be a number, got {value!r}")
     return float(value)
 
 
 def _consensus_graph(cfg, args, run):
-    g = cfg.get("graph", "directed-cycle")
+    g = cfg.setdefault("graph", "directed-cycle")
     if g == "directed-cycle":
         n = cfg.get("vehicles", 120)
         if type(n) is not int:
-            raise UsageError(f"vehicles must be an integer, got {n!r}")
+            raise ValueError(f"vehicles must be an integer, got {n!r}")
         _check_dense(n, args)
         return cycle_graph(n, directed=True)
     if not isinstance(g, str):
-        raise UsageError("graph must be \"directed-cycle\" or an edge-list "
+        raise ValueError("graph must be \"directed-cycle\" or an edge-list "
                          f"path, got {g!r}")
     g = load_edge_list(run.read(g), one_based=cfg.get("one_based", False))
     _check_dense(g.n, args)
@@ -476,30 +478,30 @@ def _cmd_consensus(args, run):
     try:
         cfg = json.loads(run.read(args.config).read_text())
     except json.JSONDecodeError as exc:
-        raise UsageError(f"bad JSON config: {exc}") from None
+        raise ValueError(f"bad JSON config: {exc}") from None
     if not isinstance(cfg, dict):
-        raise UsageError(f"config must be a JSON object, got {cfg!r}")
+        raise ValueError(f"config must be a JSON object, got {cfg!r}")
     unknown = sorted(cfg.keys() - _CONFIG_KEYS)
     if unknown:
-        raise UsageError(f"unknown config keys: {', '.join(unknown)}")
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     if not isinstance(cfg.get("one_based", False), bool):
-        raise UsageError("one_based must be true or false, got "
+        raise ValueError("one_based must be true or false, got "
                          f"{cfg['one_based']!r}")
 
     center = cfg.get("center", [3.0, 3.0])
     if not (isinstance(center, list) and len(center) == 2
             and all(map(_is_number, center)) and np.isfinite(center).all()):
-        raise UsageError(f"center must be 2 finite numbers, got {center!r}")
+        raise ValueError(f"center must be 2 finite numbers, got {center!r}")
     alphas = cfg.get("alpha", [0.5])
     alphas = [_check_alpha(_number(a, "alpha"))
               for a in (alphas if isinstance(alphas, list) else [alphas])]
     if not alphas:
-        raise UsageError("alpha must list at least one exponent")
+        raise ValueError("alpha must list at least one exponent")
     if len({_alpha_tag(a) for a in alphas}) < len(alphas):
-        raise UsageError(f"alpha must list distinct exponents, got {alphas}")
+        raise ValueError(f"alpha must list distinct exponents, got {alphas}")
     stride = cfg.get("stride")
     if stride is not None and (type(stride) is not int or stride < 1):
-        raise UsageError(f"stride must be an integer >= 1, got {stride!r}")
+        raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
     beta = _number(cfg.get("beta", 0.5), "beta")
     horizon = _number(cfg.get("horizon", 5.0), "horizon")
     step = cfg.get("step")
@@ -516,7 +518,10 @@ def _cmd_consensus(args, run):
                               target=target, x0=ring, v0=v0, horizon=horizon,
                               gamma=gamma, gamma_margin=margin, step=step,
                               output_stride=stride)
-        states = simulate_consensus(sim)
+        try:
+            states = simulate_consensus(sim)
+        except ValueError as exc:  # a fault of the graph
+            raise ValueError(f"{cfg['graph']}: {exc}") from None
         tag = _alpha_tag(alpha)
 
         pos = np.stack([s.positions for s in states])
@@ -538,16 +543,10 @@ def _cmd_consensus(args, run):
 
 
 def cli_dispatch(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command is None:
-            raise UsageError(parser.format_usage())
+        args = build_parser().parse_args(argv)
         run = _Run(args)
         run.finish(args.handler(args, run))
-    except UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -316,6 +316,30 @@ def test_decay_kernel_mode_factors_the_laplacian_once(und, tmp_path,
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("flags", [
+    [], ["--force-undirected", "--kind", "random-walk"], ["--mode", "kernel"],
+], ids=["directed", "random-walk", "kernel"])
+def test_decay_refuses_a_non_symmetric_laplacian_naming_the_file(
+        tmp_path, capsys, monkeypatch, flags):
+    import fraclap.cli
+
+    def fail(*args, **kwargs):
+        raise AssertionError("an eigendecomposition ran before the check")
+
+    for name in ("symmetric_spectral_data", "verify_decay_bounds",
+                 "verify_p_alpha_bound"):
+        monkeypatch.setattr(fraclap.cli, name, fail)
+    edges = tmp_path / "edges.txt"
+    edges.write_text("0 1\n1 2\n")
+    out = tmp_path / "out"
+    assert run(["decay", "--input", str(edges), "--alpha", "0.5", *flags],
+               out) == 1
+    assert capsys.readouterr().err == (
+        f"error: {edges}: decay bounds need a symmetric Laplacian (an "
+        "undirected graph with kind undirected or symmetric-normalized)\n")
+    assert not out.exists()
+
+
 def test_frange_three_node_eigendarkness(tmp_path):
     tri = tmp_path / "tri.txt"
     tri.write_text("0 1\n1 2\n2 0\n2 1\n")
@@ -476,6 +500,20 @@ def test_consensus_on_an_edge_list_graph(tmp_path):
     assert g.directed and got == pytest.approx(want + 1.0, rel=1e-12)
 
 
+def test_consensus_refused_graph_names_the_file(tmp_path, capsys):
+    # the library builds this Laplacian, and refuses its overflowing sums
+    huge = tmp_path / "huge.txt"
+    huge.write_text("0 1 1e308\n1 2 1e308\n2 0 1e308\n")
+    cfg = tmp_path / "cons.json"
+    cfg.write_text(json.dumps({"graph": str(huge), "alpha": 0.5,
+                               "horizon": 0.5}))
+    out = tmp_path / "out"
+    assert run(["consensus", "--config", str(cfg)], out) == 1
+    assert capsys.readouterr().err == (
+        f"error: {huge}: node 0: its Laplacian row or column sum overflows\n")
+    assert not out.exists()
+
+
 def test_consensus_builds_each_coupling_once(tmp_path, monkeypatch):
     import fraclap.cli as cli
     import fraclap.consensus as consensus
@@ -551,6 +589,50 @@ def test_usage_errors_exit_one(ring, tmp_path, capsys):
         assert message in capsys.readouterr().err
     assert cli_dispatch([]) == 1                           # no subcommand
     assert "usage: fraclap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, usage", [
+    (["power", "--input", "{ring}"], True),
+    (["power", "--input", "{tmp}/nope.txt", "--alpha", "0.5"], False),
+    (["nonsense"], True),
+    ([], True),
+    (["decay", "--input", "{ring}", "--alpha", "0.5"], False),
+    (["decay", "--input", "{ring}", "--alpha", "0.5",
+      "--pairs", "sampled:zero"], False),
+    (["decay", "--input", "{ring}", "--alpha", "0.5",
+      "--pairs", "sampled:0"], False),
+    (["decay", "--input", "{ring}", "--alpha", "0.5", "--pairs", "bogus"],
+     False),
+    (["evolve", "--input", "{ring}", "--alpha", "0.5", "--times", "0,x"],
+     False),
+    (["returnprob", "--input", "{ring}", "--alpha", "0.5", "--times", " , "],
+     False),
+    (["superdiff", "--orientation", "undirected", "--alpha", "0.5",
+      "--tmin", "10", "--tmax", "5"], False),
+    (["stable", "--alpha", "1.5", "--beta", "0", "--xi-count", "1"], False),
+    (["consensus", "--config", "{tmp}/bad.json"], False),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_every_refusal_takes_the_one_error_path(ring, tmp_path, capsys,
+                                                argv, usage):
+    # argparse's refusals and the program's take the same path
+    (tmp_path / "bad.json").write_text("{vehicles: 8}")
+    argv = [a.format(ring=ring, tmp=tmp_path) for a in argv]
+    out = tmp_path / "out"
+    assert (run(argv, out) if argv else cli_dispatch([])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert ("usage: fraclap" in err) == usage
+    assert not out.exists()
+
+
+def test_input_that_is_a_directory_exits_one_naming_it(tmp_path, capsys):
+    adir = tmp_path / "adir"
+    adir.mkdir()
+    out = tmp_path / "out"
+    assert run(["power", "--input", str(adir), "--alpha", "0.5"], out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(adir) in err
+    assert "not found" not in err and not out.exists()
 
 
 @pytest.mark.parametrize("text, flags, message", [
@@ -758,6 +840,44 @@ def test_failed_write_removes_the_directories_it_created(ring, tmp_path,
         assert "File exists" in capsys.readouterr().err
     assert not (tmp_path / "fresh").exists()
     assert kept.is_dir() and not any(kept.iterdir())
+
+
+@pytest.mark.parametrize("blocked", ["consensus_error_alpha0p5.csv",
+                                     "consensus_manifest.json"])
+def test_failed_write_removes_the_files_it_wrote(tmp_path, capsys, blocked):
+    # a directory where a later output or the manifest goes
+    cfg = tmp_path / "cons.json"
+    cfg.write_text(json.dumps({"vehicles": 8, "alpha": 0.5, "horizon": 0.5}))
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    assert run(["consensus", "--config", str(cfg)], out) == 1
+    assert "Is a directory" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == [blocked]
+    assert not any((out / blocked).iterdir())
+
+
+def test_failed_write_keeps_the_files_that_were_there(ring, tmp_path):
+    out = tmp_path / "out"
+    (out / "laplacian_manifest.json").mkdir(parents=True)
+    (out / "laplacian.csv").write_text("old\n")
+    assert run(["laplacian", "--input", str(ring)], out) == 1
+    assert sorted(p.name for p in out.iterdir()) == [
+        "laplacian.csv", "laplacian_manifest.json"]
+
+
+def test_a_finished_run_leaves_no_reference_cycle(ring, tmp_path):
+    # a cycle through the run would keep its queued arrays alive until
+    # the garbage collector runs, raising the peak memory of many runs
+    import gc
+    gc.collect()
+    gc.disable()
+    try:
+        assert run(["power", "--input", str(ring), "--alpha", "0.5"],
+                   tmp_path) == 0
+        assert not [o for o in gc.get_objects()
+                    if type(o).__name__ == "_Run"]
+    finally:
+        gc.enable()
 
 
 def test_console_entry_point(ring, tmp_path):
