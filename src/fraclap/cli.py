@@ -208,14 +208,14 @@ class _Run:
         args, inputs, started = self.args, self.inputs, self.started
         params = {k: v for k, v in sorted(vars(args).items())
                   if k not in ("command", "handler") and v is not None}
-        # built when written, so that duration_s covers the outputs; it
-        # holds no self, whose cycle would keep the queued arrays alive
+        # built when written, so that duration_s covers the outputs, and
+        # free of self, so that no reference cycle keeps the queue alive
         self._queue(f"{args.command}_manifest", ".json", lambda p: write_json(
             p, {"subcommand": args.command, "parameters": params,
                 "inputs": inputs, "seed": args.seed, "version": __version__,
                 "duration_s": time.monotonic() - started,
                 "results": results}))
-        made = []  # each directory and file that this run created
+        made = []  # each path this run made, noted once its parent exists
         try:
             for write, path, payload in self.writes:
                 for d in reversed(path.parents):

@@ -865,6 +865,17 @@ def test_failed_write_keeps_the_files_that_were_there(ring, tmp_path):
         "laplacian.csv", "laplacian_manifest.json"]
 
 
+def test_failed_write_keeps_a_file_named_through_dot_dot(ring, tmp_path):
+    # "fresh/sub/../../taken" names the file "taken" only once the run has
+    # made fresh/sub, so it must not be taken for a path the run created
+    taken = tmp_path / "taken"
+    taken.write_text("old\n")
+    assert run(["laplacian", "--input", str(ring),
+                "--out", "sub/../../taken/x"], tmp_path / "fresh") == 1
+    assert taken.read_text() == "old\n"
+    assert not (tmp_path / "fresh").exists()
+
+
 def test_a_finished_run_leaves_no_reference_cycle(ring, tmp_path):
     # a cycle through the run would keep its queued arrays alive until
     # the garbage collector runs, raising the peak memory of many runs
