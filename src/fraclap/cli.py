@@ -15,6 +15,7 @@ naming the file at fault); a failed run removes what it created.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -149,9 +150,12 @@ class _Run:
     return its file name: ``name`` (default ``--out``, else the subcommand)
     under ``--out-dir`` (default ``$FRACLAP_OUT_DIR``, else ``.``), with
     the suffix of ``--format``; ``--out`` may name a subdirectory.
-    `finish` queues the manifest last and writes the queue in order, so a
-    run that raises before it writes nothing; if a write raises, the files
-    and the (empty) directories that the run created are removed.
+    `finish` queues the manifest last and writes the queue in order, each
+    file into a hidden temporary sibling, and renames the temporary files
+    into place only once every write has returned.  So a run that raises
+    before it writes nothing, and a write that raises leaves every file
+    that was there before the run as it was: the temporary files and the
+    (empty) directories that the run created are removed.
     """
 
     def __init__(self, args):
@@ -216,15 +220,26 @@ class _Run:
                 "duration_s": time.monotonic() - started,
                 "results": results}))
         made = []  # each path this run made, noted once its parent exists
+        written = []
         try:
-            for write, path, payload in self.writes:
+            for i, (write, path, payload) in enumerate(self.writes):
                 for d in reversed(path.parents):
                     if not d.is_dir():
                         d.mkdir()
                         made.append(d)
-                if not path.exists():
-                    made.append(path)
-                write(path, *payload)
+                if path.is_dir():  # fail here, not halfway through the renames
+                    raise IsADirectoryError(errno.EISDIR,
+                                            os.strerror(errno.EISDIR), str(path))
+                # the suffix stays: mmwrite appends ".mtx" to a name without it
+                tmp = path.with_name(f".{path.stem}.{os.getpid()}-{i}"
+                                     f"{path.suffix}")
+                os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL,
+                                 0o666))
+                made.append(tmp)
+                write(tmp, *payload)
+                written.append((tmp, path))
+            for tmp, path in written:
+                os.replace(tmp, path)
         except BaseException:
             for p in reversed(made):
                 if not p.is_dir():

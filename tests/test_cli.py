@@ -863,6 +863,37 @@ def test_failed_write_keeps_the_files_that_were_there(ring, tmp_path):
     assert run(["laplacian", "--input", str(ring)], out) == 1
     assert sorted(p.name for p in out.iterdir()) == [
         "laplacian.csv", "laplacian_manifest.json"]
+    assert (out / "laplacian.csv").read_text() == "old\n"
+
+
+def test_a_write_that_raises_keeps_the_old_files(ring, tmp_path,
+                                                 monkeypatch):
+    # the manifest, written last, raises after the matrix was written
+    def fail(path, obj):
+        raise OSError(28, "No space left on device", str(path))
+
+    import fraclap.cli
+    monkeypatch.setattr(fraclap.cli, "write_json", fail)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "laplacian.csv").write_text("old\n")
+    assert run(["laplacian", "--input", str(ring)], out) == 1
+    assert [p.name for p in out.iterdir()] == ["laplacian.csv"]
+    assert (out / "laplacian.csv").read_text() == "old\n"
+
+
+@pytest.mark.parametrize("fmt, suffix", [("csv", ".csv"), ("mm", ".mtx"),
+                                         ("json", ".json")])
+def test_a_run_replaces_old_files_and_leaves_no_temporary_file(
+        ring, tmp_path, fmt, suffix):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / f"laplacian{suffix}").write_text("old\n")
+    assert run(["laplacian", "--input", str(ring), "--format", fmt],
+               out) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted([
+        f"laplacian{suffix}", "laplacian_manifest.json"])
+    assert (out / f"laplacian{suffix}").read_text() != "old\n"
 
 
 def test_failed_write_keeps_a_file_named_through_dot_dot(ring, tmp_path):

@@ -96,3 +96,57 @@ def test_result_digests_key_each_dataclass_field():
     assert got["lattice:limit.rho"] == compare_outputs.digest(2.5)
     assert compare_outputs.result_digests("lattice:x", 0.5) == {
         "lattice:x": compare_outputs.digest(0.5)}
+
+
+def _values(report, wanted):
+    # as the pass returns them, through JSON
+    return json.loads(json.dumps(compare_outputs.result_values(
+        "lattice:limit", report, wanted)))
+
+
+def test_result_values_keep_wanted_floats_and_float_or_complex_arrays():
+    wanted = {f"lattice:limit.{f}" for f in ("errors", "ok", "rho", "pairs")}
+    got = _values(_report(), wanted)
+    assert got == {"lattice:limit.errors": [[2], [0.25, 1e-3]],
+                   "lattice:limit.rho": [[], [2.5]]}
+    assert _values(_report(), set()) == {}
+    z = np.array([[1 + 2j], [3 - 4j]])
+    assert _values(_report(errors=z), wanted)["lattice:limit.errors"] == [
+        [2, 1], [[1.0, 2.0], [3.0, -4.0]]]
+    assert compare_outputs.result_values(
+        "undirected:x", np.arange(3), {"undirected:x"}) == {}
+
+
+def test_largest_difference_of_values():
+    wanted = {"lattice:limit.errors", "lattice:limit.rho"}
+    a = _values(_report(), wanted)
+    b = _values(_report(errors=np.array([0.25, 1e-3 + 2e-17]),
+                        rho=2.5 - 1e-15), wanted)
+    largest = compare_outputs.largest_difference
+    assert largest(a["lattice:limit.errors"], b["lattice:limit.errors"]) \
+        == abs(1e-3 + 2e-17 - 1e-3)
+    assert largest(a["lattice:limit.rho"], b["lattice:limit.rho"]) \
+        == abs(2.5 - 1e-15 - 2.5)
+    # complex entries by modulus, shapes that differ not at all
+    z = _values(_report(errors=np.array([1 + 1j, 2j])), wanted)
+    w = _values(_report(errors=np.array([1 + 1j, 3 + 6j])), wanted)
+    assert largest(z["lattice:limit.errors"], w["lattice:limit.errors"]) \
+        == 5.0
+    assert largest(a["lattice:limit.errors"], a["lattice:limit.rho"]) is None
+    # a NaN on both sides is no difference; on one side it is
+    nan = _values(_report(errors=np.array([np.nan, 1.0])), wanted)
+    one = _values(_report(errors=np.array([np.nan, 1.5])), wanted)
+    assert largest(nan["lattice:limit.errors"],
+                   one["lattice:limit.errors"]) == 0.5
+    assert np.isnan(largest(nan["lattice:limit.errors"],
+                            _values(_report(errors=np.array([0.0, 1.0])),
+                                    wanted)["lattice:limit.errors"]))
+
+
+def test_differences_print_the_largest_difference_where_known():
+    parent = {"lattice:a": "1", "lattice:b": "2", "cli.csv": "3"}
+    change = {"lattice:a": "4", "lattice:b": "5", "cli.csv": "6"}
+    assert compare_outputs.differences(parent, change,
+                                       {"lattice:a": 1.04e-17}) == [
+        "cli.csv: differs", "lattice:a: differs, by at most 1.04e-17",
+        "lattice:b: differs"]

@@ -470,3 +470,77 @@ def test_empty_evaluation_points_give_empty_arrays():
     gauss = StableParams(alpha=2.0, beta=0.0, gamma=1.0)
     out = stable_density(gauss, np.array([]))
     assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+
+def _phase_nodes():
+    # the 4096-interval node set of a lattice rule, as the quadrature uses it
+    rule = LatticeSolution(0.75, "undirected")._rule(20.0)
+    s = rule._stride(4096)
+    return rule.x[::s], rule.w[::s]
+
+
+def _direct_phase_sum(x, w, z):
+    # the direct path of _phase_sum: one exponential per node and point
+    out = np.empty(z.shape[0], dtype=complex)
+    cols = max(1, superdiff._CHUNK // x.shape[0])
+    for s in range(0, z.shape[0], cols):
+        ph = np.multiply.outer(x, -1j * z[s:s + cols])
+        np.exp(ph, out=ph)
+        out[s:s + cols] = w @ ph
+    return out
+
+
+@pytest.mark.parametrize("chunk", [superdiff._CHUNK, 4097, 3 * 4097])
+@pytest.mark.parametrize("direction", [1.0, -1.0, 0.0])
+@pytest.mark.parametrize("m", [3, 32, 33, 64, 65])
+@pytest.mark.parametrize("offset", [0.0, 1e4])
+def test_recurrence_matches_the_direct_sum(monkeypatch, chunk, direction, m,
+                                           offset):
+    # the step takes one row of 4097 phases, so a chunk of 3 * 4097 holds
+    # two blocks of 32 points, and one of 4097 holds one
+    monkeypatch.setattr(superdiff, "_CHUNK", chunk)
+    x, w = _phase_nodes()
+    rng = np.random.default_rng(m)
+    z0 = offset * rng.choice([-1.0, 1.0]) + rng.uniform(-20.0, 20.0)
+    z = z0 + np.arange(m) * (direction * rng.uniform(0.01, 2.0))
+    assert superdiff._grid_step(z) is not None
+    got = superdiff._phase_sum(x, w, z)
+    # the docstring bound, twice over: the direct path rounds x * z too
+    eps = np.finfo(float).eps
+    bound = 2 * (32 + 4 * np.abs(z).max() * x.max()) * eps * np.abs(w).sum()
+    assert np.abs(got - _direct_phase_sum(x, w, z)).max() <= bound
+
+
+def _moved_grid():
+    # an equispaced grid with one point moved by 1e-9 of its value
+    z = np.linspace(-3.0, 5.0, 40)
+    z[17] *= 1.0 + 1e-9
+    return z
+
+
+@pytest.mark.parametrize("z", [_moved_grid(), np.array([2.5]),
+                               np.array([-1.0, 7.0]), np.array([])])
+def test_other_points_take_the_direct_path_bit_for_bit(z):
+    x, w = _phase_nodes()
+    assert superdiff._grid_step(z) is None
+    assert np.array_equal(superdiff._phase_sum(x, w, z),
+                          _direct_phase_sum(x, w, z))
+
+
+@pytest.mark.parametrize("alpha, orientation, tmin, samples", [
+    (0.9, "directed", 300.0, 33), (0.75, "undirected", 100.0, 129)])
+def test_fwhm_grids_take_the_recurrence(monkeypatch, alpha, orientation,
+                                        tmin, samples):
+    # each coarse sample is np.linspace(lo, hi, samples) * t**scale
+    steps = []
+    real = superdiff._grid_step
+
+    def spy(z):
+        steps.append((z.shape[0], real(z)))
+        return steps[-1][1]
+
+    monkeypatch.setattr(superdiff, "_grid_step", spy)
+    superdiffusion_exponent(alpha, orientation, np.geomspace(tmin, 1e3, 5),
+                            samples=samples)
+    multi = [step for m, step in steps if m == samples]
+    assert multi and None not in multi

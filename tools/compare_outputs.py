@@ -15,8 +15,11 @@ and with the temporary directory replaced by ``<work>`` (`normalise`).
 The exit code of each ``cli`` operation is compared too, and so is the
 value each ``undirected`` and ``lattice`` operation returns, one digest
 per dataclass field (`digest`).  The tool prints each name that differs
-or exists on one side only and exits 1 if there is any.  Standard
-library only.
+or exists on one side only and exits 1 if there is any.  A differing
+``undirected`` or ``lattice`` field that is a float, or a float or
+complex array of one shape on both sides, is printed with its largest
+absolute difference, from a second pass that returns those fields'
+values (`result_values`).  Standard library only.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import struct
 import subprocess
 import sys
@@ -33,8 +37,9 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 TOOLS = Path(__file__).resolve().parent
-# run in the subprocess: argv is the checkout, the work directory, the seed
-# and this file's directory, whose `result_digests` both checkouts share
+# run in the subprocess: argv is the checkout, the work directory, the seed,
+# this file's directory, whose `result_digests` and `result_values` both
+# checkouts share, and a JSON list of the result names to return values of
 PASS = """
 import json, os, sys
 from pathlib import Path
@@ -45,9 +50,10 @@ import run
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = run.BLAS_THREADS
 import workloads
-from compare_outputs import result_digests
+from compare_outputs import result_digests, result_values
+wanted = set(json.loads(sys.argv[5]))
 ops = workloads.cli_workload(seed, work)
-out = {"exit": {op.name: op.run() for op in ops}}
+out = {"exit": {op.name: op.run() for op in ops}, "values": {}}
 for name in ("undirected", "lattice"):
     for op in workloads.WORKLOADS[name](seed, work / name):
         try:
@@ -55,6 +61,8 @@ for name in ("undirected", "lattice"):
         except Exception as exc:
             value = f"raised {type(exc).__name__}"
         out.update(result_digests(f"{name}:{op.name}", value))
+        out["values"].update(result_values(f"{name}:{op.name}", value,
+                                           wanted))
 print(json.dumps(out))
 """
 
@@ -98,13 +106,53 @@ def digest(obj) -> str:
     return h.hexdigest()
 
 
+def _fields(name: str, value) -> dict:
+    """``value`` under ``name``, or each of its fields under
+    ``name.field`` if it is a dataclass."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {f"{name}.{f.name}": getattr(value, f.name)
+                for f in dataclasses.fields(value)}
+    return {name: value}
+
+
 def result_digests(name: str, value) -> dict[str, str]:
     """`digest` of an operation's returned ``value`` under ``name``, or
     of each of its fields under ``name.field`` if it is a dataclass."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {f"{name}.{f.name}": digest(getattr(value, f.name))
-                for f in dataclasses.fields(value)}
-    return {name: digest(value)}
+    return {key: digest(v) for key, v in _fields(name, value).items()}
+
+
+def result_values(name: str, value, wanted) -> dict[str, list]:
+    """The values of the `result_digests` entries of ``value`` whose
+    names are in ``wanted`` and that are a float or a float or complex
+    array, each as ``[shape, flat values]``, a complex value as
+    ``[re, im]``."""
+    out = {}
+    for key, v in _fields(name, value).items():
+        if key not in wanted:
+            continue
+        if isinstance(v, float):
+            out[key] = [[], [v]]
+        elif getattr(v, "dtype", None) is not None and v.dtype.kind in "fc":
+            flat = v.ravel().tolist()
+            out[key] = [list(v.shape), [[c.real, c.imag] for c in flat]
+                        if v.dtype.kind == "c" else flat]
+    return out
+
+
+def largest_difference(a, b):
+    """The largest absolute difference between two `result_values`
+    entries (NaN if one side alone has a NaN), or None if their shapes
+    differ."""
+    if a[0] != b[0]:
+        return None
+
+    def number(v):
+        return complex(*v) if isinstance(v, list) else v
+
+    diffs = [abs(x - y) for x, y in zip(map(number, a[1]), map(number, b[1]))
+             if not (x == y or (x != x and y != y))]
+    return math.nan if any(d != d for d in diffs) else max(diffs,
+                                                           default=0.0)
 
 
 def normalise(name: str, data: bytes, work: str) -> bytes:
@@ -120,6 +168,18 @@ def normalise(name: str, data: bytes, work: str) -> bytes:
     return text.replace(json.dumps(work)[1:-1], "<work>").encode()
 
 
+def _pass(checkout: Path, seed: int, tmp: str, wanted=()) -> dict:
+    """The output of `PASS` in ``checkout``, working in ``tmp/work``."""
+    proc = subprocess.run(
+        [sys.executable, "-c", PASS, str(checkout.resolve()),
+         str(Path(tmp) / "work"), str(seed), str(TOOLS),
+         json.dumps(sorted(wanted))], cwd=tmp, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"the pass failed in {checkout} (seed {seed})"
+                         f":\n{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 def digests(checkout: Path, seed: int) -> dict[str, str]:
     """SHA-256 of each normalised file one ``cli`` pass writes, by path
     relative to its output directory; each ``cli`` operation's exit code
@@ -127,16 +187,11 @@ def digests(checkout: Path, seed: int) -> dict[str, str]:
     ``undirected`` and ``lattice`` operation under
     ``<workload>:<operation>``."""
     with tempfile.TemporaryDirectory() as tmp:
-        work = Path(tmp) / "work"
-        proc = subprocess.run(
-            [sys.executable, "-c", PASS, str(checkout.resolve()), str(work),
-             str(seed), str(TOOLS)], cwd=tmp, capture_output=True, text=True)
-        if proc.returncode != 0:
-            raise SystemExit(f"the pass failed in {checkout} (seed {seed})"
-                             f":\n{proc.stderr}")
-        out = json.loads(proc.stdout.strip().splitlines()[-1])
+        out = _pass(checkout, seed, tmp)
+        del out["values"]
         codes = out.pop("exit")
         out.update({f"exit:{op}": str(code) for op, code in codes.items()})
+        work = Path(tmp) / "work"
         root = work / "out"
         for path in sorted(p for p in root.rglob("*") if p.is_file()):
             name = path.relative_to(root).as_posix()
@@ -145,8 +200,18 @@ def digests(checkout: Path, seed: int) -> dict[str, str]:
     return out
 
 
-def differences(parent: dict[str, str], change: dict[str, str]) -> list[str]:
-    """One line per name whose digest differs or that one side lacks."""
+def values(checkout: Path, seed: int, wanted) -> dict[str, list]:
+    """The `result_values` of the ``undirected`` and ``lattice`` results
+    named in ``wanted``, from a second pass."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return _pass(checkout, seed, tmp, wanted)["values"]
+
+
+def differences(parent: dict[str, str], change: dict[str, str],
+                largest=None) -> list[str]:
+    """One line per name whose digest differs or that one side lacks; a
+    name in ``largest`` is printed with its largest absolute difference."""
+    largest = largest or {}
     lines = []
     for name in sorted(parent.keys() | change.keys()):
         if name not in change:
@@ -154,7 +219,9 @@ def differences(parent: dict[str, str], change: dict[str, str]) -> list[str]:
         elif name not in parent:
             lines.append(f"{name}: only in the change")
         elif parent[name] != change[name]:
-            lines.append(f"{name}: differs")
+            lines.append(f"{name}: differs" + (
+                f", by at most {largest[name]:.2e}" if name in largest
+                else ""))
     return lines
 
 
@@ -168,7 +235,18 @@ def main(argv=None) -> int:
     failed = False
     for seed in (int(s) for s in args.seeds.split(",")):
         got = {side: digests(getattr(args, side), seed) for side in SIDES}
-        diff = differences(got["parent"], got["change"])
+        wanted = [n for n in got["parent"].keys() & got["change"].keys()
+                  if n.startswith(("undirected:", "lattice:"))
+                  and got["parent"][n] != got["change"][n]]
+        largest = {}
+        if wanted:
+            vals = {side: values(getattr(args, side), seed, wanted)
+                    for side in SIDES}
+            for n in vals["parent"].keys() & vals["change"].keys():
+                d = largest_difference(vals["parent"][n], vals["change"][n])
+                if d is not None:
+                    largest[n] = d
+        diff = differences(got["parent"], got["change"], largest)
         files = sum(":" not in n for n in got["change"])
         results = sum(":" in n and not n.startswith("exit:")
                       for n in got["change"])
