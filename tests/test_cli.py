@@ -896,6 +896,18 @@ def test_a_run_replaces_old_files_and_leaves_no_temporary_file(
     assert (out / f"laplacian{suffix}").read_text() != "old\n"
 
 
+def test_an_output_replaces_a_symbolic_link_instead_of_its_target(
+        ring, tmp_path):
+    target = tmp_path / "target.csv"
+    target.write_text("old\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "laplacian.csv").symlink_to(target)
+    assert run(["laplacian", "--input", str(ring)], out) == 0
+    assert not (out / "laplacian.csv").is_symlink()
+    assert target.read_text() == "old\n"
+
+
 def test_failed_write_keeps_a_file_named_through_dot_dot(ring, tmp_path):
     # "fresh/sub/../../taken" names the file "taken" only once the run has
     # made fresh/sub, so it must not be taken for a path the run created
