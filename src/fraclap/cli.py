@@ -30,7 +30,7 @@ from .consensus import (ConsensusConfig, _relocation_geometry,
 from .decay import (numerical_range_profile, pattern_distances,
                     verify_decay_bounds, verify_p_alpha_bound)
 from .errors import NumericalError
-from .generators import cycle_graph, path_graph
+from .generators import cycle_graph
 from .graphs import LaplacianKind, build_laplacian, load_edge_list
 from .io import (sha256_file, write_json, write_matrix_csv, write_matrix_mm,
                  write_table_csv)
@@ -40,8 +40,8 @@ from .matfun import (_check_alpha, _is_symmetric, fractional_power,
 from .matfun import fractional_power_general  # noqa: F401
 from .superdiff import StableParams, stable_density, superdiffusion_exponent
 from .walks import (absorption_time_samples, evolve_continuous,
-                    expected_absorption_steps, return_probability,
-                    simulate_discrete, transition_kernel)
+                    expected_absorption_steps, path_fractional_entries,
+                    return_probability, simulate_discrete, transition_kernel)
 
 DENSE_LIMIT = 2000
 _KINDS = [k.value for k in LaplacianKind]
@@ -275,7 +275,12 @@ def _laplacian(args, run):
 
 
 def _kernel_of(args, L):
-    return transition_kernel(fractional_power(L, args.alpha))
+    """The jump kernel of ``L**alpha``; a refused kernel names the file."""
+    lalpha = fractional_power(L, args.alpha)
+    try:
+        return transition_kernel(lalpha)
+    except ValueError as exc:
+        raise ValueError(f"{args.input}: {exc}") from None
 
 
 def _parse_times(text: str) -> np.ndarray:
@@ -347,10 +352,8 @@ def _cmd_absorb(args, run):
     out = {"expectation": res.expectation, "n_step": res.n_step,
            "fundamental_expectation": res.fundamental_expectation}
     if args.runs > 0:
-        L = build_laplacian(path_graph(args.n, directed=True),
-                            LaplacianKind.DIRECTED_OUT)
-        samples = absorption_time_samples(_kernel_of(args, L), 0,
-                                          args.runs, args.seed)
+        kernel = transition_kernel(path_fractional_entries(args.n, args.alpha))
+        samples = absorption_time_samples(kernel, 0, args.runs, args.seed)
         out["mc_mean"] = float(samples.mean())
         out["mc_stderr"] = float(samples.std(ddof=1) / np.sqrt(args.runs))
     keys = sorted(out)
@@ -479,6 +482,8 @@ def _consensus_graph(cfg, args, run):
         n = cfg.get("vehicles", 120)
         if type(n) is not int:
             raise ValueError(f"vehicles must be an integer, got {n!r}")
+        if n < 3:
+            raise ValueError(f"vehicles must be at least 3, got {n}")
         _check_dense(n, args)
         return cycle_graph(n, directed=True)
     if not isinstance(g, str):
@@ -533,10 +538,11 @@ def _cmd_consensus(args, run):
                               target=target, x0=ring, v0=v0, horizon=horizon,
                               gamma=gamma, gamma_margin=margin, step=step,
                               output_stride=stride)
-        try:
-            states = simulate_consensus(sim)
-        except ValueError as exc:  # a fault of the graph
+        try:  # the graph's Laplacian, its power and its damping bound
+            sim.coupling, sim.damping
+        except ValueError as exc:
             raise ValueError(f"{cfg['graph']}: {exc}") from None
+        states = simulate_consensus(sim)
         tag = _alpha_tag(alpha)
 
         pos = np.stack([s.positions for s in states])

@@ -14,6 +14,7 @@ block system ``[[0, I], [-K, -gamma K]]``, and a damping threshold on
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -138,7 +139,8 @@ class ConsensusConfig:
         Margin added to the computed threshold.
     step : float or None
         Integrator step, default ``horizon / 5000``; must be positive.
-        The horizon is split into ``ceil(horizon / step)`` equal steps.
+        The horizon is split into ``ceil(horizon / step)`` equal steps,
+        at most ``sys.maxsize``.
     output_stride : int or None
         Record every this many steps, default about 500 snapshots; must
         be an integer >= 1, not a bool.
@@ -173,6 +175,13 @@ class ConsensusConfig:
             if value is not None and not 0.0 < value < math.inf:
                 raise ValueError(
                     f"{name} must be positive and finite, got {value}")
+        if 1e-4 * self.horizon == 0.0:
+            raise ValueError(f"horizon {self.horizon} is too short for the "
+                             "target check's step 1e-4 * horizon")
+        if (self.step is not None
+                and not self.horizon / self.step <= sys.maxsize):
+            raise ValueError(f"step {self.step} splits horizon {self.horizon} "
+                             "into more than sys.maxsize steps")
         if not math.isfinite(self.gamma_margin):
             raise ValueError(
                 f"gamma_margin must be finite, got {self.gamma_margin}")
@@ -261,6 +270,8 @@ def _rk4_increment(E: np.ndarray, steps: int) -> np.ndarray:
         P += buf
 
 
+# an overflow makes the deviation non-finite, which the blow-up guard reports
+@np.errstate(over="ignore", invalid="ignore")
 def simulate_consensus(cfg: ConsensusConfig) -> list[ConsensusState]:
     """Integrate the consensus dynamics with fixed-step classical RK4.
 

@@ -237,7 +237,8 @@ def verify_p_alpha_bound(kernel, L, *, data: SpectralData | None = None,
     A, _, rho, D, dm1 = _decay_setup(L, data)
     alpha = kernel.alpha
     diag = np.diag(A).astype(float)
-    with np.errstate(divide="ignore"):
+    # a zero or tiny degree gives an infinite, vacuous row factor
+    with np.errstate(divide="ignore", over="ignore"):
         row = JACKSON_CONSTANT * rho / (2.0 ** alpha * diag)
     margin = float((kernel.d_alpha - rho ** (alpha - 1.0) * diag).min())
     return _decay_report("kernel", alpha, rho, D, np.abs(kernel.P),

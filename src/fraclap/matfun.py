@@ -369,8 +369,12 @@ def fractional_power_general(M, alpha) -> FractionalPowerResult:
             lam = _schur_eigenvalues(T)
         F[k:, k:], roots, degree = _atomic_power(T[k:, k:], alpha)
         if k:
-            X, scale, info = lapack.dtrsyl(T[:k, :k], T[k:, k:],
-                                           -T[:k, k:] @ F[k:, k:], isgn=-1)
+            with np.errstate(over="ignore", invalid="ignore"):
+                C = -T[:k, k:] @ F[k:, k:]
+            if not np.isfinite(C).all():
+                raise NumericalError("the coupling's right-hand side "
+                                     "T01 T1^alpha overflows")
+            X, scale, info = lapack.dtrsyl(T[:k, :k], T[k:, k:], C, isgn=-1)
             if info != 0 or scale == 0.0:
                 raise NumericalError(
                     "Parlett recurrence breakdown between the zero cluster "
@@ -378,7 +382,11 @@ def fractional_power_general(M, alpha) -> FractionalPowerResult:
                 )
             F[:k, k:] = X / scale
 
-    R = Z @ F @ Z.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        R = Z @ F @ Z.T
+    if not np.isfinite(R).all():
+        raise NumericalError("the back-transform Z F Z^T of L^alpha "
+                             "overflows")
     # a zero row (column) of M is a left (right) null vector, which the
     # power maps to 0 exactly; Schur roundoff there would make an
     # absorbing node look live
@@ -416,12 +424,13 @@ def binomial_coefficients(alpha: float, count: int) -> np.ndarray:
 
 
 def fractional_power_series(L, alpha, terms: int) -> SeriesApproximation:
-    """Truncated binomial series rho^alpha * sum_k binom(alpha,k) (-1)^k
-    (B/rho)^k with B = rho I - L and rho = max diagonal degree.
+    """Truncated binomial series rho^alpha * sum_k (-1)^k binom(alpha,k)
+    (B/rho)^k over k <= terms, with B = rho I - L, rho = max diagonal degree
+    and the binomials of :func:`binomial_coefficients`.
 
     Valid for combinatorial Laplacians (checked: nonpositive off-diagonal,
     nonnegative diagonal, zero row sums).  Returns the partial sum and the
-    scalar remainder estimate that bounds the max-norm truncation error.
+    remainder estimate rho^alpha * |sum of the signed coefficients|.
     """
     alpha = _check_alpha(alpha)
     terms = int(terms)
@@ -443,17 +452,15 @@ def fractional_power_series(L, alpha, terms: int) -> SeriesApproximation:
         return SeriesApproximation(matrix=np.zeros_like(A), alpha=alpha,
                                    remainder=0.0)
 
+    signed = (-1.0) ** np.arange(terms + 1) \
+        * binomial_coefficients(alpha, terms + 1)
     Bs = np.eye(n) - A / rho          # B / rho, row-stochastic and nonnegative
     S = np.eye(n)
     P = np.eye(n)
-    coeff = 1.0                        # (-1)^k binom(alpha, k)
-    partial = 1.0
-    for k in range(1, terms + 1):
-        coeff *= (k - 1 - alpha) / k
+    for coeff in signed[1:]:
         P = P @ Bs
         S += coeff * P
-        partial += coeff
-    remainder = float(rho ** alpha * abs(partial))
+    remainder = float(rho ** alpha * abs(signed.sum()))
     return SeriesApproximation(matrix=rho ** alpha * S, alpha=alpha,
                                remainder=remainder)
 

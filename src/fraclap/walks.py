@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
-from scipy.special import gammaln, gammasgn
 
 from .errors import ConvergenceError, NumericalError
 from .graphs import DenseOperator, as_matrix
@@ -81,7 +80,8 @@ def transition_kernel(lalpha: DenseOperator) -> TransitionKernel:
     Rows of L^alpha that vanish entirely (absorbing nodes, e.g. the sink
     of a directed path) become identity rows.  A nonpositive diagonal on a
     structurally nonzero row raises.  Entries in [-1e-12, 0) are clamped
-    to 0 and rows renormalized; more negative entries raise.
+    to 0 and rows renormalized; more negative entries, and a live row
+    that the clamp leaves all zero, raise :class:`NumericalError`.
     """
     if not isinstance(lalpha, DenseOperator) or lalpha.alpha is None:
         raise ValueError("input carries no alpha; build it from a fractional power")
@@ -109,6 +109,10 @@ def transition_kernel(lalpha: DenseOperator) -> TransitionKernel:
         )
     np.clip(P, 0.0, None, out=P)
     sums = P.sum(axis=1)
+    empty = act & (sums == 0.0)
+    if np.any(empty):
+        raise NumericalError(f"node {int(np.flatnonzero(empty)[0])}: its "
+                             "kernel row is all zero after clamping")
     P[act, :] /= sums[act, None]
     P[absorbing, absorbing] = 1.0
 
@@ -324,16 +328,12 @@ def cycle_fractional_entries(n: int, alpha: float) -> DenseOperator:
 
 
 def cycle_entry_limit(alpha: float, gap: int) -> float:
-    """n -> infinity limit of a directed-cycle entry at the given gap:
-    Gamma(gap - alpha) / (gap! * Gamma(-alpha))."""
+    """n -> infinity limit of a directed-cycle entry at the given gap: the
+    path's (-1)^gap binom(alpha, gap) = Gamma(gap-alpha) / (gap! Gamma(-alpha))."""
     gap = int(gap)
     if gap < 0:
         raise ValueError("gap must be >= 0")
-    if gap == 0:
-        return 1.0
-    sign = gammasgn(gap - alpha) * gammasgn(-alpha)
-    mag = math.exp(gammaln(gap - alpha) - gammaln(gap + 1) - gammaln(-alpha))
-    return float(sign * mag)
+    return float((-1) ** gap * binomial_coefficients(alpha, gap + 1)[-1])
 
 
 def expected_absorption_steps(n: int, alpha: float) -> AbsorptionResult:

@@ -253,6 +253,26 @@ def test_absorb_monte_carlo_csv(tmp_path):
     assert abs(row["mc_mean"] - row["expectation"]) < 4 * row["mc_stderr"]
 
 
+def test_importing_the_cli_leaves_scipy_special_unloaded():
+    code = "import sys, fraclap.cli; print('scipy.special' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout == "False\n"
+
+
+def test_absorb_walks_the_closed_form_kernel(tmp_path, monkeypatch):
+    import fraclap.cli
+    import fraclap.matfun
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the power engine ran")
+
+    monkeypatch.setattr(fraclap.cli, "fractional_power", fail)
+    monkeypatch.setattr(fraclap.matfun, "schur_spectral_data", fail)
+    assert run(["absorb", "--n", "40", "--alpha", "0.37", "--runs", "50",
+                "--seed", "5"], tmp_path) == 0
+
+
 @pytest.mark.parametrize("runs", ["-5", "1"])
 def test_absorb_runs_below_two_exit_one(tmp_path, capsys, runs):
     # one sample has no standard error: NaN would reach absorb.json
@@ -391,6 +411,69 @@ def test_overflowing_degree_sums_exit_one_naming_the_file(tmp_path, capsys,
                out) == 0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ["power"], ["kernel"], ["walk", "--steps", "3"],
+    ["evolve", "--times", "0,1"], ["returnprob", "--times", "0,1"],
+    ["frange"]], ids=" ".join)
+def test_overflowing_power_coupling_exits_two_naming_it(tmp_path, capsys,
+                                                        argv):
+    # the Laplacian and its degree sums are finite, but the Schur
+    # coupling of the sink with the 1e300 arc is not
+    edges = tmp_path / "big.txt"
+    edges.write_text("12 13 1e+300\n13 12 0.5\n13 3 1.0\n")
+    out = tmp_path / "out"
+    assert run([*argv, "--alpha", "0.5", "--input", str(edges)], out) == 2
+    assert capsys.readouterr().err == (
+        "numerical failure: the coupling's right-hand side T01 T1^alpha "
+        "overflows\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel"], ["walk", "--steps", "3"], ["evolve", "--times", "0,1"],
+    ["returnprob", "--times", "0,1"]], ids=" ".join)
+def test_refused_kernel_names_the_file(tmp_path, capsys, argv):
+    # with in-degrees, node 1 has no arc: a live row with a zero degree
+    edges = tmp_path / "in.txt"
+    edges.write_text("7 6 0.5\n")
+    out = tmp_path / "out"
+    argv = [*argv, "--kind", "directed-in", "--input", str(edges)]
+    assert run([*argv, "--alpha", "0.5"], out) == 1
+    assert capsys.readouterr().err == (
+        f"error: {edges}: node 1 has nonpositive fractional degree "
+        "0.000e+00\n")
+    assert not out.exists()
+    assert run([*argv, "--alpha", "2"], out) == 1  # not the file's fault
+    assert capsys.readouterr().err == (
+        "error: alpha must lie in (0, 1], got 2.0\n")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_decay_kernel_mode_takes_an_infinite_row_factor_as_vacuous(tmp_path):
+    edges = tmp_path / "tiny.txt"
+    edges.write_text("0 1 1.0\n1 2 1.0\n2 3 5e-324\n")
+    assert run(["decay", "--alpha", "0.5", "--mode", "kernel",
+                "--force-undirected", "--input", str(edges)], tmp_path) == 0
+    rows = np.loadtxt(tmp_path / "decay.csv", delimiter=",", skiprows=1)
+    assert (rows[:, 5] == 1).all()
+    assert np.isinf(rows[rows[:, 0] == 3, 4]).all()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_kernel_row_emptied_by_the_clamp_exits_two(tmp_path, capsys):
+    edges = tmp_path / "wide.txt"
+    edges.write_text("8 1 1e-200\n2 11 1e-30\n17 8 1e+200\n8 7\n"
+                     "11 16 5e-324\n")
+    out = tmp_path / "out"
+    assert run(["kernel", "--alpha", "0.5", "--force-undirected", "--kind",
+                "symmetric-normalized", "--input", str(edges)], out) == 2
+    assert capsys.readouterr().err == (
+        "numerical failure: node 0: its kernel row is all zero after "
+        "clamping\n")
+    assert not out.exists()
+
+
 def test_frange_odd_angle_count_matches_per_angle_sweep(tmp_path):
     tri = tmp_path / "tri.txt"
     tri.write_text("0 1\n1 2\n2 0\n2 1\n")
@@ -511,6 +594,45 @@ def test_consensus_refused_graph_names_the_file(tmp_path, capsys):
     assert run(["consensus", "--config", str(cfg)], out) == 1
     assert capsys.readouterr().err == (
         f"error: {huge}: node 0: its Laplacian row or column sum overflows\n")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("config, message", [
+    ({"horizon": 1e-08, "step": 5e-324},
+     "step 5e-324 splits horizon 1e-08 into more than sys.maxsize steps"),
+    ({"horizon": 1, "step": 1e-300, "stride": 1},
+     "step 1e-300 splits horizon 1.0 into more than sys.maxsize steps"),
+    ({"horizon": 5e-324}, "horizon 5e-324 is too short for the target "
+                          "check's step 1e-4 * horizon"),
+], ids=["step-inf", "step-huge", "horizon"])
+@pytest.mark.parametrize("graph", [False, True])
+def test_consensus_refused_time_grid_names_the_field(tmp_path, capsys,
+                                                     config, message, graph):
+    # a refusal that does not come from the graph does not name it
+    if graph:
+        ring = tmp_path / "ring.txt"
+        ring.write_text("0 1\n1 2\n2 0\n")
+        config = {**config, "graph": str(ring)}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"vehicles": 5, **config}))
+    out = tmp_path / "out"
+    assert run(["consensus", "--config", str(cfg)], out) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_consensus_overflow_is_left_to_the_blow_up_guard(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"vehicles": 5, "beta": 1e-08, "horizon": 0.1,
+                               "gamma_margin": 1.7e+308,
+                               "center": [1e+300, -1e+300]}))
+    out = tmp_path / "out"
+    assert run(["consensus", "--config", str(cfg)], out) == 2
+    assert capsys.readouterr().err == (
+        "numerical failure: deviation blew up to nan at t=0.000200; "
+        "reduce the integrator step\n")
     assert not out.exists()
 
 
@@ -712,6 +834,7 @@ def test_non_finite_consensus_input_exits_one_naming_it(tmp_path, capsys,
     ("vehicles", 5.9, "vehicles must be an integer, got 5.9"),
     ("vehicles", float("nan"), "vehicles must be an integer, got nan"),
     ("vehicles", True, "vehicles must be an integer, got True"),
+    ("vehicles", 2, "vehicles must be at least 3, got 2"),
     ("center", [float("nan"), 3.0],
      "center must be 2 finite numbers, got [nan, 3.0]"),
     ("center", [3.0], "center must be 2 finite numbers, got [3.0]"),
@@ -1002,6 +1125,8 @@ def test_superdiff_too_few_samples_exits_one_before_quadrature(
       "--tmin", "nan", "--tmax", "1e4"], "--tmin"),
     (["superdiff", "--orientation", "undirected", "--alpha", "0.5",
       "--tmin", "10", "--tmax", "inf"], "--tmax"),
+    (["superdiff", "--orientation", "undirected", "--alpha", "0.5",
+      "--tmax", "abc"], "--tmax"),
 ])
 def test_non_finite_flags_exit_one_before_quadrature(
         tmp_path, no_quadrature, capsys, argv, named):

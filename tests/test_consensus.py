@@ -306,6 +306,24 @@ def test_non_finite_start_rejected(field):
         replace(cfg, **{field: start})
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"x0": np.zeros((7, 2))}, r"x0 must be \(n, m\) with one row per node"),
+    ({"x0": np.zeros(8)}, r"x0 must be \(n, m\)"),
+    ({"v0": np.zeros((8, 3))}, "v0 must match the shape of x0"),
+], ids=["x0-rows", "x0-flat", "v0-shape"])
+def test_refused_start_shapes(change, message):
+    with pytest.raises(ValueError, match=message):
+        replace(circle_relocation_config(n=8), **change)
+
+
+def test_refused_gain_and_empty_curve():
+    for beta in (0.0, -1.0):
+        with pytest.raises(ValueError, match="beta must be positive"):
+            gamma_lower_bound(cycle_lalpha(0.5, n=8), beta)
+    with pytest.raises(ValueError, match="empty state list"):
+        consensus_error_curve([])
+
+
 @pytest.mark.parametrize("stride", [0, -3, 2.5, True])
 def test_bad_output_stride_rejected(stride):
     with pytest.raises(ValueError, match="output_stride must be an integer"):

@@ -9,6 +9,7 @@ from fraclap.consensus import gamma_lower_bound
 from fraclap.decay import (distance_decay_slope, numerical_range_profile,
                            pattern_distances, verify_decay_bounds,
                            verify_p_alpha_bound)
+from fraclap.errors import NumericalError
 from fraclap.generators import (cycle_graph, grid_graph,
                                 random_connected_graph,
                                 random_geometric_graph)
@@ -332,6 +333,17 @@ _BAD_INPUTS = {"nan": np.array([[1.0, -1.0, np.nan], [-1.0, 1.0, 0.0],
 def test_bad_matrices_raise_value_error(call, bad):
     with pytest.raises(ValueError):
         call(_BAD_INPUTS[bad])
+
+
+def test_refused_range_and_slope_inputs():
+    L = build_laplacian(cycle_graph(6), LaplacianKind.COMBINATORIAL)
+    with pytest.raises(ValueError, match="need at least 8 angles"):
+        numerical_range_profile(L, angles=7)
+    # a 5-cycle reaches hop distance 2 only: one class, not three
+    five = build_laplacian(cycle_graph(5), LaplacianKind.COMBINATORIAL)
+    with pytest.raises(NumericalError, match="need at least 3 distance"):
+        distance_decay_slope(fractional_power_symmetric(five, 0.5),
+                             five.hop_distances)
 
 
 def test_numerical_range_of_complex_hermitian_input():

@@ -213,6 +213,11 @@ def test_dangling_fixup_pagerank_rows():
     assert np.allclose(L.matrix[:, 0], np.roll(expect, 1))
 
 
+def test_cycle_graph_needs_three_nodes():
+    with pytest.raises(ValueError, match="cycle needs n >= 3"):
+        cycle_graph(2)
+
+
 def test_grid_graph_shape():
     g = grid_graph(4, 5)
     assert g.n == 20

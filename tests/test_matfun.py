@@ -126,16 +126,33 @@ def test_series_of_an_edgeless_laplacian_is_zero():
     assert approx.remainder == 0.0
 
 
-def test_series_rejects_non_laplacian():
-    M = np.array([[1.0, 0.5], [0.5, 1.0]])
-    with pytest.raises(ValueError):
-        fractional_power_series(M, 0.5, terms=10)
+@pytest.mark.parametrize("M, terms, message", [
+    (np.array([[1.0, 0.5], [0.5, 1.0]]), 10, "positive off-diagonal"),
+    (np.array([[-1.0, 0.0], [0.0, 0.0]]), 10, "negative diagonal"),
+    (np.array([[2.0, -1.0], [-1.0, 2.0]]), 10, "row sums not zero"),
+    (np.array([[1.0, -1.0], [-1.0, 1.0]]), -1, "terms must be >= 0"),
+], ids=["off-diagonal", "diagonal", "row-sums", "terms"])
+def test_series_rejects_non_laplacian(M, terms, message):
+    with pytest.raises(ValueError, match=message):
+        fractional_power_series(M, 0.5, terms=terms)
+
+
+def test_series_signs_the_binomial_coefficients():
+    L = build_laplacian(cycle_graph(5), LaplacianKind.COMBINATORIAL).matrix
+    approx = fractional_power_series(L, 0.3, terms=7)
+    signed = (-1.0) ** np.arange(8) * binomial_coefficients(0.3, 8)
+    Bs = np.eye(5) - L / 2.0
+    want = sum(c * np.linalg.matrix_power(Bs, k) for k, c in enumerate(signed))
+    assert np.abs(approx.matrix - 2.0 ** 0.3 * want).max() < 1e-15
+    assert approx.remainder == 2.0 ** 0.3 * abs(signed.sum())
 
 
 def test_binomial_coefficients_closed_form():
     got = binomial_coefficients(0.5, 5)
     want = np.array([1.0, 0.5, -0.125, 0.0625, -0.0390625])
     assert np.allclose(got, want, atol=1e-15)
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        binomial_coefficients(0.5, 0)
 
 
 def test_exp_fractional_matches_expm():

@@ -154,6 +154,29 @@ def test_superdiffusion_exponent_matches_diffusive_case():
     assert fit.r_squared > 0.999
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: lattice_symbol(0.5, "sideways", np.zeros(2)),
+     "orientation must be one of"),
+    (lambda: LatticeSolution(0.0, "undirected"),
+     r"alpha must lie in \(0, 1\]"),
+    (lambda: LatticeSolution(1.5, "directed"), r"alpha must lie in \(0, 1\]"),
+    (lambda: lattice_window_stats(0.5, "undirected", 1.0, -1),
+     "kmax must be nonnegative"),
+    (lambda: StableParams(2.5, 0.0, 1.0), r"alpha must lie in \(0, 2\]"),
+    (lambda: StableParams(1.5, 0.5, 1.0), r"only beta in \{0, 1\}"),
+    (lambda: StableParams(1.0, 1.0, 1.0), "alpha = 1 requires beta = 0"),
+    (lambda: stable_limit_params(1.0, "directed"),
+     r"the stable limit requires alpha in \(0, 1\)"),
+    (lambda: fwhm(np.abs, (1.0, 1.0)), "empty bracket"),
+    (lambda: fwhm(np.abs, (-1.0, 1.0), samples=4), "need at least 5 samples"),
+], ids=["orientation", "solution-alpha-0", "solution-alpha-1.5", "kmax",
+        "stable-alpha", "stable-beta", "stable-alpha-1-skewed",
+        "limit-alpha-1", "empty-bracket", "samples"])
+def test_refused_inputs(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_superdiffusion_exponent_grid_validation():
     for bad in ([10.0, 100.0],                       # too few points
                 np.linspace(10, 2000, 5),            # not geometric

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from fraclap.errors import NumericalError
 from fraclap.generators import (cycle_graph, path_graph,
                                 random_connected_graph)
 from fraclap.graphs import (DenseOperator, Graph, LaplacianKind,
@@ -297,6 +300,7 @@ def test_non_finite_times_are_rejected(bad):
     ([0.0, 1.0], np.full(10, 0.2), "u0 is not a probability vector"),
     ([0.0, 1.0], np.r_[-0.5, 1.5, np.zeros(8)],
      "u0 is not a probability vector"),
+    ([0.0, 1.0], 10, "start node 10 out of range"),
 ])
 def test_evolve_rejects_descending_times_and_bad_start_vectors(times, u0,
                                                                message):
@@ -335,6 +339,51 @@ def test_cycle_entries_approach_infinite_limit():
     assert abs(order - (1 + alpha)) < 0.2
     assert errs[-1] < 1e-4
     assert cycle_entry_limit(alpha, 0) == 1.0
+    for alpha in (0.3, 0.5, 0.9):
+        path = path_fractional_entries(12, alpha).matrix
+        for gap in (1, 2, 5, 10):
+            lim = cycle_entry_limit(alpha, gap)
+            assert lim == path[0, gap]
+            # Gamma(gap - alpha) / (gap! Gamma(-alpha)), with
+            # Gamma(-alpha) < 0 < Gamma(gap - alpha)
+            gamma = -math.exp(math.lgamma(gap - alpha) - math.lgamma(gap + 1)
+                              - math.lgamma(-alpha))
+            assert lim == pytest.approx(gamma, rel=1e-13)
+
+
+def _path_kernel():
+    return transition_kernel(path_fractional_entries(6, 0.5))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: simulate_discrete(_path_kernel(), 0, -1, seed=0), ValueError,
+     "steps must be >= 0"),
+    (lambda: absorption_time_samples(kernel_for(8, 0, 0.5), 0, 4, seed=0),
+     ValueError, "kernel has no absorbing state"),
+    (lambda: stationary_distribution(_path_kernel()), NumericalError,
+     "kernel is not reversible"),
+    (lambda: path_fractional_entries(1, 0.5), ValueError, "path needs n >= 2"),
+    (lambda: expected_absorption_steps(1, 0.5), ValueError,
+     "path needs n >= 2"),
+    (lambda: cycle_fractional_entries(2, 0.5), ValueError,
+     "cycle needs n >= 3"),
+    (lambda: cycle_entry_limit(0.5, -1), ValueError, "gap must be >= 0"),
+    (lambda: path_transition_asymptotic(0.5, 0), ValueError,
+     "gap must be >= 1"),
+], ids=["steps", "no-absorbing", "directed-stationary", "path-n",
+        "absorption-n", "cycle-n", "limit-gap", "asymptotic-gap"])
+def test_refused_walk_inputs(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_kernel_row_emptied_by_the_clamp_raises_naming_the_node():
+    # row 0's only off-diagonal entry is a positive roundoff-sized one,
+    # which the clamp sets to 0
+    A = np.array([[1.0, 1e-13], [-1.0, 1.0]])
+    with pytest.raises(NumericalError, match="node 0: its kernel row is all "
+                                             "zero after clamping"):
+        transition_kernel(DenseOperator(A, 0.5))
 
 
 def test_path_jump_probability_power_law():
